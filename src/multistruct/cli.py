@@ -600,6 +600,16 @@ def run_expansion(args) -> list[ReplicationRecord]:
             printed = _printed_expansion()
             for i in range(5, -1, -1):
                 computed = expansion.coefficient(i)
+                if computed == printed[i]:
+                    notes = ""
+                elif computed == -printed[i]:
+                    notes = (
+                        "published coefficient is the negative of the computed one; "
+                        "the published display reassembles to 6 chi(O(t)) - chi_E(t), "
+                        "a global sign slip below the top coefficient"
+                    )
+                else:
+                    notes = "published coefficient differs from the computed one"
                 records.append(
                     _record(
                         f"expansion/C(t+{i},{i})",
@@ -607,13 +617,7 @@ def run_expansion(args) -> list[ReplicationRecord]:
                         _fmt(computed),
                         template="paper",
                         match=computed == printed[i],
-                        notes=(
-                            ""
-                            if computed == printed[i]
-                            else "published coefficient is the negative of the computed one; "
-                            "the published display reassembles to 6 chi(O(t)) - chi_E(t), "
-                            "a global sign slip below the top coefficient"
-                        ),
+                        notes=notes,
                     )
                 )
         else:

@@ -21,10 +21,19 @@ regularity bound, and fiberwise evaluation at sample points as a fast
 screen.  The certified cokernel splitting twisted by -r-2 has no global
 sections, which is the injectivity certificate the cohomology module
 consumes.
+
+Every slice rank is exact.  A slice is built once as an integer matrix
+(the entries' denominators cleared by their lcm) and its rank is computed
+modulo the prime 2^61 - 1 first: a modular rank equal to the smaller
+dimension proves full rank, since a minor that is nonzero mod p is nonzero
+over Z.  Any smaller rank is recomputed by fraction-free Bareiss
+elimination.  Slice ranks are cached per (matrix, degree), so certificates
+that repeat across targets rebuild nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,12 +167,16 @@ def _slice_basis(twist: int, d: int) -> list[tuple[int, int]]:
     return [(k, n - k) for k in range(n, -1, -1)]
 
 
-def slice_matrix(M: GradedMatrix, d: int) -> list[list[Fraction]]:
-    """The degree-d slice of M as an exact matrix.
+def slice_matrix(M: GradedMatrix, d: int) -> list[list[int]]:
+    """The degree-d slice of den*M as an integer matrix.
 
+    den is the lcm of the denominators of every entry coefficient, so each
+    cell is an int and the rank equals the rank of the rational slice of M.
     Rows run over the target slice basis, columns over the source slice
     basis, each ordered component-first then s-exponent descending.
     """
+    terms = [[_su_terms(e) for e in row] for row in M.entries]
+    den = math.lcm(*[c.denominator for row in terms for t in row for c in t.values()])
     src_bases = [_slice_basis(a, d) for a in M.source.twists]
     tgt_bases = [_slice_basis(a, d) for a in M.target.twists]
     tgt_index: dict[tuple[int, int, int], int] = {}
@@ -174,35 +187,79 @@ def slice_matrix(M: GradedMatrix, d: int) -> list[list[Fraction]]:
             pos += 1
     n_rows = pos
     n_cols = sum(len(b) for b in src_bases)
-    out = [[Fraction(0)] * n_cols for _ in range(n_rows)]
+    out = [[0] * n_cols for _ in range(n_rows)]
     col = 0
     for j, basis in enumerate(src_bases):
-        entry_terms = [_su_terms(M.entries[i][j]) for i in range(len(tgt_bases))]
+        entry_terms = [
+            [(ds, du, c.numerator * (den // c.denominator)) for (ds, du), c in row[j].items()]
+            for row in terms
+        ]
         for ds0, du0 in basis:
-            for i in range(len(tgt_bases)):
-                for (ds, du), c in entry_terms[i].items():
+            for i, cells in enumerate(entry_terms):
+                for ds, du, c in cells:
                     row = tgt_index.get((i, ds + ds0, du + du0))
                     if row is None:
                         raise AssertionError("slice monomial fell outside the basis")
-                    out[row][col] = out[row][col] + c
+                    out[row][col] += c
             col += 1
     return out
 
 
 def matrix_rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank of a rational matrix (cleared to integers, then Bareiss)."""
+    """Exact rank of a rational matrix: cleared to integers, then Bareiss.
+
+    Used for the small fiber matrices of the pointwise screen, where a
+    modular pass would gain nothing.
+    """
     if not rows or not rows[0]:
         return 0
-    den = 1
-    for row in rows:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    cleared = [[int(x * den) for x in row] for row in rows]
-    return bareiss_rank(cleared)
+    den = math.lcm(*[x.denominator for row in rows for x in row])
+    return bareiss_rank([[x.numerator * (den // x.denominator) for x in row] for row in rows])
 
 
+MODULUS = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
+
+
+def integer_rank(rows: list[list[int]]) -> int:
+    """Exact rank of an integer matrix, proved full mod a prime or by Bareiss.
+
+    Gaussian elimination modulo MODULUS gives the rank over F_p, which never
+    exceeds the rank over Q: every minor that is nonzero mod p is a nonzero
+    integer.  A modular rank of min(rows, cols) is therefore the rank; any
+    smaller one is recomputed exactly by bareiss_rank.  No step is random.
+    """
+    if not rows or not rows[0]:
+        return 0
+    p = MODULUS
+    m = [[x % p for x in row] for row in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(rank, n_rows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        support = [(j, v * inv % p) for j, v in enumerate(m[rank]) if j > col and v]
+        for i in range(rank + 1, n_rows):
+            row = m[i]
+            f = row[col]
+            if f:
+                for j, v in support:
+                    row[j] = (row[j] - f * v) % p
+                row[col] = 0
+        rank += 1
+        if rank == n_rows:
+            break
+    if rank == min(n_rows, n_cols):
+        return rank
+    return bareiss_rank(rows)
+
+
+@functools.cache
 def slice_rank(M: GradedMatrix, d: int) -> int:
-    return matrix_rank(slice_matrix(M, d))
+    """Rank of the degree-d slice of M, cached per (matrix, degree)."""
+    return integer_rank(slice_matrix(M, d))
 
 
 # -- section pairs and the alpha/beta complex --------------------------------
@@ -344,10 +401,6 @@ def common_zero_check(p: SectionPair) -> bool:
     return univariate_resultant(a_affine, b_affine) != 0
 
 
-def _numeric_rank(rows: list[list[Fraction]]) -> int:
-    return matrix_rank(rows)
-
-
 def pointwise_exactness(
     cx: ComplexSpec, points: list[tuple[Fraction, Fraction]]
 ) -> tuple[bool, tuple[Fraction, Fraction] | None]:
@@ -363,7 +416,7 @@ def pointwise_exactness(
         beta_val = cx.beta.evaluate(point)
         if all(row[0] == 0 for row in alpha_val):
             return False, point
-        if _numeric_rank(beta_val) != 2:
+        if matrix_rank(beta_val) != 2:
             return False, point
         composite = [
             sum(beta_val[i][k] * alpha_val[k][0] for k in range(3)) for i in range(2)

@@ -275,8 +275,8 @@ def test_criterion_07_printed_expansion_coefficients(tmp_path):
         == (format_poly(printed[i]), format_poly(expansion.coefficient(i)), matches[i])
         for i, x in by_index.items()
     )
-    # run_expansion attaches the sign-slip note to any mismatch; the direct
-    # negation check above is what makes that note true.
+    # run_expansion attaches the sign-slip note only to a negated coefficient;
+    # the direct negation check above confirms each note independently.
     notes_ok = records_ok and all(
         i in negated and "sign slip" in x["notes"]
         for i, x in by_index.items()

@@ -98,6 +98,27 @@ class TestRecords:
         code, _, _ = run_cli(capsys, "replicate", "expansion", "--template", "derived")
         assert code == 0  # no published counterpart records to disagree with
 
+    def test_expansion_sign_slip_note_only_on_negations(self, monkeypatch, tmp_path):
+        from multistruct import cli
+
+        printed = cli._printed_expansion()
+        wrong = list(printed)
+        wrong[2] = printed[2] + 1  # neither the computed value nor its negative
+        monkeypatch.setattr(cli, "_printed_expansion", lambda: wrong)
+        path = tmp_path / "expansion.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["replicate", "expansion", "--template", "paper", "--json", str(path)])
+        assert code == 1
+        notes = {
+            r["claim_id"]: r["notes"]
+            for r in json.loads(path.read_text())["records"]
+            if r["claim_id"].startswith("expansion/C(")
+        }
+        assert notes["expansion/C(t+2,2)"] == "published coefficient differs from the computed one"
+        assert notes["expansion/C(t+5,5)"] == ""
+        for i in (0, 1, 3, 4):
+            assert "sign slip" in notes[f"expansion/C(t+{i},{i})"]
+
     def test_congruence_template_verdicts(self, capsys):
         _, out, _ = run_cli(capsys, "replicate", "congruence")
         assert "congruence/double-plane-verdict (paper): nonexistence" in out

@@ -7,21 +7,26 @@ from fractions import Fraction
 
 import pytest
 
+from multistruct import graded
 from multistruct.arith import MultiPoly, var
+from multistruct.cli import _second_pair
 from multistruct.graded import (
     DEFAULT_POINTS,
+    MODULUS,
     ComplexSpec,
     GradedCertificateError,
     GradedFree,
     GradedMatrix,
     SectionPair,
     alphabeta_builder,
+    bareiss_rank,
     cokernel_h0_profile,
     common_zero_check,
     compose,
     default_pair,
     homogeneous_degree,
     injectivity_certificate,
+    integer_rank,
     matrix_rank,
     parse_section_pair,
     pointwise_exactness,
@@ -76,6 +81,111 @@ class TestGradedBasics:
         dual = transpose_dual(alpha)
         assert dual.source.twists == (6, 4, 2)
         assert dual.target.twists == (10,)
+
+
+def _fraction_slice(M: GradedMatrix, d: int) -> list[list[Fraction]]:
+    """The degree-d slice of M with Fraction cells, built cell by cell."""
+
+    def basis(twist):
+        n = d + twist
+        return [(k, n - k) for k in range(n, -1, -1)] if n >= 0 else []
+
+    rows = [(i, mono) for i, a in enumerate(M.target.twists) for mono in basis(a)]
+    cols = [(j, mono) for j, a in enumerate(M.source.twists) for mono in basis(a)]
+    out = [[Fraction(0)] * len(cols) for _ in rows]
+    for c, (j, (ds0, du0)) in enumerate(cols):
+        for r_, (i, (ds1, du1)) in enumerate(rows):
+            if ds1 >= ds0 and du1 >= du0:
+                entry = M.entries[i][j].coeff_of("s", ds1 - ds0).coeff_of("u", du1 - du0)
+                out[r_][c] = entry.as_fraction()
+    return out
+
+
+class TestIntegerRank:
+    P = MODULUS
+
+    def test_random_matrices_match_bareiss(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            bound = rng.choice((1, 3, 10**6, 2**70))
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+            assert integer_rank(rows) == bareiss_rank(rows)
+
+    def test_thin_products_are_rank_deficient(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            m, n = rng.randint(2, 8), rng.randint(2, 8)
+            k = rng.randint(1, min(m, n) - 1)
+            left = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(m)]
+            right = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
+            rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+            assert integer_rank(rows) == bareiss_rank(rows) <= k
+
+    @pytest.mark.parametrize(
+        "rows, rank",
+        # full rank over Q, not mod p; then deficient over Q and more so mod p
+        [([[P]], 1), ([[1, 1], [1, 1 + P]], 2), ([[2, 3], [4, 6 + P]], 2), ([[P, 0], [0, 0]], 1)],
+    )
+    def test_short_modular_rank_falls_back_to_bareiss(self, monkeypatch, rows, rank):
+        calls = []
+        monkeypatch.setattr(graded, "bareiss_rank", lambda m: calls.append(m) or bareiss_rank(m))
+        assert integer_rank(rows) == bareiss_rank(rows) == rank
+        assert calls == [rows]  # the modular rank fell short, so Bareiss decided
+
+    def test_full_rank_mod_p_skips_bareiss(self, monkeypatch):
+        monkeypatch.setattr(graded, "bareiss_rank", lambda m: pytest.fail("Bareiss was called"))
+        assert integer_rank([[1, 2, 3], [4, 5, 6]]) == 2
+        assert integer_rank([[self.P + 1], [0]]) == 1
+        # 2P vanishes mod p, but the determinant -12 mod p does not
+        assert integer_rank([[2 * self.P, 3], [4, 6]]) == 2
+        assert integer_rank([]) == 0 and integer_rank([[]]) == 0
+
+    @pytest.mark.parametrize("rv", range(0, 7))
+    def test_certificate_slices_match_bareiss(self, monkeypatch, rv):
+        built = []
+        original = graded.slice_matrix
+
+        def recording(M, d):
+            rows = original(M, d)
+            built.append(rows)
+            return rows
+
+        monkeypatch.setattr(graded, "slice_matrix", recording)
+        slice_rank.cache_clear()
+        for pair in (default_pair(rv), _second_pair(rv)):
+            _, _, cx = alphabeta_builder(pair)
+            slice_exactness_window(cx)
+            splitting_type(cx, 2 * rv - 6)
+        slice_rank.cache_clear()
+        assert built
+        for rows in built:
+            assert integer_rank(rows) == bareiss_rank(rows)
+
+
+class TestSliceMatrix:
+    def test_fractional_coefficients_give_integer_slices(self):
+        pair = SectionPair(1, s**3 * Fraction(1, 2) + u**3, Fraction(2, 3) * u**5 + s**4 * u)
+        alpha, beta, _ = alphabeta_builder(pair)
+        for M in (alpha, beta, transpose_dual(alpha)):
+            for d in range(-20, 24):
+                rows = slice_matrix(M, d)
+                old = _fraction_slice(M, d)
+                assert all(type(x) is int for row in rows for x in row)
+                # one common scale factor relates the two slices
+                scale = next((x / y for a, b in zip(rows, old) for x, y in zip(a, b) if y), 1)
+                assert rows == [[scale * y for y in b] for b in old]
+                assert integer_rank(rows) == matrix_rank(old)
+
+    def test_slice_rank_cached_by_value(self):
+        first, _, _ = alphabeta_builder(default_pair(2))
+        second, _, _ = alphabeta_builder(default_pair(2))
+        assert first == second and first is not second
+        slice_rank.cache_clear()
+        assert slice_rank(first, 30) == slice_rank(second, 30)
+        info = slice_rank.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        slice_rank.cache_clear()
 
 
 class TestSectionPairs:
