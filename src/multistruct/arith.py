@@ -1,7 +1,10 @@
 """Exact rational arithmetic and sparse multivariate polynomials.
 
-A polynomial is a dict mapping exponent tuples to nonzero Fraction
-coefficients.  Every polynomial lives in one fixed variable universe so
+A polynomial is stored as integer numerators over one common denominator:
+a dict mapping exponent tuples to nonzero ints, plus a positive int, in
+lowest terms (the gcd of the denominator and every numerator is 1, and the
+zero polynomial has denominator 1).  Coefficients are read back as
+Fractions.  Every polynomial lives in one fixed variable universe so
 exponent tuples always have the same length and align without bookkeeping:
 
   VARIABLES = (t, r, R, c1, c2, c3, h, s, u, a1, a2, a3, x, y)
@@ -50,22 +53,46 @@ def _as_fraction(value: Scalar) -> Fraction:
 class MultiPoly:
     """Sparse multivariate polynomial over the rationals.
 
+    Stored as integer numerators over one common denominator: ``_num`` maps
+    exponent tuples to nonzero ints and ``_den`` is a positive int, kept in
+    lowest terms (gcd of ``_den`` and every numerator is 1; the zero
+    polynomial has ``_den == 1``).  The form is unique, so equality and
+    hashing compare ints, and products go to the integer kernel as stored.
+
     Construct via the factory functions ``const``, ``var``, ``parse_poly``
     or the classmethods below; arithmetic never mutates operands.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
-        clean: dict = {}
+    def __init__(self, terms: Mapping[Exponent, Scalar] | None = None):
+        fracs: dict = {}
         if terms:
             for exp, coeff in terms.items():
                 if len(exp) != NVARS:
                     raise ValueError(f"exponent tuple of length {len(exp)}, expected {NVARS}")
                 c = _as_fraction(coeff)
                 if c:
-                    clean[tuple(exp)] = c
-        self._terms = clean
+                    fracs[tuple(exp)] = c
+        # The lcm of reduced denominators leaves no common factor with the numerators.
+        den = math.lcm(*[c.denominator for c in fracs.values()])
+        self._num = {exp: c.numerator * (den // c.denominator) for exp, c in fracs.items()}
+        self._den = den
+
+    @classmethod
+    def _reduced(cls, num: dict, den: int) -> "MultiPoly":
+        """Wrap nonzero int numerators over den > 0, dividing out their common factor."""
+        if not num:
+            den = 1
+        elif den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {exp: c // g for exp, c in num.items()}
+        res = cls.__new__(cls)
+        res._num = num
+        res._den = den
+        return res
 
     # -- constructors ------------------------------------------------------
 
@@ -76,7 +103,7 @@ class MultiPoly:
     @classmethod
     def const(cls, value: Scalar) -> "MultiPoly":
         c = _as_fraction(value)
-        return cls({_ZERO_EXP: c}) if c else cls()
+        return cls._reduced({_ZERO_EXP: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
@@ -84,43 +111,48 @@ class MultiPoly:
             raise ValueError(f"unknown variable {name!r}; known: {', '.join(VARIABLES)}")
         exp = [0] * NVARS
         exp[_VAR_INDEX[name]] = 1
-        return cls({tuple(exp): Fraction(1)})
+        return cls._reduced({tuple(exp): 1}, 1)
 
     # -- inspection --------------------------------------------------------
 
+    def numerators(self) -> tuple[dict[Exponent, int], int]:
+        """The stored form (numerator dict, denominator); the dict is read-only."""
+        return self._num, self._den
+
     def items(self) -> Iterable[tuple[Exponent, Fraction]]:
-        return self._terms.items()
+        den = self._den
+        return [(exp, Fraction(c, den)) for exp, c in self._num.items()]
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in the canonical graded-lex order, highest first."""
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return sorted(self.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and _ZERO_EXP in self._terms)
+        return not self._num or (len(self._num) == 1 and _ZERO_EXP in self._num)
 
     def as_fraction(self) -> Fraction:
         """The value of a constant polynomial; error when non-constant."""
-        if not self._terms:
+        if not self._num:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms[_ZERO_EXP]
+        return Fraction(self._num[_ZERO_EXP], self._den)
 
     def degree(self, name: str | None = None) -> int:
         """Total degree, or the degree in one variable; zero poly has -1."""
-        if not self._terms:
+        if not self._num:
             return -1
         if name is None:
-            return max(sum(exp) for exp in self._terms)
+            return max(sum(exp) for exp in self._num)
         idx = _VAR_INDEX[name]
-        return max(exp[idx] for exp in self._terms)
+        return max(exp[idx] for exp in self._num)
 
     def variables_used(self) -> tuple[str, ...]:
         used = [False] * NVARS
-        for exp in self._terms:
+        for exp in self._num:
             for i, e in enumerate(exp):
                 if e:
                     used[i] = True
@@ -130,12 +162,10 @@ class MultiPoly:
         """Coefficient of name**power, as a polynomial in the other variables."""
         idx = _VAR_INDEX[name]
         out = {}
-        for exp, coeff in self._terms.items():
+        for exp, c in self._num.items():
             if exp[idx] == power:
-                reduced = list(exp)
-                reduced[idx] = 0
-                out[tuple(reduced)] = coeff
-        return MultiPoly(out)
+                out[exp[:idx] + (0,) + exp[idx + 1 :]] = c
+        return MultiPoly._reduced(out, self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -143,22 +173,30 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            c = out.get(exp, Fraction(0)) + coeff
+        da, db = self._den, other._den
+        if da == db:
+            out = dict(self._num)
+            terms = other._num.items()
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            da *= fa
+            out = {exp: c * fa for exp, c in self._num.items()}
+            terms = [(exp, c * fb) for exp, c in other._num.items()]
+        for exp, c in terms:
+            c += out.get(exp, 0)
             if c:
                 out[exp] = c
             else:
-                out.pop(exp, None)
-        res = MultiPoly.__new__(MultiPoly)
-        res._terms = out
-        return res
+                del out[exp]
+        return MultiPoly._reduced(out, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
         res = MultiPoly.__new__(MultiPoly)
-        res._terms = {exp: -c for exp, c in self._terms.items()}
+        res._num = {exp: -c for exp, c in self._num.items()}
+        res._den = self._den
         return res
 
     def __sub__(self, other) -> "MultiPoly":
@@ -175,24 +213,19 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
+            if not other:
                 return MultiPoly()
-            res = MultiPoly.__new__(MultiPoly)
-            res._terms = {exp: coeff * c for exp, coeff in self._terms.items()}
-            return res
+            n = other.numerator
+            return MultiPoly._reduced(
+                {exp: v * n for exp, v in self._num.items()}, self._den * other.denominator
+            )
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms or not other._terms:
+        if not self._num or not other._num:
             return MultiPoly()
-        da, la = self._cleared()
-        db, lb = other._cleared()
-        prod = _kernels.mul_int_dicts(da, db)
-        denom = la * lb
-        res = MultiPoly.__new__(MultiPoly)
-        res._terms = {exp: Fraction(num, denom) for exp, num in prod.items()}
-        return res
+        prod = _kernels.mul_int_dicts(self._num, other._num)
+        return MultiPoly._reduced(prod, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -215,13 +248,6 @@ class MultiPoly:
             raise ZeroDivisionError("scalar division by zero")
         return self * (Fraction(1) / c)
 
-    def _cleared(self) -> tuple[dict, int]:
-        """Denominator-cleared view: (int-coefficient dict, clearing factor)."""
-        lcm = 1
-        for coeff in self._terms.values():
-            lcm = lcm * coeff.denominator // math.gcd(lcm, coeff.denominator)
-        return {exp: int(c * lcm) for exp, c in self._terms.items()}, lcm
-
     # -- substitution ------------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, "MultiPoly | Scalar"]) -> "MultiPoly":
@@ -242,18 +268,16 @@ class MultiPoly:
             return powers[key]
 
         total = MultiPoly()
-        for exp, coeff in self._terms.items():
-            piece = MultiPoly.const(coeff)
+        for exp, c in self._num.items():
             residual = list(exp)
             for idx in binds:
-                e = exp[idx]
-                if e:
-                    residual[idx] = 0
-                    piece = piece * power_of(idx, e)
-            if any(residual):
-                piece = piece * MultiPoly({tuple(residual): Fraction(1)})
+                residual[idx] = 0
+            piece = MultiPoly._reduced({tuple(residual): c}, 1)
+            for idx in binds:
+                if exp[idx]:
+                    piece = piece * power_of(idx, exp[idx])
             total = total + piece
-        return total
+        return total.scalar_div(self._den)
 
     # -- equality and display ---------------------------------------------
 
@@ -261,11 +285,11 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.as_fraction() == other
         if isinstance(other, MultiPoly):
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -530,20 +554,20 @@ def parse_poly(text: str) -> MultiPoly:
 # -- resultants -------------------------------------------------------------
 
 
-def _dense_univariate(p: MultiPoly) -> tuple[str | None, list[Fraction]]:
-    """Coefficients of a univariate polynomial, ascending; (None, [c]) if constant."""
+def _dense_univariate(p: MultiPoly) -> tuple[str | None, list[int], int]:
+    """Integer coefficients of a univariate polynomial, ascending, and their denominator."""
     used = p.variables_used()
     if len(used) > 1:
         raise ValueError(f"polynomial is not univariate: uses {used}")
+    num, den = p.numerators()
     if not used:
-        return None, [p.as_fraction()]
+        return None, [num.get(_ZERO_EXP, 0)], den
     name = used[0]
-    deg = p.degree(name)
-    coeffs = [Fraction(0)] * (deg + 1)
+    coeffs = [0] * (p.degree(name) + 1)
     idx = _VAR_INDEX[name]
-    for exp, coeff in p.items():
-        coeffs[exp[idx]] = coeff
-    return name, coeffs
+    for exp, c in num.items():
+        coeffs[exp[idx]] = c
+    return name, coeffs, den
 
 
 def univariate_resultant(f: MultiPoly, g: MultiPoly) -> Fraction:
@@ -555,22 +579,18 @@ def univariate_resultant(f: MultiPoly, g: MultiPoly) -> Fraction:
         raise ValueError("resultant of two zero polynomials is undefined")
     if f.is_zero() or g.is_zero():
         return Fraction(0)
-    name_f, cf = _dense_univariate(f)
-    name_g, cg = _dense_univariate(g)
+    name_f, fi, lf = _dense_univariate(f)
+    name_g, gi, lg = _dense_univariate(g)
     if name_f is not None and name_g is not None and name_f != name_g:
         raise ValueError(f"mixed variables {name_f!r} and {name_g!r}")
-    m = len(cf) - 1
-    n = len(cg) - 1
+    m = len(fi) - 1
+    n = len(gi) - 1
     if m == 0 and n == 0:
         return Fraction(1)
     if m == 0:
-        return cf[0] ** n
+        return Fraction(fi[0], lf) ** n
     if n == 0:
-        return cg[0] ** m
-    lf = math.lcm(*(c.denominator for c in cf))
-    lg = math.lcm(*(c.denominator for c in cg))
-    fi = [int(c * lf) for c in cf]
-    gi = [int(c * lg) for c in cg]
+        return Fraction(gi[0], lg) ** m
     size = m + n
     rows = []
     for shift in range(m):

@@ -74,23 +74,21 @@ def slice_dim(F: GradedFree, d: int) -> int:
     return sum(max(d + a + 1, 0) for a in F.twists)
 
 
-def _su_terms(p: MultiPoly) -> dict[tuple[int, int], Fraction]:
-    """Terms of a polynomial in s, u as {(deg_s, deg_u): coefficient}."""
+def _su_terms(p: MultiPoly) -> tuple[dict[tuple[int, int], int], int]:
+    """Terms of a polynomial in s, u as ({(deg_s, deg_u): numerator}, den)."""
     names = set(p.variables_used())
     if not names <= {"s", "u"}:
         raise ValueError(f"entry uses variables outside s, u: {sorted(names)}")
-    out: dict[tuple[int, int], Fraction] = {}
     from .arith import VARIABLES
 
     i_s, i_u = VARIABLES.index("s"), VARIABLES.index("u")
-    for exp, c in p.items():
-        out[(exp[i_s], exp[i_u])] = c
-    return out
+    num, den = p.numerators()
+    return {(exp[i_s], exp[i_u]): c for exp, c in num.items()}, den
 
 
 def homogeneous_degree(p: MultiPoly) -> int | None:
     """Total degree in s, u if p is homogeneous and nonzero, else None."""
-    degrees = {ds + du for (ds, du) in _su_terms(p)}
+    degrees = {ds + du for (ds, du) in _su_terms(p)[0]}
     if len(degrees) != 1:
         return None
     return degrees.pop()
@@ -130,15 +128,12 @@ class GradedMatrix:
         s_val, u_val = point
         rows = []
         for row in self.entries:
-            rows.append(
-                [
-                    sum(
-                        (c * s_val**ds * u_val**du for (ds, du), c in _su_terms(e).items()),
-                        Fraction(0),
-                    )
-                    for e in row
-                ]
-            )
+            cells = []
+            for e in row:
+                terms, den = _su_terms(e)
+                value = sum((c * s_val**ds * u_val**du for (ds, du), c in terms.items()), Fraction(0))
+                cells.append(value / den)
+            rows.append(cells)
         return rows
 
 
@@ -176,7 +171,7 @@ def slice_matrix(M: GradedMatrix, d: int) -> list[list[int]]:
     basis, each ordered component-first then s-exponent descending.
     """
     terms = [[_su_terms(e) for e in row] for row in M.entries]
-    den = math.lcm(*[c.denominator for row in terms for t in row for c in t.values()])
+    den = math.lcm(*[e_den for row in terms for _, e_den in row])
     src_bases = [_slice_basis(a, d) for a in M.source.twists]
     tgt_bases = [_slice_basis(a, d) for a in M.target.twists]
     tgt_index: dict[tuple[int, int, int], int] = {}
@@ -191,7 +186,7 @@ def slice_matrix(M: GradedMatrix, d: int) -> list[list[int]]:
     col = 0
     for j, basis in enumerate(src_bases):
         entry_terms = [
-            [(ds, du, c.numerator * (den // c.denominator)) for (ds, du), c in row[j].items()]
+            [(ds, du, c * (den // row[j][1])) for (ds, du), c in row[j][0].items()]
             for row in terms
         ]
         for ds0, du0 in basis:
@@ -388,8 +383,8 @@ def common_zero_check(p: SectionPair) -> bool:
     dehomogenizations; the remaining point [1:0] is a common zero exactly
     when u divides both.  Both checks together are complete.
     """
-    u_divides_a = all(du > 0 for (_, du) in _su_terms(p.a))
-    u_divides_b = all(du > 0 for (_, du) in _su_terms(p.b))
+    u_divides_a = all(du > 0 for (_, du) in _su_terms(p.a)[0])
+    u_divides_b = all(du > 0 for (_, du) in _su_terms(p.b)[0])
     if u_divides_a and u_divides_b:
         return False
     a_affine = p.a.substitute({"u": 1})

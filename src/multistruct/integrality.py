@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterable
 
-from .arith import MultiPoly, PolyT, binomial_poly, var
+from .arith import VARIABLES, MultiPoly, PolyT, binomial_poly, var
 from .chow import BundleClass, euler_characteristic
 
 ResidueTable = tuple[tuple[int, tuple[int, ...]], ...]
@@ -34,13 +33,10 @@ ConstraintTable = tuple[tuple[str, int, tuple[int, ...]], ...]
 def lowest_terms(p: MultiPoly) -> tuple[MultiPoly, int]:
     """Write p as num/den with integer-coefficient num and positive den.
 
-    den is the lcm of the coefficient denominators, so gcd(content, den)=1
-    holds automatically and the pair is in lowest terms.
+    This is the stored form of p, which is kept in lowest terms.
     """
-    den = 1
-    for _, c in p.items():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return p * den, den
+    num, den = p.numerators()
+    return MultiPoly(num), den
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ class BinomialExpansion:
         for num, den in self.coeffs:
             if den <= 0:
                 raise ValueError("denominators must be positive")
-            if any(c.denominator != 1 for _, c in num.items()):
+            if num.numerators()[1] != 1:
                 raise ValueError("numerators must have integer coefficients")
 
     def coefficient(self, i: int) -> MultiPoly:
@@ -102,18 +98,28 @@ def congruence_residues(numerator: MultiPoly, m: int) -> set[int]:
 
     Direct enumeration over a full residue system; exact because an
     integer-coefficient polynomial is constant mod m on residue classes.
+    The coefficients are reduced mod m once, then each residue is
+    evaluated by Horner's rule mod m.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    if any(c.denominator != 1 for _, c in numerator.items()):
+    num, den = numerator.numerators()
+    if den != 1:
         raise ValueError("numerator must have integer coefficients")
     names = numerator.variables_used()
     if len(names) > 1:
         raise ValueError(f"numerator must be univariate, uses {names}")
+    idx = VARIABLES.index(names[0]) if names else 0
+    coeffs = [0] * (max(numerator.degree(), 0) + 1)
+    for exp, c in num.items():
+        coeffs[exp[idx]] = c % m
+    coeffs.reverse()
     residues: set[int] = set()
     for rho in range(m):
-        value = numerator.substitute({names[0]: rho}) if names else numerator
-        if value.as_fraction() % m == 0:
+        value = 0
+        for c in coeffs:
+            value = (value * rho + c) % m
+        if value == 0:
             residues.add(rho)
     return residues
 

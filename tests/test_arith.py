@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ import pytest
 
 from conftest import random_poly
 from multistruct.arith import (
+    NVARS,
+    VARIABLES,
     MultiPoly,
     PolyT,
     binomial_poly,
@@ -151,3 +154,130 @@ class TestResultant:
     def test_no_common_root(self):
         x = var("x")
         assert univariate_resultant(x * x + 1, x - 3) != 0
+
+
+# -- the stored form against a Fraction-dict reference ---------------------------
+
+def _exp(**powers: int) -> tuple[int, ...]:
+    return tuple(powers.get(name, 0) for name in VARIABLES)
+
+
+def _ref_random(rng: random.Random) -> dict:
+    """A random {exponent: nonzero Fraction} dict in t, r, s."""
+    out = {}
+    for _ in range(rng.randint(0, 5)):
+        exp = _exp(t=rng.randint(0, 3), r=rng.randint(0, 2), s=rng.randint(0, 1))
+        c = out.get(exp, Fraction(0)) + Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4, 6, 35)))
+        out[exp] = c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_pow(a: dict, n: int) -> dict:
+    out = {_exp(): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_substitute(a: dict, name: str, value: dict) -> dict:
+    idx = VARIABLES.index(name)
+    out: dict = {}
+    for e, c in a.items():
+        rest = {e[:idx] + (0,) + e[idx + 1 :]: c}
+        out = _ref_add(out, _ref_mul(rest, _ref_pow(value, e[idx])))
+    return out
+
+
+def _as_ref(p: MultiPoly) -> dict:
+    return dict(p.items())
+
+
+def _assert_lowest_terms(p: MultiPoly) -> None:
+    num, den = p.numerators()
+    assert isinstance(den, int) and den > 0
+    assert all(isinstance(c, int) and c != 0 and len(e) == NVARS for e, c in num.items())
+    assert math.gcd(den, *num.values()) == 1
+    if not num:
+        assert den == 1
+
+
+class TestStoredForm:
+    def test_random_operations_match_reference(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            ra, rb = _ref_random(rng), _ref_random(rng)
+            a, b = MultiPoly(ra), MultiPoly(rb)
+            scalar = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 9)))
+            n = rng.randint(0, 3)
+            value = _ref_random(rng)
+            results = [
+                (a, ra),
+                (a + b, _ref_add(ra, rb)),
+                (a - b, _ref_add(ra, {e: -c for e, c in rb.items()})),
+                (-a, {e: -c for e, c in ra.items()}),
+                (a * b, _ref_mul(ra, rb)),
+                (a * scalar, {e: c * scalar for e, c in ra.items()}),
+                (a**n, _ref_pow(ra, n)),
+                (a.scalar_div(scalar), {e: c / scalar for e, c in ra.items()}),
+                (a.substitute({"t": MultiPoly(value)}), _ref_substitute(ra, "t", value)),
+                (a.substitute({"r": scalar}), _ref_substitute(ra, "r", {_exp(): scalar})),
+                (
+                    a.coeff_of("t", 1),
+                    {(0,) + e[1:]: c for e, c in ra.items() if e[0] == 1},  # t is first
+                ),
+            ]
+            for got, want in results:
+                _assert_lowest_terms(got)
+                assert _as_ref(got) == want
+                assert got == MultiPoly(want)
+                assert hash(got) == hash(MultiPoly(want))
+
+    def test_items_are_fractions(self):
+        p = parse_poly("(1/2)*t^2 + (3/2)*t + 1")
+        assert p.numerators() == ({_exp(t=2): 1, _exp(t=1): 3, _exp(): 2}, 2)
+        assert dict(p.items()) == {
+            _exp(t=2): Fraction(1, 2),
+            _exp(t=1): Fraction(3, 2),
+            _exp(): Fraction(1),
+        }
+        assert all(type(c) is Fraction for _, c in p.items())
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (t.scalar_div(2) * 2, t),
+            (t * Fraction(1, 3) + t * Fraction(1, 6), t.scalar_div(2)),
+            (const(Fraction(3, 6)), const(1).scalar_div(2)),
+            ((t + 1) ** 2 - 2 * t, t * t + 1),
+            (t.scalar_div(4) * (4 * r), t * r),
+            ((t - r).coeff_of("t", 1), const(1)),
+            (t - t, MultiPoly.zero()),
+            (MultiPoly({_exp(t=1): Fraction(2, 4)}), MultiPoly({_exp(t=1): 1}).scalar_div(2)),
+        ],
+    )
+    def test_equal_by_different_routes(self, left, right):
+        _assert_lowest_terms(left)
+        _assert_lowest_terms(right)
+        assert left == right
+        assert hash(left) == hash(right)
+        assert left.numerators() == right.numerators()
+
+    def test_zero_has_denominator_one(self):
+        for zero in (MultiPoly.zero(), t.scalar_div(3) - t.scalar_div(3), 0 * t.scalar_div(7)):
+            assert zero.numerators() == ({}, 1)

@@ -8,7 +8,8 @@ import json
 
 import pytest
 
-from multistruct.cli import ReplicationRecord, RUNNERS, build_parser, main, report_json
+from multistruct.cli import R_CAP, ReplicationRecord, RUNNERS, build_parser, main, report_json
+from multistruct.graded import GradedCertificateError
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +77,87 @@ class TestExitCodes:
                 parser.parse_args(argv)
             assert exc.value.code == 2
         capsys.readouterr()
+
+
+def exit_code(capsys, *argv) -> int:
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    return code
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize(
+        "error",
+        [
+            AssertionError("slice monomial fell outside the basis"),
+            GradedCertificateError("fiberwise exactness fails at (1, 0)"),
+            KeyError("missing"),
+        ],
+    )
+    def test_engine_failures_exit_3(self, capsys, monkeypatch, error):
+        def failing(args):
+            raise error
+
+        monkeypatch.setitem(RUNNERS, "graded", failing)
+        code, out, err = run_cli(capsys, "replicate", "graded")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        if not isinstance(error, GradedCertificateError):
+            assert err.startswith("internal error: ")
+
+    def test_failure_inside_all_exits_3(self, capsys, monkeypatch):
+        def failing(args):
+            raise AssertionError("forced")
+
+        monkeypatch.setitem(RUNNERS, "expansion", failing)
+        assert run_cli(capsys, "replicate", "all")[0] == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("replicate", "graded", "--r", "two"),
+            ("replicate", "graded", "--r", str(R_CAP + 1)),
+            ("replicate", "graded", "--r", "-3"),
+            ("replicate", "double-conic", "--r", "0"),
+        ],
+    )
+    def test_bad_r_exits_2(self, capsys, argv):
+        assert exit_code(capsys, *argv) == 2
+
+
+class TestParameterCap:
+    def test_cap_admits_the_defaults_and_benchmark(self):
+        args = build_parser().parse_args(["replicate", "graded", "--r", "16"])
+        assert args.r == 16
+        assert build_parser().parse_args(["replicate", "graded"]).window == range(0, 7)
+
+    def test_at_the_cap(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["replicate", "ext-claim", "--r", str(R_CAP)]).r == R_CAP
+        assert parser.parse_args(["replicate", "ext-claim", f"--r={-R_CAP}"]).r == -R_CAP
+        window = parser.parse_args(["replicate", "ext-claim", f"--window={-R_CAP}..{R_CAP}"]).window
+        assert window == range(-R_CAP, R_CAP + 1)
+        assert exit_code(capsys, "replicate", "ext-claim", "--r", str(R_CAP)) == 0
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            f"--r={R_CAP + 1}",
+            f"--r={-R_CAP - 1}",
+            f"--window=0..{R_CAP + 1}",
+            f"--window={-R_CAP - 1}..0",
+        ],
+    )
+    def test_one_past_the_cap(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["replicate", "ext-claim", flag])
+        assert exc.value.code == 2
+        assert f"-{R_CAP}..{R_CAP}" in capsys.readouterr().err
 
 
 class TestRecords:

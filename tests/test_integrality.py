@@ -41,6 +41,14 @@ class TestLowestTerms:
             assert num.scalar_div(den) == p
             assert all(c.denominator == 1 for _, c in num.items())
 
+    def test_is_the_stored_form(self):
+        rng = random.Random(9)
+        for _ in range(50):
+            p = random_poly(rng, names=("r",), max_degree=4)
+            num, den = lowest_terms(p)
+            assert num.numerators() == (p.numerators()[0], 1)
+            assert den == p.numerators()[1]
+
 
 class TestBinomialBasis:
     def test_monomial_example(self):
@@ -87,6 +95,48 @@ class TestCongruences:
     def test_constant_numerator(self):
         assert congruence_residues(MultiPoly.const(6), 3) == {0, 1, 2}
         assert congruence_residues(MultiPoly.const(5), 3) == set()
+
+    @staticmethod
+    def _values(numerator: MultiPoly, count: int) -> list[Fraction]:
+        """numerator(0), ..., numerator(count - 1) by substitution."""
+        names = numerator.variables_used()
+        return [
+            (numerator.substitute({names[0]: rho}) if names else numerator).as_fraction()
+            for rho in range(count)
+        ]
+
+    @classmethod
+    def _reference(cls, numerator: MultiPoly, m: int) -> set[int]:
+        return {rho for rho, v in enumerate(cls._values(numerator, m)) if v % m == 0}
+
+    def test_matches_substitute_reference(self):
+        rng = random.Random(41)
+        cases = [MultiPoly.zero(), MultiPoly.const(-12), MultiPoly.const(7)]
+        for _ in range(40):
+            x = rng.choice((r, R))
+            p = MultiPoly.zero()
+            for k in range(rng.randint(0, 5) + 1):
+                p = p + rng.randint(-10**6, 10**6) * rng.choice((0, 1, 1)) * x**k
+            cases.append(p)
+        for p in cases:
+            values = self._values(p, 60)
+            for m in range(2, 61):
+                expected = {rho for rho in range(m) if values[rho] % m == 0}
+                assert congruence_residues(p, m) == expected, (p, m)
+
+    def test_no_polynomial_arithmetic(self, monkeypatch):
+        from multistruct import _kernels
+
+        p = (r**4 + 2 * r * r - 7 * r + 1) * 3
+        expected = {m: self._reference(p, m) for m in (2, 12, 60)}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("congruence_residues must evaluate by integer Horner")
+
+        monkeypatch.setattr(MultiPoly, "substitute", forbidden)
+        monkeypatch.setattr(_kernels, "mul_int_dicts", forbidden)
+        for m, residues in expected.items():
+            assert congruence_residues(p, m) == residues
 
     def test_validation(self):
         with pytest.raises(ValueError):
