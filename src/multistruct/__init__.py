@@ -10,7 +10,13 @@ Modules:
   cli          replication driver with machine-readable reports
 """
 
-from ._kernels import BACKEND
-
 __version__ = "0.1.0"
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["EngineError", "__version__"]
+
+
+class EngineError(Exception):
+    """A self-check failed: the engine is inconsistent with itself.
+
+    Distinct from ValueError, which reports bad input; the CLI exits 3 on
+    this and 2 on that.
+    """

@@ -1,12 +1,15 @@
-"""Pure-Python kernels: sparse integer polynomial products and integer rank.
+"""Integer kernels: sparse integer polynomial products and integer rank.
 
-These are the only hot paths in the engine.  Polynomials arrive here with
+These are the innermost loops of the engine.  Polynomials arrive here with
 denominators already cleared, as dicts mapping exponent tuples to nonzero
 Python ints.  Matrices are lists of lists of Python ints.  Everything is
 exact; the Bareiss elimination divides only where the division is exact.
 """
 
 from __future__ import annotations
+
+# Reported by the benchmark probe; the kernels have one implementation.
+BACKEND = "pure"
 
 
 def mul_int_dicts(a: dict, b: dict) -> dict:

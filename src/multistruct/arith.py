@@ -314,71 +314,7 @@ def var(name: str) -> MultiPoly:
     return MultiPoly.var(name)
 
 
-# -- distinguished-variable view ------------------------------------------
-
-
-class PolyT:
-    """A MultiPoly viewed as a polynomial in t with parametric coefficients."""
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: MultiPoly | Scalar):
-        self.poly = poly if isinstance(poly, MultiPoly) else MultiPoly.const(poly)
-
-    def coeff(self, power: int) -> MultiPoly:
-        """Coefficient of t**power (a polynomial in the remaining variables)."""
-        return self.poly.coeff_of("t", power)
-
-    def degree_t(self) -> int:
-        return self.poly.degree("t")
-
-    def __add__(self, other) -> "PolyT":
-        return PolyT(self.poly + _unwrap(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "PolyT":
-        return PolyT(self.poly - _unwrap(other))
-
-    def __rsub__(self, other) -> "PolyT":
-        return PolyT(_unwrap(other) - self.poly)
-
-    def __neg__(self) -> "PolyT":
-        return PolyT(-self.poly)
-
-    def __mul__(self, other) -> "PolyT":
-        return PolyT(self.poly * _unwrap(other))
-
-    __rmul__ = __mul__
-
-    def scalar_div(self, value: Scalar) -> "PolyT":
-        return PolyT(self.poly.scalar_div(value))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PolyT):
-            return self.poly == other.poly
-        return self.poly == other
-
-    def __hash__(self) -> int:
-        return hash(self.poly)
-
-    def __str__(self) -> str:
-        return format_poly(self.poly)
-
-    def __repr__(self) -> str:
-        return f"PolyT({format_poly(self.poly)})"
-
-
-def _unwrap(value) -> MultiPoly:
-    if isinstance(value, PolyT):
-        return value.poly
-    coerced = _coerce(value)
-    if coerced is NotImplemented:
-        raise TypeError(f"cannot combine PolyT with {type(value).__name__}")
-    return coerced
-
-
-def binomial_poly(n: int) -> PolyT:
+def binomial_poly(n: int) -> MultiPoly:
     """The integer-valued basis polynomial C(t+n, n) = (t+n)...(t+1)/n!."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("binomial_poly needs n >= 0")
@@ -386,15 +322,14 @@ def binomial_poly(n: int) -> PolyT:
     prod = MultiPoly.const(1)
     for j in range(1, n + 1):
         prod = prod * (t + j)
-    return PolyT(prod.scalar_div(math.factorial(n)))
+    return prod.scalar_div(math.factorial(n))
 
 
 def substitute_eval(
-    p: MultiPoly | PolyT, bindings: Mapping[str, MultiPoly | Scalar]
+    p: MultiPoly, bindings: Mapping[str, MultiPoly | Scalar]
 ) -> MultiPoly | Fraction:
     """Substitute into p; a fully evaluated result collapses to a Fraction."""
-    poly = p.poly if isinstance(p, PolyT) else p
-    result = poly.substitute(bindings)
+    result = p.substitute(bindings)
     if result.is_constant():
         return result.as_fraction()
     return result
@@ -419,10 +354,9 @@ def _format_monomial(exp: Exponent) -> str:
     return "*".join(parts)
 
 
-def format_poly(p: MultiPoly | PolyT) -> str:
+def format_poly(p: MultiPoly) -> str:
     """Canonical text form; graded-lex term order, highest terms first."""
-    poly = p.poly if isinstance(p, PolyT) else p
-    terms = poly.sorted_terms()
+    terms = p.sorted_terms()
     if not terms:
         return "0"
     pieces = []

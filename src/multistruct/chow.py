@@ -13,12 +13,14 @@ symbolic splitting roots a1, a2, a3 (see splitting_oracle).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import MultiPoly, PolyT, Scalar, binomial_poly, const, var
+from . import EngineError
+from .arith import MultiPoly, Scalar, binomial_poly, var
 
 MAX_AMBIENT = 8
 
@@ -232,19 +234,21 @@ def wedge_powers(B: BundleClass) -> tuple[BundleClass, BundleClass]:
     c_wedge3 = chern_from_character(ch3, 1)
     for extra in c_wedge3[1:]:
         if not extra.is_zero():
-            raise ValueError("wedge^3 of a rank-3 bundle must be a line bundle")
+            raise EngineError("wedge^3 of a rank-3 bundle must be a line bundle")
     if c_wedge3[0] != B.chern[0]:
-        raise ValueError("wedge^3 first Chern class must equal c1")
+        raise EngineError("wedge^3 first Chern class must equal c1")
     lam2 = BundleClass(3, [c_wedge2[0], c_wedge2[1], c_wedge2[2]], n)
     lam3 = BundleClass(1, [c_wedge3[0]], n)
     return lam2, lam3
 
 
+@functools.cache
 def todd_class(n: int) -> ChowElem:
     """Todd class of P^n: (h / (1 - exp(-h)))^(n+1), truncated at h^n.
 
     The series 1/(1 - exp(-h)) * h = sum is obtained by exact inversion of
-    (1 - exp(-h))/h; no hard-coded coefficient tables.
+    (1 - exp(-h))/h; no hard-coded coefficient tables.  Cached per n, so
+    callers share one value and must not mutate its coeffs.
     """
     if not 1 <= n <= MAX_AMBIENT:
         raise ValueError(f"ambient dimension must be in 1..{MAX_AMBIENT}")
@@ -268,17 +272,17 @@ def _exp_th(n: int) -> ChowElem:
     return ChowElem(n, [(t**k).scalar_div(math.factorial(k)) for k in range(n + 1)])
 
 
-def euler_characteristic(B: BundleClass, n: int | None = None) -> PolyT:
+def euler_characteristic(B: BundleClass, n: int | None = None) -> MultiPoly:
     """chi(B(t)) on P^n: the h^n coefficient of ch(B) exp(th) td(P^n)."""
     if n is None:
         n = B.ambient_dim
     if n != B.ambient_dim:
         raise ValueError("bundle lives on a different ambient space")
     total = chern_character(B) * _exp_th(n) * todd_class(n)
-    return PolyT(total.coeffs[n])
+    return total.coeffs[n]
 
 
-def koszul_euler(B: BundleClass, n: int = 5) -> PolyT:
+def koszul_euler(B: BundleClass, n: int = 5) -> MultiPoly:
     """Euler characteristic of the zero scheme of a section of a rank-3 bundle.
 
     From the resolution wedge^3 E -> wedge^2 E -> E -> O of the structure
@@ -299,8 +303,8 @@ def koszul_euler(B: BundleClass, n: int = 5) -> PolyT:
         + euler_characteristic(lam2, n)
         - euler_characteristic(lam3, n)
     )
-    if chi.degree_t() > 2:
-        raise ValueError("Koszul Euler characteristic must have degree <= 2 in t")
+    if chi.degree("t") > 2:
+        raise EngineError("Koszul Euler characteristic must have degree <= 2 in t")
     return chi
 
 
@@ -354,7 +358,7 @@ def splitting_oracle(rank: int, n: int = 5) -> dict[str, bool]:
             lam2.chern[i].substitute(subs) == lam2_roots[i] for i in range(3)
         )
         report["wedge3"] = lam3.chern[0].substitute(subs) == roots[0] + roots[1] + roots[2]
-        chi_closed = koszul_euler(symbolic, n).poly.substitute(subs)
+        chi_closed = koszul_euler(symbolic, n).substitute(subs)
         chi_roots = _koszul_from_roots(roots, n)
         report["koszul_euler"] = chi_closed == chi_roots
     return report
@@ -373,7 +377,7 @@ def _koszul_from_roots(roots: list[MultiPoly], n: int) -> MultiPoly:
     return total.coeffs[n]
 
 
-def koszul_complete_intersection(degrees: Sequence[int], n: int = 5) -> PolyT:
+def koszul_complete_intersection(degrees: Sequence[int], n: int = 5) -> MultiPoly:
     """Direct alternating binomial sum for a complete intersection.
 
     For Y cut out by hypersurfaces of the given degrees,
@@ -387,6 +391,6 @@ def koszul_complete_intersection(degrees: Sequence[int], n: int = 5) -> PolyT:
     for mask in range(1 << len(d)):
         shift = sum(d[i] for i in range(len(d)) if mask >> i & 1)
         sign = -1 if bin(mask).count("1") % 2 else 1
-        shifted = binomial_poly(n).poly.substitute({"t": t - shift})
+        shifted = binomial_poly(n).substitute({"t": t - shift})
         total = total + sign * shifted
-    return PolyT(total)
+    return total

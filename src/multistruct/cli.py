@@ -10,8 +10,9 @@ itself" (exit code 3).
 
 Exit codes: 0 all records match; 1 at least one documented discrepancy;
 2 invalid input (including --r or a --window bound beyond R_CAP); 3 internal
-inconsistency (negative dimension, failed certificate, underdetermined
-sequence) or any other unexpected exception.
+inconsistency (an EngineError raised by a self-check: negative dimension,
+failed certificate, underdetermined sequence, ...) or any other unexpected
+exception.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from . import __version__
-from .arith import MultiPoly, PolyT, format_poly, var
+from . import EngineError, __version__
+from .arith import MultiPoly, format_poly, var
 from .chow import (
     BundleClass,
     euler_characteristic,
@@ -39,10 +40,7 @@ from .chow import (
 from .cohomology import (
     Assumption,
     ExactSeqSpec,
-    InconsistentSequenceError,
     LinForm,
-    UndecidableSignError,
-    UnderdeterminedError,
     double_conic_side_terms,
     ext_vanishing_claim,
     family_dimension,
@@ -53,7 +51,6 @@ from .cohomology import (
 )
 from .graded import (
     DEFAULT_POINTS,
-    GradedCertificateError,
     SectionPair,
     injectivity_certificate,
     symbolic_complex_identities,
@@ -84,14 +81,6 @@ TARGETS = (
     "ext-claim",
     "all",
 )
-
-ENGINE_ERRORS = (
-    InconsistentSequenceError,
-    UnderdeterminedError,
-    UndecidableSignError,
-    GradedCertificateError,
-)
-
 
 @dataclass(frozen=True)
 class ReplicationRecord:
@@ -136,13 +125,9 @@ def report_json(records: list[ReplicationRecord]) -> dict:
     }
 
 
-def _fmt(p: MultiPoly | PolyT) -> str:
-    return format_poly(p)
-
-
 def _fmt_triple(triple: tuple[MultiPoly, MultiPoly, MultiPoly]) -> str:
     return "; ".join(
-        f"c{i} = {_fmt(c)}" for i, c in enumerate(triple, start=1)
+        f"c{i} = {format_poly(c)}" for i, c in enumerate(triple, start=1)
     )
 
 
@@ -159,6 +144,37 @@ def _record(
     return ReplicationRecord(claim_id, paper_value, computed_value, template, match, notes)
 
 
+def _template_record(
+    claim_id: str,
+    template: str,
+    paper_value: str,
+    computed_value: str,
+    notes: str,
+    derived_notes: str,
+    match: bool | None = None,
+) -> ReplicationRecord:
+    """A record of a template-dependent chain.
+
+    Under "paper" it compares against the published value; under "derived"
+    there is no published counterpart, so paper_value is "n/a", the record
+    matches and carries derived_notes.
+    """
+    if template == "paper":
+        return _record(claim_id, paper_value, computed_value, "paper", notes, match)
+    return _record(claim_id, "n/a", computed_value, "derived", derived_notes, match=True)
+
+
+def _residue_table(verdict) -> str:
+    return "; ".join(
+        f"mod {q}: {{{', '.join(map(str, residues))}}}" for q, residues in verdict.admissible_residues
+    )
+
+
+def _at_r(form: LinForm, r) -> str:
+    """The form's value at an integer --r, or the form itself under --r sym."""
+    return str(form.at(r)) if isinstance(r, int) else str(form)
+
+
 # -- double conic --------------------------------------------------------------
 
 
@@ -172,8 +188,8 @@ def run_double_conic(args) -> list[ReplicationRecord]:
     records.append(
         _record(
             "double-conic/hilbert",
-            _fmt(4 * t + r + 2),
-            _fmt(hilbert),
+            format_poly(4 * t + r + 2),
+            format_poly(hilbert),
             notes="sum of the layer characteristics (2t+1) + (2t+r+1)",
         )
     )
@@ -199,26 +215,18 @@ def run_double_conic(args) -> list[ReplicationRecord]:
 
     sides = double_conic_side_terms()
     side_expect = {
-        "aux1_left": ("r-1", "0"),
-        "aux1_right": ("0", "2r+7"),
-        "aux2_left": ("2r-1", "0"),
-        "aux2_right": ("0", "r+7"),
+        "aux1_left": (LinForm(1, -1), LinForm(0, 0)),
+        "aux1_right": (LinForm(0, 0), LinForm(2, 7)),
+        "aux2_left": (LinForm(2, -1), LinForm(0, 0)),
+        "aux2_right": (LinForm(0, 0), LinForm(1, 7)),
     }
-    pairs = {}
     for key, bundle in sides.items():
         pair = h_p1(pullback_degree(bundle), assumption)
-        pairs[key] = pair
-        expected = side_expect[key]
-        if isinstance(args.r, int):
-            want = tuple(
-                str(LinForm(*_parse_linform_parts(text)).at(args.r)) for text in expected
-            )
-        else:
-            want = expected
+        h0, h1 = side_expect[key]
         records.append(
             _record(
                 f"double-conic/h[{bundle}]",
-                f"({want[0]}, {want[1]})",
+                f"({_at_r(h0, args.r)}, {_at_r(h1, args.r)})",
                 f"({pair.h0}, {pair.h1})",
                 notes="side term of the auxiliary sequences, tensored by the dualizing sheaf",
             )
@@ -230,20 +238,14 @@ def run_double_conic(args) -> list[ReplicationRecord]:
     aux2 = solve_exact_sequence(
         ExactSeqSpec((sides["aux2_left"], None, sides["aux2_right"])), assumption
     )
-    for name, pair, expected in (
-        ("middle-aux1", aux1, ("r-1", "2r+7")),
-        ("middle-aux2", aux2, ("2r-1", "r+7")),
+    for name, pair, (h0, h1) in (
+        ("middle-aux1", aux1, (LinForm(1, -1), LinForm(2, 7))),
+        ("middle-aux2", aux2, (LinForm(2, -1), LinForm(1, 7))),
     ):
-        if isinstance(args.r, int):
-            want = tuple(
-                str(LinForm(*_parse_linform_parts(text)).at(args.r)) for text in expected
-            )
-        else:
-            want = expected
         records.append(
             _record(
                 f"double-conic/h[{name}]",
-                f"({want[0]}, {want[1]})",
+                f"({_at_r(h0, args.r)}, {_at_r(h1, args.r)})",
                 f"({pair.h0}, {pair.h1})",
                 notes="middle term solved from the six-term sequence",
             )
@@ -251,7 +253,7 @@ def run_double_conic(args) -> list[ReplicationRecord]:
 
     tangent = tangent_dimension_double_conic(assumption, True)
     family = family_dimension(assumption)
-    want_tangent = str(2 * args.r + 15) if isinstance(args.r, int) else "2r+15"
+    want_tangent = _at_r(LinForm(2, 15), args.r)
     records.append(
         _record(
             "double-conic/tangent-dimension",
@@ -284,20 +286,13 @@ def run_double_conic(args) -> list[ReplicationRecord]:
     return records
 
 
-def _parse_linform_parts(text: str) -> tuple[int, int]:
-    from .structures import parse_linear_form
-
-    form = LinForm.from_poly(parse_linear_form(text))
-    return form.a, form.b
-
-
 # -- plane structures -----------------------------------------------------------
 
 
 def _plane_records(
     prefix: str,
-    hilbert: PolyT,
-    hilbert_expected: PolyT,
+    hilbert: MultiPoly,
+    hilbert_expected: MultiPoly,
     hilbert_note: str,
     paper_triple: tuple[MultiPoly, MultiPoly, MultiPoly],
     templates: list[str],
@@ -305,79 +300,49 @@ def _plane_records(
     records = [
         _record(
             f"{prefix}/hilbert",
-            _fmt(hilbert_expected),
-            _fmt(hilbert),
+            format_poly(hilbert_expected),
+            format_poly(hilbert),
             notes=hilbert_note,
         )
     ]
     for template in templates:
         triple = solve_chern_from_hilbert(hilbert, template)
-        if template == "paper":
-            records.append(
-                _record(
-                    f"{prefix}/chern",
-                    _fmt_triple(paper_triple),
-                    _fmt_triple(triple),
-                    template="paper",
-                    notes="triangular solve of the published template against the Hilbert polynomial",
-                )
+        records.append(
+            _template_record(
+                f"{prefix}/chern",
+                template,
+                _fmt_triple(paper_triple),
+                _fmt_triple(triple),
+                "triangular solve of the published template against the Hilbert polynomial",
+                "no published counterpart; solved under the independently derived "
+                "template (constant denominator 12), reproduction check passed",
             )
-        else:
-            records.append(
-                _record(
-                    f"{prefix}/chern",
-                    "n/a",
-                    _fmt_triple(triple),
-                    template="derived",
-                    match=True,
-                    notes=(
-                        "no published counterpart; solved under the independently derived "
-                        "template (constant denominator 12), reproduction check passed"
-                    ),
-                )
-            )
-        bundle = BundleClass(3, triple, 5)
-        verdict = schwarzenberger_verdict(bundle)
-        table = "; ".join(
-            f"mod {q}: {{{', '.join(map(str, residues))}}}" for q, residues in verdict.admissible_residues
         )
+        verdict = schwarzenberger_verdict(BundleClass(3, triple, 5))
         substitution = (
             f"r = {verdict.substitution[0]}*R + {verdict.substitution[1]}"
             if verdict.substitution
             else "none"
         )
-        if template == "paper":
-            records.append(
-                _record(
-                    f"{prefix}/verdict",
-                    "nonexistence",
-                    verdict.conclusion,
-                    template="paper",
-                    notes=f"admissible residues: {table}; substitution: {substitution}",
-                )
+        residues = f"admissible residues: {_residue_table(verdict)}; substitution: {substitution}"
+        records.append(
+            _template_record(
+                f"{prefix}/verdict",
+                template,
+                "nonexistence",
+                verdict.conclusion,
+                residues,
+                "no published counterpart; under the derived template the integrality "
+                f"obstruction disappears; {residues}",
             )
-        else:
-            records.append(
-                _record(
-                    f"{prefix}/verdict",
-                    "n/a",
-                    verdict.conclusion,
-                    template="derived",
-                    match=True,
-                    notes=(
-                        "no published counterpart; under the derived template the integrality "
-                        f"obstruction disappears; admissible residues: {table}; "
-                        f"substitution: {substitution}"
-                    ),
-                )
-            )
+        )
     return records
 
 
 def run_double_plane(args) -> list[ReplicationRecord]:
     r = var("r")
     t = var("t")
-    expected = PolyT(t * t + (r + 3) * t + (r * r + 3 * r + 4).scalar_div(2))
+    expected = t * t + (r + 3) * t + (r * r + 3 * r + 4).scalar_div(2)
     paper_triple = (
         r - 3,
         (3 * r * r + 9 * r + 26).scalar_div(2),
@@ -395,7 +360,7 @@ def run_double_plane(args) -> list[ReplicationRecord]:
 
 def run_triple_plane(args) -> list[ReplicationRecord]:
     r, R, t = var("r"), var("R"), var("t")
-    expected = PolyT(
+    expected = (
         (3 * t * t).scalar_div(2)
         + ((6 * r + 9) * t).scalar_div(2)
         + (5 * r * r + 9 * r + 6).scalar_div(2)
@@ -433,8 +398,8 @@ def run_triple_plane(args) -> list[ReplicationRecord]:
         records.append(
             _record(
                 "triple-plane/C(t+1,1)-coefficient",
-                _fmt(printed),
-                _fmt(num.scalar_div(den)),
+                format_poly(printed),
+                format_poly(num.scalar_div(den)),
                 template="paper",
                 match=printed == num.scalar_div(den),
                 notes=(
@@ -457,20 +422,20 @@ def run_wedge(args) -> list[ReplicationRecord]:
     records = [
         _record(
             "wedge/lambda2-c1",
-            _fmt(3 * c1),
-            _fmt(lambda2.chern[0]),
+            format_poly(3 * c1),
+            format_poly(lambda2.chern[0]),
             match=False,
             notes=(
                 "published value 3c1 contradicts the splitting principle, which gives "
                 "(rank-1) c1 = 2c1 for rank 3; verified against 50 random split bundles"
             ),
         ),
-        _record("wedge/lambda2-c2", _fmt(c1 * c1 + c2), _fmt(lambda2.chern[1])),
-        _record("wedge/lambda2-c3", _fmt(c1 * c2 - c3), _fmt(lambda2.chern[2])),
+        _record("wedge/lambda2-c2", format_poly(c1 * c1 + c2), format_poly(lambda2.chern[1])),
+        _record("wedge/lambda2-c3", format_poly(c1 * c2 - c3), format_poly(lambda2.chern[2])),
         _record(
             "wedge/lambda3-c1",
-            _fmt(c1),
-            _fmt(lambda3.chern[0]),
+            format_poly(c1),
+            format_poly(lambda3.chern[0]),
             notes="top wedge is the determinant line bundle O(c1)",
         ),
     ]
@@ -520,20 +485,20 @@ def run_koszul(args) -> list[ReplicationRecord]:
     records = [
         _record(
             "koszul/t2-coefficient",
-            _fmt((-c3).scalar_div(2)),
-            _fmt(symbolic.coeff(2)),
+            format_poly((-c3).scalar_div(2)),
+            format_poly(symbolic.coeff_of("t", 2)),
             notes="quadratic coefficient of the alternating Koszul characteristic",
         ),
         _record(
             "koszul/t1-coefficient",
-            _fmt((-(c1 + 6) * c3).scalar_div(2)),
-            _fmt(symbolic.coeff(1)),
+            format_poly((-(c1 + 6) * c3).scalar_div(2)),
+            format_poly(symbolic.coeff_of("t", 1)),
         ),
         _record(
             "koszul/constant-term",
-            _fmt(published_constant),
-            _fmt(symbolic.coeff(0)),
-            match=symbolic.coeff(0) == published_constant,
+            format_poly(published_constant),
+            format_poly(symbolic.coeff_of("t", 0)),
+            match=symbolic.coeff_of("t", 0) == published_constant,
             notes=(
                 "published denominator 2; independent derivation gives 12, confirmed by "
                 "the complete-intersection oracle on all ten degree triples"
@@ -546,8 +511,8 @@ def run_koszul(args) -> list[ReplicationRecord]:
     records.append(
         _record(
             "koszul/ci[1,1,2]",
-            _fmt((t + 1) * (t + 1)),
-            _fmt(ci),
+            format_poly((t + 1) * (t + 1)),
+            format_poly(ci),
             notes="zero scheme of degrees (1,1,2): a quadric surface section",
         )
     )
@@ -592,46 +557,34 @@ def _printed_expansion() -> list[MultiPoly]:
 
 def run_expansion(args) -> list[ReplicationRecord]:
     records: list[ReplicationRecord] = []
+    printed = _printed_expansion()
     for template in args.templates:
         triple = solve_chern_from_hilbert(hilbert_double_plane(), template)
         chi = euler_characteristic(BundleClass(3, triple, 5))
         expansion = to_binomial_basis(chi, 5)
-        if template == "paper":
-            printed = _printed_expansion()
-            for i in range(5, -1, -1):
-                computed = expansion.coefficient(i)
-                if computed == printed[i]:
-                    notes = ""
-                elif computed == -printed[i]:
-                    notes = (
-                        "published coefficient is the negative of the computed one; "
-                        "the published display reassembles to 6 chi(O(t)) - chi_E(t), "
-                        "a global sign slip below the top coefficient"
-                    )
-                else:
-                    notes = "published coefficient differs from the computed one"
-                records.append(
-                    _record(
-                        f"expansion/C(t+{i},{i})",
-                        _fmt(printed[i]),
-                        _fmt(computed),
-                        template="paper",
-                        match=computed == printed[i],
-                        notes=notes,
-                    )
+        for i in range(5, -1, -1):
+            computed = expansion.coefficient(i)
+            if computed == printed[i]:
+                notes = ""
+            elif computed == -printed[i]:
+                notes = (
+                    "published coefficient is the negative of the computed one; "
+                    "the published display reassembles to 6 chi(O(t)) - chi_E(t), "
+                    "a global sign slip below the top coefficient"
                 )
-        else:
-            for i in range(5, -1, -1):
-                records.append(
-                    _record(
-                        f"expansion/C(t+{i},{i})",
-                        "n/a",
-                        _fmt(expansion.coefficient(i)),
-                        template="derived",
-                        match=True,
-                        notes="no published counterpart under the derived template",
-                    )
+            else:
+                notes = "published coefficient differs from the computed one"
+            records.append(
+                _template_record(
+                    f"expansion/C(t+{i},{i})",
+                    template,
+                    format_poly(printed[i]),
+                    format_poly(computed),
+                    notes,
+                    "no published counterpart under the derived template",
+                    match=computed == printed[i],
                 )
+            )
         reassembled = from_binomial_basis(expansion)
         records.append(
             _record(
@@ -689,31 +642,17 @@ def run_congruence(args) -> list[ReplicationRecord]:
         ):
             triple = solve_chern_from_hilbert(hilbert, template)
             verdict = schwarzenberger_verdict(BundleClass(3, triple, 5))
-            table = "; ".join(
-                f"mod {q}: {{{', '.join(map(str, residues))}}}"
-                for q, residues in verdict.admissible_residues
+            table = _residue_table(verdict)
+            records.append(
+                _template_record(
+                    f"congruence/{prefix}-verdict",
+                    template,
+                    "nonexistence",
+                    verdict.conclusion,
+                    f"admissible residues: {table}",
+                    f"recomputed under the derived template; admissible residues: {table}",
+                )
             )
-            if template == "paper":
-                records.append(
-                    _record(
-                        f"congruence/{prefix}-verdict",
-                        "nonexistence",
-                        verdict.conclusion,
-                        template="paper",
-                        notes=f"admissible residues: {table}",
-                    )
-                )
-            else:
-                records.append(
-                    _record(
-                        f"congruence/{prefix}-verdict",
-                        "n/a",
-                        verdict.conclusion,
-                        template="derived",
-                        match=True,
-                        notes=f"recomputed under the derived template; admissible residues: {table}",
-                    )
-                )
     return records
 
 
@@ -911,7 +850,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for target in targets:
             records.extend(RUNNERS[target](args))
-    except ENGINE_ERRORS as exc:
+    except EngineError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

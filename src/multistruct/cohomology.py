@@ -26,18 +26,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
+from . import EngineError
 from .arith import MultiPoly, var
 
 
-class UndecidableSignError(Exception):
+class UndecidableSignError(EngineError):
     """The assumption is too weak to decide a sign query."""
 
 
-class InconsistentSequenceError(Exception):
+class InconsistentSequenceError(EngineError):
     """Rank bookkeeping produced a negative or contradictory dimension."""
 
 
-class UnderdeterminedError(Exception):
+class UnderdeterminedError(EngineError):
     """The declared facts do not pin down the unknown term."""
 
 
@@ -499,7 +500,7 @@ def tangent_dimension_double_conic(
     graded module; without it the middle sequence is underdetermined.
     """
     if not injectivity_certificate:
-        raise ValueError("missing injectivity certificate; cannot solve the middle sequence")
+        raise EngineError("missing injectivity certificate; cannot solve the middle sequence")
     sides = double_conic_side_terms()
     aux1 = solve_exact_sequence(
         ExactSeqSpec((sides["aux1_left"], None, sides["aux1_right"])), assumption

@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import EngineError
 from ._kernels import bareiss_rank
 from .arith import MultiPoly, format_poly, parse_poly, var
 from .cohomology import Assumption, LinForm, h_p1
@@ -51,7 +52,7 @@ DEFAULT_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
 )
 
 
-class GradedCertificateError(Exception):
+class GradedCertificateError(EngineError):
     """A certification step failed; no certificate is produced."""
 
 

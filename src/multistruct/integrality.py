@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .arith import VARIABLES, MultiPoly, PolyT, binomial_poly, var
+from .arith import VARIABLES, MultiPoly, binomial_poly, var
 from .chow import BundleClass, euler_characteristic
 
 ResidueTable = tuple[tuple[int, tuple[int, ...]], ...]
@@ -66,28 +66,28 @@ class BinomialExpansion:
         return num.scalar_div(den)
 
 
-def to_binomial_basis(p: PolyT, n: int) -> BinomialExpansion:
+def to_binomial_basis(p: MultiPoly, n: int) -> BinomialExpansion:
     """Expand p in the basis C(t+i, i), i = 0..n, by triangular elimination.
 
     C(t+i, i) has leading term t^i / i!, so working from degree n down the
     coefficients are forced; the remainder must cancel exactly.
     """
-    if p.degree_t() > n:
-        raise ValueError(f"degree {p.degree_t()} exceeds basis size {n}")
+    if p.degree("t") > n:
+        raise ValueError(f"degree {p.degree('t')} exceeds basis size {n}")
     remainder = p
     rational: list[MultiPoly] = [MultiPoly.zero()] * (n + 1)
     for i in range(n, -1, -1):
-        c_i = remainder.coeff(i) * math.factorial(i)
+        c_i = remainder.coeff_of("t", i) * math.factorial(i)
         rational[i] = c_i
         remainder = remainder - binomial_poly(i) * c_i
-    if not remainder.poly.is_zero():
+    if not remainder.is_zero():
         raise ValueError("expansion failed to terminate; input is not polynomial in t")
     return BinomialExpansion(n, tuple(lowest_terms(c) for c in rational))
 
 
-def from_binomial_basis(e: BinomialExpansion) -> PolyT:
+def from_binomial_basis(e: BinomialExpansion) -> MultiPoly:
     """Reassemble the polynomial; exact inverse of to_binomial_basis."""
-    total = PolyT(0)
+    total = MultiPoly.zero()
     for i in range(e.n + 1):
         total = total + binomial_poly(i) * e.coefficient(i)
     return total

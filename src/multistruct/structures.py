@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from . import chow
-from .arith import MultiPoly, PolyT, Scalar, var
+from . import EngineError, chow
+from .arith import MultiPoly, Scalar, var
 
 Template = Literal["paper", "derived"]
 
@@ -53,15 +53,15 @@ class FiltrationLayer:
         else:
             raise ValueError(f"unknown carrier {self.carrier!r}")
 
-    def chi(self) -> PolyT:
+    def chi(self) -> MultiPoly:
         """Euler characteristic of the twisted layer, chi(layer(t))."""
         t = var("t")
         r = var("r")
         if self.carrier == "conic":
             degree = self.k * r + MultiPoly.const(2 * self.m)
-            return PolyT(2 * t + degree + 1)
+            return 2 * t + degree + 1
         shifted = t + self.twist
-        return PolyT((shifted + 2) * (shifted + 1)).scalar_div(2)
+        return ((shifted + 2) * (shifted + 1)).scalar_div(2)
 
 
 def conic_layer(k: int, m: int) -> FiltrationLayer:
@@ -85,9 +85,9 @@ class StructureSpec:
             raise ValueError("a structure needs at least one layer")
 
 
-def hilbert_of_layers(s: StructureSpec) -> PolyT:
+def hilbert_of_layers(s: StructureSpec) -> MultiPoly:
     """Hilbert polynomial: the sum of the layer Euler characteristics."""
-    total = PolyT(MultiPoly.zero())
+    total = MultiPoly.zero()
     for layer in s.layers:
         total = total + layer.chi()
     return total
@@ -107,12 +107,12 @@ def triple_plane_structure() -> StructureSpec:
     return StructureSpec("triple-plane", (plane_layer(0), plane_layer(r), plane_layer(2 * r)))
 
 
-def hilbert_double_plane() -> PolyT:
+def hilbert_double_plane() -> MultiPoly:
     """C(t+2,2) + C(t+r+2,2), expanded symbolically in r."""
     return hilbert_of_layers(double_plane_structure())
 
 
-def hilbert_triple_plane() -> PolyT:
+def hilbert_triple_plane() -> MultiPoly:
     return hilbert_of_layers(triple_plane_structure())
 
 
@@ -121,7 +121,7 @@ def hilbert_triple_plane() -> PolyT:
 
 def paper_chi_formula(
     c1: MultiPoly | Scalar, c2: MultiPoly | Scalar, c3: MultiPoly | Scalar
-) -> PolyT:
+) -> MultiPoly:
     """The published chi_Y template, verbatim, as a comparison target:
 
       chi_Y(t) = -(c3/2) t^2 - ((c1+6) c3 / 2) t + (c2 - 2 c1^2 - 18 c1 - 51) c3 / 2
@@ -135,15 +135,15 @@ def paper_chi_formula(
     quad = -(c3p * t * t).scalar_div(2)
     lin = -((c1p + 6) * c3p * t).scalar_div(2)
     constant = ((c2p - 2 * c1p * c1p - 18 * c1p - 51) * c3p).scalar_div(2)
-    return PolyT(quad + lin + constant)
+    return quad + lin + constant
 
 
-_DERIVED_CACHE: dict[None, PolyT] = {}
+_DERIVED_CACHE: dict[None, MultiPoly] = {}
 
 
 def derived_chi_formula(
     c1: MultiPoly | Scalar, c2: MultiPoly | Scalar, c3: MultiPoly | Scalar
-) -> PolyT:
+) -> MultiPoly:
     """chi_Y recomputed from the Koszul alternating sum with symbolic classes.
 
     Agrees with the published template in the t^2 and t coefficients; the
@@ -152,15 +152,15 @@ def derived_chi_formula(
     if None not in _DERIVED_CACHE:
         symbolic = chow.BundleClass(3, [var("c1"), var("c2"), var("c3")], 5)
         _DERIVED_CACHE[None] = chow.koszul_euler(symbolic, 5)
-    template = _DERIVED_CACHE[None].poly
-    return PolyT(template.substitute({"c1": _mp(c1), "c2": _mp(c2), "c3": _mp(c3)}))
+    template = _DERIVED_CACHE[None]
+    return template.substitute({"c1": _mp(c1), "c2": _mp(c2), "c3": _mp(c3)})
 
 
 def _mp(value: MultiPoly | Scalar) -> MultiPoly:
     return value if isinstance(value, MultiPoly) else MultiPoly.const(value)
 
 
-def chi_template(template: Template, c1, c2, c3) -> PolyT:
+def chi_template(template: Template, c1, c2, c3) -> MultiPoly:
     if template == "paper":
         return paper_chi_formula(c1, c2, c3)
     if template == "derived":
@@ -169,7 +169,7 @@ def chi_template(template: Template, c1, c2, c3) -> PolyT:
 
 
 def solve_chern_from_hilbert(
-    target: PolyT, template: Template
+    target: MultiPoly, template: Template
 ) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """Solve the chosen chi_Y template against a quadratic Hilbert polynomial.
 
@@ -177,25 +177,25 @@ def solve_chern_from_hilbert(
     coefficient then pins c1, the constant term pins c2.  c3 must come out
     a nonzero rational constant for the division steps to stay polynomial.
     """
-    if target.degree_t() > 2:
+    if target.degree("t") > 2:
         raise ValueError("target must have degree <= 2 in t")
-    lead = target.coeff(2)
+    lead = target.coeff_of("t", 2)
     if not lead.is_constant():
         raise ValueError("t^2 coefficient must be constant to pin c3")
     c3 = -2 * lead.as_fraction()
     if c3 == 0:
-        if target.coeff(1).is_zero() and target.coeff(0).is_zero():
+        if target.coeff_of("t", 1).is_zero() and target.coeff_of("t", 0).is_zero():
             raise ValueError("degenerate zero target")
         raise ValueError("inconsistent system: zero t^2 coefficient with lower terms")
     # t coefficient: -(c1 + 6) c3 / 2
-    c1 = target.coeff(1) * (Fraction(-2) / c3) - 6
+    c1 = target.coeff_of("t", 1) * (Fraction(-2) / c3) - 6
     # constant: (c2 - 2 c1^2 - 18 c1 - 51) c3 / den with den = 2 (paper) or 12 (derived)
     den = 2 if template == "paper" else 12
-    c2 = target.coeff(0) * (Fraction(den) / c3) + 2 * c1 * c1 + 18 * c1 + 51
+    c2 = target.coeff_of("t", 0) * (Fraction(den) / c3) + 2 * c1 * c1 + 18 * c1 + 51
     c3_poly = MultiPoly.const(c3)
     check = chi_template(template, c1, c2, c3_poly)
     if check != target:
-        raise ValueError("internal inconsistency: solved classes do not reproduce the target")
+        raise EngineError("solved classes do not reproduce the target")
     return c1, c2, c3_poly
 
 

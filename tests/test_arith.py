@@ -13,7 +13,6 @@ from multistruct.arith import (
     NVARS,
     VARIABLES,
     MultiPoly,
-    PolyT,
     binomial_poly,
     const,
     format_poly,
@@ -96,28 +95,28 @@ class TestSubstitution:
             t.substitute({"q": 1})
 
 
-class TestPolyT:
+class TestPolynomialsInT:
     def test_coeff_extraction(self):
-        p = PolyT(3 * t * t + r * t + 7)
-        assert p.coeff(2) == 3
-        assert p.coeff(1) == r
-        assert p.coeff(0) == 7
-        assert p.degree_t() == 2
+        p = 3 * t * t + r * t + 7
+        assert p.coeff_of("t", 2) == 3
+        assert p.coeff_of("t", 1) == r
+        assert p.coeff_of("t", 0) == 7
+        assert p.degree("t") == 2
 
     def test_arithmetic_mirrors_poly(self):
-        p = PolyT(t + 1)
+        p = t + 1
         q = p * p - 2 * p + 1
-        assert q == PolyT(t * t)
+        assert q == t * t
 
     def test_binomial_poly(self):
         assert binomial_poly(0) == 1
-        assert binomial_poly(1) == PolyT(t + 1)
-        assert binomial_poly(2) == PolyT((t + 2) * (t + 1)).scalar_div(2)
+        assert binomial_poly(1) == t + 1
+        assert binomial_poly(2) == ((t + 2) * (t + 1)).scalar_div(2)
         # integer values on a window
         for n in range(4):
             p = binomial_poly(n)
             for value in range(-6, 7):
-                got = p.poly.substitute({"t": value}).as_fraction()
+                got = p.substitute({"t": value}).as_fraction()
                 assert got.denominator == 1
 
 

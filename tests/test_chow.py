@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from multistruct.arith import var
+from multistruct.arith import MultiPoly, var
 from multistruct.chow import (
     BundleClass,
     ChowElem,
@@ -111,7 +112,7 @@ class TestEulerCharacteristic:
     def test_structure_sheaf_is_one(self):
         for n in range(1, 6):
             chi = euler_characteristic(line_bundle(0, n))
-            assert chi.poly.substitute({"t": 0}) == 1
+            assert chi.substitute({"t": 0}) == 1
 
     def test_line_bundle_binomial(self):
         # chi(O(t)) on P^n is C(t+n, n)
@@ -123,7 +124,7 @@ class TestEulerCharacteristic:
     def test_serre_duality_window(self):
         # chi(O(d)) = (-1)^n chi(O(-d-n-1)) on P^n
         for n in range(1, 6):
-            chi = euler_characteristic(line_bundle(0, n)).poly
+            chi = euler_characteristic(line_bundle(0, n))
             for d in range(-12, 13):
                 lhs = chi.substitute({"t": d}).as_fraction()
                 rhs = chi.substitute({"t": -d - n - 1}).as_fraction()
@@ -140,6 +141,14 @@ class TestEulerCharacteristic:
     def test_todd_degree_zero_is_one(self):
         for n in range(1, 6):
             assert todd_class(n).coeffs[0] == 1
+
+    def test_todd_class_cached_and_exact(self):
+        # h / (1 - exp(-h)) = 1 + h/2 + h^2/12 - h^4/720 + ... (Bernoulli numbers)
+        series = [1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720), 0]
+        for n in range(1, 6):
+            base = ChowElem(n, [MultiPoly.const(c) for c in series[: n + 1]])
+            assert todd_class(n) == todd_class(n) == base ** (n + 1)
+            assert todd_class(n) is todd_class(n)
 
 
 class TestKoszul:
@@ -162,9 +171,9 @@ class TestKoszul:
 
     def test_symbolic_coefficients(self):
         chi = koszul_euler(BundleClass(3, [c1, c2, c3], 5))
-        assert chi.coeff(2) == (-c3).scalar_div(2)
-        assert chi.coeff(1) == (-(c1 + 6) * c3).scalar_div(2)
-        assert chi.coeff(0) == ((c2 - 2 * c1 * c1 - 18 * c1 - 51) * c3).scalar_div(12)
+        assert chi.coeff_of("t", 2) == (-c3).scalar_div(2)
+        assert chi.coeff_of("t", 1) == (-(c1 + 6) * c3).scalar_div(2)
+        assert chi.coeff_of("t", 0) == ((c2 - 2 * c1 * c1 - 18 * c1 - 51) * c3).scalar_div(12)
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,19 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from multistruct import chow, cli, structures
+from multistruct.arith import MultiPoly, var
 from multistruct.cli import R_CAP, ReplicationRecord, RUNNERS, build_parser, main, report_json
+from multistruct.cohomology import LinForm
 from multistruct.graded import GradedCertificateError
+from multistruct.structures import parse_linear_form
+
+EXAMPLE_REPORT = Path(__file__).resolve().parent.parent / "docs" / "example-report.json"
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +117,68 @@ class TestFaultInjection:
         assert len(err.splitlines()) == 1
         if not isinstance(error, GradedCertificateError):
             assert err.startswith("internal error: ")
+
+    @pytest.mark.parametrize(
+        "argv, message, break_site",
+        [
+            (
+                ("double-plane",),
+                "do not reproduce the target",
+                # the Chern solve no longer reproduces its target
+                lambda mp: mp.setattr(structures, "chi_template", lambda *args: MultiPoly.zero()),
+            ),
+            (
+                ("wedge",),
+                "must be a line bundle",
+                # wedge^3 comes out with a second Chern class
+                lambda mp: mp.setattr(
+                    chow,
+                    "chern_from_character",
+                    lambda ch, rank, f=chow.chern_from_character: f(ch, rank) + [var("c2")],
+                ),
+            ),
+            (
+                ("wedge",),
+                "must equal c1",
+                # wedge^3 comes out with the wrong first Chern class
+                lambda mp: mp.setattr(
+                    chow,
+                    "chern_from_character",
+                    lambda ch, rank, f=chow.chern_from_character: [
+                        f(ch, rank)[0] + 1,
+                        *f(ch, rank)[1:],
+                    ],
+                ),
+            ),
+            (
+                ("koszul",),
+                "degree <= 2",
+                # a rank-3 "wedge^3" leaves a t^5 term in the Koszul sum
+                lambda mp: mp.setattr(chow, "wedge_powers", lambda bundle: (bundle, bundle)),
+            ),
+            (
+                ("double-conic", "--r", "1"),
+                "missing injectivity certificate",
+                # the tangent computation is run without its certificate
+                lambda mp: mp.setattr(
+                    cli,
+                    "tangent_dimension_double_conic",
+                    lambda assumption, certified, f=cli.tangent_dimension_double_conic: f(
+                        assumption, False
+                    ),
+                ),
+            ),
+        ],
+        ids=["chern-solve", "wedge3-rank", "wedge3-c1", "koszul-degree", "certificate"],
+    )
+    def test_self_check_failures_exit_3(self, capsys, monkeypatch, argv, message, break_site):
+        break_site(monkeypatch)
+        code, out, err = run_cli(capsys, "replicate", *argv)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("internal inconsistency: ")
+        assert message in err
 
     def test_failure_inside_all_exits_3(self, capsys, monkeypatch):
         def failing(args):
@@ -212,6 +282,34 @@ class TestRecords:
         assert code == 1
         assert "tangent-dimension (n/a): 19" in out
 
+    @staticmethod
+    def _double_conic_values(tmp_path, r: str) -> dict[str, tuple[str, str]]:
+        path = tmp_path / f"double-conic-{r}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["replicate", "double-conic", "--r", r, "--window", "1..1", "--json", str(path)])
+        return {
+            rec["claim_id"]: (rec["paper_value"], rec["computed_value"])
+            for rec in json.loads(path.read_text())["records"]
+            if rec["claim_id"].startswith("double-conic/h[")
+            or rec["claim_id"] == "double-conic/tangent-dimension"
+        }
+
+    def test_fixed_r_records_evaluate_the_symbolic_forms(self, tmp_path):
+        symbolic = self._double_conic_values(tmp_path, "sym")
+        assert len(symbolic) == 7
+
+        def at(text: str, rv: int) -> str:
+            forms = text.strip("()").split(", ")
+            values = [str(LinForm.from_poly(parse_linear_form(f)).at(rv)) for f in forms]
+            return f"({', '.join(values)})" if text.startswith("(") else values[0]
+
+        for rv in range(1, 7):
+            fixed = self._double_conic_values(tmp_path, str(rv))
+            assert fixed == {
+                claim: (at(paper, rv), at(computed, rv))
+                for claim, (paper, computed) in symbolic.items()
+            }
+
     def test_window_flag(self, capsys):
         _, out, _ = run_cli(capsys, "replicate", "ext-claim", "--window", "0..2")
         assert "vanishing[r=2]" in out
@@ -267,6 +365,12 @@ class TestJsonReport:
         first.pop("timestamp")
         second.pop("timestamp")
         assert first == second
+
+    def test_example_report_regenerates(self, capsys, tmp_path):
+        path = tmp_path / "koszul.json"
+        run_cli(capsys, "replicate", "koszul", "--json", str(path))
+        stamp = re.compile(r'"timestamp": "[^"]*"')
+        assert stamp.sub("", path.read_text()) == stamp.sub("", EXAMPLE_REPORT.read_text())
 
     def test_report_json_counts(self):
         records = [

@@ -1,70 +1,42 @@
-"""Backend agreement: the compiled and pure kernels must be interchangeable."""
+"""The integer kernels: sparse polynomial products, Bareiss rank and determinant."""
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
-
-from multistruct._kernels import BACKEND, _pure
-
-try:
-    from multistruct._kernels import _speed
-except ImportError:
-    _speed = None
 
 import pytest
 
-HAVE_COMPILED = _speed is not None
-
-
-def random_int_dict(rng: random.Random, nvars: int = 3, terms: int = 6) -> dict:
-    out: dict = {}
-    for _ in range(terms):
-        exp = tuple(rng.randint(0, 4) for _ in range(nvars))
-        c = rng.randint(-50, 50)
-        if c:
-            out[exp] = c
-    return out
-
-
-def random_matrix(rng: random.Random, rows: int, cols: int, rank_drop: bool) -> list:
-    m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-    if rank_drop and rows >= 2:
-        scale = rng.randint(-3, 3)
-        m[-1] = [scale * v for v in m[0]]
-    return m
+from multistruct import _kernels
 
 
 class TestPureKernels:
     def test_mul_identity(self):
         one = {(0, 0): 1}
         p = {(1, 0): 2, (0, 1): -3}
-        assert _pure.mul_int_dicts(p, one) == p
-        assert _pure.mul_int_dicts(p, {}) == {}
+        assert _kernels.mul_int_dicts(p, one) == p
+        assert _kernels.mul_int_dicts(p, {}) == {}
 
     def test_mul_cancellation(self):
         # (x + y)(x - y) = x^2 - y^2: the xy terms must cancel and vanish
         a = {(1, 0): 1, (0, 1): 1}
         b = {(1, 0): 1, (0, 1): -1}
-        assert _pure.mul_int_dicts(a, b) == {(2, 0): 1, (0, 2): -1}
+        assert _kernels.mul_int_dicts(a, b) == {(2, 0): 1, (0, 2): -1}
 
     def test_rank_examples(self):
-        assert _pure.bareiss_rank([]) == 0
-        assert _pure.bareiss_rank([[0, 0], [0, 0]]) == 0
-        assert _pure.bareiss_rank([[1, 2], [2, 4]]) == 1
-        assert _pure.bareiss_rank([[1, 2], [3, 4]]) == 2
-        assert _pure.bareiss_rank([[1, 2, 3], [4, 5, 6]]) == 2
+        assert _kernels.bareiss_rank([]) == 0
+        assert _kernels.bareiss_rank([[0, 0], [0, 0]]) == 0
+        assert _kernels.bareiss_rank([[1, 2], [2, 4]]) == 1
+        assert _kernels.bareiss_rank([[1, 2], [3, 4]]) == 2
+        assert _kernels.bareiss_rank([[1, 2, 3], [4, 5, 6]]) == 2
 
     def test_det_examples(self):
-        assert _pure.bareiss_det([]) == 1
-        assert _pure.bareiss_det([[5]]) == 5
-        assert _pure.bareiss_det([[1, 2], [3, 4]]) == -2
-        assert _pure.bareiss_det([[0, 1], [1, 0]]) == -1
-        assert _pure.bareiss_det([[1, 2], [2, 4]]) == 0
+        assert _kernels.bareiss_det([]) == 1
+        assert _kernels.bareiss_det([[5]]) == 5
+        assert _kernels.bareiss_det([[1, 2], [3, 4]]) == -2
+        assert _kernels.bareiss_det([[0, 1], [1, 0]]) == -1
+        assert _kernels.bareiss_det([[1, 2], [2, 4]]) == 0
         with pytest.raises(ValueError):
-            _pure.bareiss_det([[1, 2]])
+            _kernels.bareiss_det([[1, 2]])
 
     def test_det_via_permutation_expansion(self):
         import itertools
@@ -84,55 +56,4 @@ class TestPureKernels:
                 for i in range(n):
                     term *= m[i][perm[i]]
                 brute += term
-            assert _pure.bareiss_det(m) == brute
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled backend not built")
-class TestBackendAgreement:
-    def test_mul_agreement(self):
-        rng = random.Random(101)
-        for _ in range(200):
-            a = random_int_dict(rng)
-            b = random_int_dict(rng)
-            assert _speed.mul_int_dicts(a, b) == _pure.mul_int_dicts(a, b)
-
-    def test_rank_agreement(self):
-        rng = random.Random(102)
-        for _ in range(200):
-            m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), rng.random() < 0.5)
-            assert _speed.bareiss_rank(m) == _pure.bareiss_rank(m)
-
-    def test_det_agreement(self):
-        rng = random.Random(103)
-        for _ in range(200):
-            n = rng.randint(1, 6)
-            m = random_matrix(rng, n, n, rng.random() < 0.3)
-            assert _speed.bareiss_det(m) == _pure.bareiss_det(m)
-
-
-class TestBackendSelection:
-    def test_backend_reported(self):
-        assert BACKEND in ("pure", "compiled")
-
-    def test_env_override_forces_pure(self):
-        env = dict(os.environ, MULTISTRUCT_PURE="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from multistruct import BACKEND; print(BACKEND)"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "pure"
-
-    @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled backend not built")
-    def test_default_prefers_compiled(self):
-        env = {k: v for k, v in os.environ.items() if k != "MULTISTRUCT_PURE"}
-        out = subprocess.run(
-            [sys.executable, "-c", "from multistruct import BACKEND; print(BACKEND)"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "compiled"
+            assert _kernels.bareiss_det(m) == brute
