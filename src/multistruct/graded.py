@@ -22,13 +22,15 @@ screen.  The certified cokernel splitting twisted by -r-2 has no global
 sections, which is the injectivity certificate the cohomology module
 consumes.
 
-Every slice rank is exact.  A slice is built once as an integer matrix
-(the entries' denominators cleared by their lcm) and its rank is computed
-modulo the prime 2^61 - 1 first: a modular rank equal to the smaller
-dimension proves full rank, since a minor that is nonzero mod p is nonzero
-over Z.  Any smaller rank is recomputed by fraction-free Bareiss
-elimination.  Slice ranks are cached per (matrix, degree), so certificates
-that repeat across targets rebuild nothing.
+Every slice rank is exact.  The entries' denominators are cleared by
+their lcm once per matrix, and each degree slice is built as sparse integer
+columns: a multiplication map has only a few nonzeros per column.  Its rank
+is computed by one sparse elimination modulo the prime 2^61 - 1 first: a
+modular rank equal to the smaller dimension proves full rank, since a minor
+that is nonzero mod p is nonzero over Z.  Any smaller rank is recomputed by
+fraction-free Bareiss elimination on the dense slice.  Slice ranks are
+cached per (matrix, degree), so certificates that repeat across targets
+rebuild nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from fractions import Fraction
 
 from . import EngineError
 from ._kernels import bareiss_rank
-from .arith import MultiPoly, format_poly, parse_poly, var
+from .arith import VARIABLES, MultiPoly, format_poly, parse_poly, var
 from .cohomology import Assumption, LinForm, h_p1
 
 DEFAULT_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
@@ -50,6 +52,7 @@ DEFAULT_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
     (Fraction(1), Fraction(-1)),
     (Fraction(2), Fraction(3)),
 )
+_S, _U = VARIABLES.index("s"), VARIABLES.index("u")
 
 
 class GradedCertificateError(EngineError):
@@ -80,11 +83,8 @@ def _su_terms(p: MultiPoly) -> tuple[dict[tuple[int, int], int], int]:
     names = set(p.variables_used())
     if not names <= {"s", "u"}:
         raise ValueError(f"entry uses variables outside s, u: {sorted(names)}")
-    from .arith import VARIABLES
-
-    i_s, i_u = VARIABLES.index("s"), VARIABLES.index("u")
     num, den = p.numerators()
-    return {(exp[i_s], exp[i_u]): c for exp, c in num.items()}, den
+    return {(exp[_S], exp[_U]): c for exp, c in num.items()}, den
 
 
 def homogeneous_degree(p: MultiPoly) -> int | None:
@@ -155,50 +155,55 @@ def transpose_dual(M: GradedMatrix) -> GradedMatrix:
     return GradedMatrix(dual_source, dual_target, entries)
 
 
-def _slice_basis(twist: int, d: int) -> list[tuple[int, int]]:
-    """Monomial basis (deg_s, deg_u) of S(twist)_d: s^k u^(n-k), k descending."""
-    n = d + twist
-    if n < 0:
-        return []
-    return [(k, n - k) for k in range(n, -1, -1)]
+@functools.cache
+def _integer_columns(M: GradedMatrix) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """den*M as integer entries, one tuple per source component j.
+
+    den is the lcm of the denominators of every entry coefficient.  Each
+    tuple lists (target i, s-exponent, int coefficient) over the terms of
+    column j; the u-exponent follows from homogeneity.  Cached per matrix,
+    so every degree slice of M reuses one clearing.
+    """
+    terms = [[_su_terms(e) for e in row] for row in M.entries]
+    den = math.lcm(*[e_den for row in terms for _, e_den in row])
+    return tuple(
+        tuple(
+            (i, ds, c * (den // row[j][1]))
+            for i, row in enumerate(terms)
+            for (ds, _), c in row[j][0].items()
+        )
+        for j in range(len(M.source.twists))
+    )
 
 
-def slice_matrix(M: GradedMatrix, d: int) -> list[list[int]]:
-    """The degree-d slice of den*M as an integer matrix.
+def slice_matrix(M: GradedMatrix, d: int) -> tuple[list[dict[int, int]], int]:
+    """The degree-d slice of den*M as sparse integer columns, and its row count.
 
     den is the lcm of the denominators of every entry coefficient, so each
     cell is an int and the rank equals the rank of the rational slice of M.
     Rows run over the target slice basis, columns over the source slice
-    basis, each ordered component-first then s-exponent descending.
+    basis, each ordered component-first then s-exponent descending; column
+    c maps row index to its nonzero cell.
     """
-    terms = [[_su_terms(e) for e in row] for row in M.entries]
-    den = math.lcm(*[e_den for row in terms for _, e_den in row])
-    src_bases = [_slice_basis(a, d) for a in M.source.twists]
-    tgt_bases = [_slice_basis(a, d) for a in M.target.twists]
-    tgt_index: dict[tuple[int, int, int], int] = {}
-    pos = 0
-    for i, basis in enumerate(tgt_bases):
-        for mono in basis:
-            tgt_index[(i, mono[0], mono[1])] = pos
-            pos += 1
-    n_rows = pos
-    n_cols = sum(len(b) for b in src_bases)
-    out = [[0] * n_cols for _ in range(n_rows)]
-    col = 0
-    for j, basis in enumerate(src_bases):
-        entry_terms = [
-            [(ds, du, c * (den // row[j][1])) for (ds, du), c in row[j][0].items()]
-            for row in terms
-        ]
-        for ds0, du0 in basis:
-            for i, cells in enumerate(entry_terms):
-                for ds, du, c in cells:
-                    row = tgt_index.get((i, ds + ds0, du + du0))
-                    if row is None:
-                        raise AssertionError("slice monomial fell outside the basis")
-                    out[row][col] += c
-            col += 1
-    return out
+    tops = []  # row index of s^0 in each target component's basis
+    n_rows = 0
+    for a in M.target.twists:
+        n = d + a + 1
+        if n > 0:
+            n_rows += n
+        tops.append(n_rows - 1)
+    columns = []
+    for a, entries in zip(M.source.twists, _integer_columns(M)):
+        n0 = d + a
+        if n0 < 0:
+            continue
+        # s^k0 * s^ds lands at tops[i] - k0 - ds, inside block i when k0 + ds <= d + t_i
+        for i, ds, _ in entries:
+            if n0 + ds > d + M.target.twists[i]:
+                raise AssertionError("slice monomial fell outside the basis")
+        for k0 in range(n0, -1, -1):
+            columns.append({tops[i] - k0 - ds: c for i, ds, c in entries})
+    return columns, n_rows
 
 
 def matrix_rank(rows: list[list[Fraction]]) -> int:
@@ -216,46 +221,57 @@ def matrix_rank(rows: list[list[Fraction]]) -> int:
 MODULUS = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
 
 
-def integer_rank(rows: list[list[int]]) -> int:
-    """Exact rank of an integer matrix, proved full mod a prime or by Bareiss.
+def integer_rank(columns: list[dict[int, int]], n_rows: int) -> int:
+    """Exact rank of a sparse integer matrix, proved full mod a prime or by Bareiss.
 
-    Gaussian elimination modulo MODULUS gives the rank over F_p, which never
-    exceeds the rank over Q: every minor that is nonzero mod p is a nonzero
-    integer.  A modular rank of min(rows, cols) is therefore the rank; any
-    smaller one is recomputed exactly by bareiss_rank.  No step is random.
+    columns[c] maps row index to a nonzero int.  Each column is reduced mod
+    MODULUS and eliminated against a pivot table keyed by leading (smallest)
+    row index, which gives the rank over F_p.  That rank never exceeds the
+    rank over Q: every minor that is nonzero mod p is a nonzero integer.  A
+    modular rank of min(rows, cols) is therefore the rank; any smaller one
+    is recomputed exactly by bareiss_rank on the dense slice.  No step is
+    random.
     """
-    if not rows or not rows[0]:
+    full = min(n_rows, len(columns))
+    if full == 0:
         return 0
     p = MODULUS
-    m = [[x % p for x in row] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, n_rows) if m[i][col]), None)
-        if pivot is None:
+    pivots: dict[int, list[tuple[int, int]]] = {}  # lead row -> rest, lead scaled to 1
+    spare = len(columns) - full  # columns that may still reduce to zero
+    for column in columns:
+        v = {r: x % p for r, x in column.items() if x % p}
+        while v:
+            lead = min(v)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(v.pop(lead), -1, p)
+                pivots[lead] = [(r, x * inv % p) for r, x in v.items()]
+                break
+            f = v.pop(lead)
+            for r, x in pivot:
+                y = (v.get(r, 0) - f * x) % p
+                if y:
+                    v[r] = y
+                else:
+                    del v[r]
+        else:  # the column reduced to zero
+            spare -= 1
+            if spare < 0:
+                break  # the rank mod p can no longer be full
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        support = [(j, v * inv % p) for j, v in enumerate(m[rank]) if j > col and v]
-        for i in range(rank + 1, n_rows):
-            row = m[i]
-            f = row[col]
-            if f:
-                for j, v in support:
-                    row[j] = (row[j] - f * v) % p
-                row[col] = 0
-        rank += 1
-        if rank == n_rows:
-            break
-    if rank == min(n_rows, n_cols):
-        return rank
+        if len(pivots) == full:
+            return full
+    rows = [[0] * len(columns) for _ in range(n_rows)]
+    for c, column in enumerate(columns):
+        for r, x in column.items():
+            rows[r][c] = x
     return bareiss_rank(rows)
 
 
 @functools.cache
 def slice_rank(M: GradedMatrix, d: int) -> int:
     """Rank of the degree-d slice of M, cached per (matrix, degree)."""
-    return integer_rank(slice_matrix(M, d))
+    return integer_rank(*slice_matrix(M, d))
 
 
 # -- section pairs and the alpha/beta complex --------------------------------

@@ -19,6 +19,7 @@ r = m*R + rho before the expansion coefficients are examined.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -169,6 +170,7 @@ def _active_parameter(polys: Iterable[MultiPoly]) -> str:
     return names.pop()
 
 
+@functools.cache
 def schwarzenberger_verdict(B: BundleClass, n: int = 5) -> Verdict:
     """Decide whether integrality of chi(B(t)) obstructs existence.
 
@@ -177,6 +179,7 @@ def schwarzenberger_verdict(B: BundleClass, n: int = 5) -> Verdict:
     Chern entry whose denominator admits exactly one residue class forces
     the reparametrization r = m*R + rho (applied at most once) before the
     expansion is analyzed, mirroring how such conditions are used by hand.
+    Cached per (bundle, n); the frozen Verdict is shared by every caller.
     """
     parameter = _active_parameter(B.chern)
     chern_parts = [lowest_terms(c) for c in B.chern]

@@ -19,6 +19,7 @@ downstream value is computed under both and reported side by side.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -168,6 +169,7 @@ def chi_template(template: Template, c1, c2, c3) -> MultiPoly:
     raise ValueError(f"unknown template {template!r}")
 
 
+@functools.cache
 def solve_chern_from_hilbert(
     target: MultiPoly, template: Template
 ) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
@@ -176,6 +178,8 @@ def solve_chern_from_hilbert(
     The system is triangular: the t^2 coefficient -c3/2 pins c3, the t
     coefficient then pins c1, the constant term pins c2.  c3 must come out
     a nonzero rational constant for the division steps to stay polynomial.
+    Cached per (target, template); the result is a tuple of immutable
+    polynomials, shared by every caller.
     """
     if target.degree("t") > 2:
         raise ValueError("target must have degree <= 2 in t")

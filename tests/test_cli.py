@@ -5,19 +5,24 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from multistruct import chow, cli, structures
+from multistruct import chow, cli, integrality, structures
 from multistruct.arith import MultiPoly, var
+from multistruct.chow import BundleClass
 from multistruct.cli import R_CAP, ReplicationRecord, RUNNERS, build_parser, main, report_json
 from multistruct.cohomology import LinForm
 from multistruct.graded import GradedCertificateError
 from multistruct.structures import parse_linear_form
 
-EXAMPLE_REPORT = Path(__file__).resolve().parent.parent / "docs" / "example-report.json"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLE_REPORT = ROOT / "docs" / "example-report.json"
 
 
 def run_cli(capsys, *argv):
@@ -124,8 +129,12 @@ class TestFaultInjection:
             (
                 ("double-plane",),
                 "do not reproduce the target",
-                # the Chern solve no longer reproduces its target
-                lambda mp: mp.setattr(structures, "chi_template", lambda *args: MultiPoly.zero()),
+                # the Chern solve no longer reproduces its target; its cache is
+                # emptied so the solve runs again instead of returning a result
+                lambda mp: (
+                    structures.solve_chern_from_hilbert.cache_clear(),
+                    mp.setattr(structures, "chi_template", lambda *args: MultiPoly.zero()),
+                ),
             ),
             (
                 ("wedge",),
@@ -228,6 +237,19 @@ class TestParameterCap:
             main(["replicate", "ext-claim", flag])
         assert exc.value.code == 2
         assert f"-{R_CAP}..{R_CAP}" in capsys.readouterr().err
+
+    def test_graded_at_the_cap_in_a_fresh_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from multistruct.cli import main; sys.exit(main())",
+             "replicate", "graded", "--r", str(R_CAP)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        for pair in ("monomial", "dense"):
+            assert f"[ ok ] graded/splitting[r={R_CAP},{pair}] (n/a): ({R_CAP - 4}, {R_CAP - 2})" in lines
+        assert lines[-1] == "summary: 3 records, 3 matched, 0 discrepancies"
 
 
 class TestRecords:
@@ -384,3 +406,25 @@ class TestJsonReport:
 class TestRunnersDirect:
     def test_every_target_has_runner(self):
         assert set(EXPECTED_EXIT) == set(RUNNERS)
+
+
+class TestSolvedOnce:
+    def test_cached_results_equal_fresh_ones(self):
+        solve = structures.solve_chern_from_hilbert
+        verdict = integrality.schwarzenberger_verdict
+        for hilbert in (structures.hilbert_double_plane(), structures.hilbert_triple_plane()):
+            for template in ("paper", "derived"):
+                triple = solve(hilbert, template)
+                assert triple == solve.__wrapped__(hilbert, template)
+                assert solve(hilbert, template) is triple
+                bundle = BundleClass(3, triple, 5)
+                assert verdict(bundle) == verdict.__wrapped__(bundle)
+                assert verdict(bundle) is verdict(BundleClass(3, triple, 5))
+
+    def test_replicate_all_solves_each_input_once(self):
+        structures.solve_chern_from_hilbert.cache_clear()
+        integrality.schwarzenberger_verdict.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["replicate", "all"]) == 1
+        assert structures.solve_chern_from_hilbert.cache_info().misses == 4
+        assert integrality.schwarzenberger_verdict.cache_info().misses == 5

@@ -71,9 +71,10 @@ class TestGradedBasics:
     def test_slice_matrix_shape(self):
         pair = default_pair(0)
         alpha, beta, cx = alphabeta_builder(pair)
-        m = slice_matrix(alpha, 12)
-        assert len(m) == slice_dim(cx.middle, 12)
-        assert len(m[0]) == slice_dim(cx.source, 12)
+        columns, n_rows = slice_matrix(alpha, 12)
+        assert n_rows == slice_dim(cx.middle, 12)
+        assert len(columns) == slice_dim(cx.source, 12)
+        assert all(0 <= r < n_rows and x for col in columns for r, x in col.items())
 
     def test_transpose_dual_twists(self):
         pair = default_pair(0)
@@ -101,6 +102,18 @@ def _fraction_slice(M: GradedMatrix, d: int) -> list[list[Fraction]]:
     return out
 
 
+def _columns(rows: list[list[int]]) -> tuple[list[dict[int, int]], int]:
+    """A dense integer matrix as the sparse columns integer_rank takes."""
+    n_cols = len(rows[0]) if rows else 0
+    columns = [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(n_cols)]
+    return columns, len(rows)
+
+
+def _dense(columns: list[dict[int, int]], n_rows: int) -> list[list[int]]:
+    """Sparse columns back as a dense list of rows."""
+    return [[col.get(r, 0) for col in columns] for r in range(n_rows)]
+
+
 class TestIntegerRank:
     P = MODULUS
 
@@ -110,7 +123,7 @@ class TestIntegerRank:
             m, n = rng.randint(1, 7), rng.randint(1, 7)
             bound = rng.choice((1, 3, 10**6, 2**70))
             rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
-            assert integer_rank(rows) == bareiss_rank(rows)
+            assert integer_rank(*_columns(rows)) == bareiss_rank(rows)
 
     def test_thin_products_are_rank_deficient(self):
         rng = random.Random(61)
@@ -120,7 +133,7 @@ class TestIntegerRank:
             left = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(m)]
             right = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
             rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
-            assert integer_rank(rows) == bareiss_rank(rows) <= k
+            assert integer_rank(*_columns(rows)) == bareiss_rank(rows) <= k
 
     @pytest.mark.parametrize(
         "rows, rank",
@@ -130,16 +143,38 @@ class TestIntegerRank:
     def test_short_modular_rank_falls_back_to_bareiss(self, monkeypatch, rows, rank):
         calls = []
         monkeypatch.setattr(graded, "bareiss_rank", lambda m: calls.append(m) or bareiss_rank(m))
-        assert integer_rank(rows) == bareiss_rank(rows) == rank
-        assert calls == [rows]  # the modular rank fell short, so Bareiss decided
+        assert integer_rank(*_columns(rows)) == bareiss_rank(rows) == rank
+        assert calls == [rows]  # the modular rank fell short, so Bareiss decided on the dense slice
+
+    @pytest.mark.parametrize(
+        "rows, rank",
+        [
+            ([[0, 1, 0], [0, 2, 0], [0, 3, 0]], 1),  # all-zero columns
+            ([[1, 2, 3], [2, 4, 5], [3, 6, 7]], 2),  # the second column cancels to 0
+            ([[1, 1 + P], [1, 1]], 2),  # it cancels to 0 mod p only
+            ([[P, 2 * P], [3 * P, P]], 2),  # every entry vanishes mod p
+            ([[1, 2, 3, 4], [2, 4, 6, 8]], 1),  # wide, rank below its row count
+        ],
+    )
+    def test_columns_reducing_to_zero_reach_bareiss(self, monkeypatch, rows, rank):
+        calls = []
+        monkeypatch.setattr(graded, "bareiss_rank", lambda m: calls.append(m) or bareiss_rank(m))
+        assert integer_rank(*_columns(rows)) == bareiss_rank(rows) == rank
+        assert calls == [rows]
 
     def test_full_rank_mod_p_skips_bareiss(self, monkeypatch):
         monkeypatch.setattr(graded, "bareiss_rank", lambda m: pytest.fail("Bareiss was called"))
-        assert integer_rank([[1, 2, 3], [4, 5, 6]]) == 2
-        assert integer_rank([[self.P + 1], [0]]) == 1
+        assert integer_rank(*_columns([[1, 2, 3], [4, 5, 6]])) == 2
+        assert integer_rank(*_columns([[self.P + 1], [0]])) == 1
         # 2P vanishes mod p, but the determinant -12 mod p does not
-        assert integer_rank([[2 * self.P, 3], [4, 6]]) == 2
-        assert integer_rank([]) == 0 and integer_rank([[]]) == 0
+        assert integer_rank(*_columns([[2 * self.P, 3], [4, 6]])) == 2
+        # wide: full row rank is reached before the last columns are read
+        assert integer_rank(*_columns([[0, 1, 5, 7, 9], [1, 0, 2, 4, 6]])) == 2
+        # an entry equal to p is dropped, the column keeps its other entries
+        assert integer_rank(*_columns([[self.P, 1], [1, 0]])) == 2
+        # a zero column is spare when the matrix is wide
+        assert integer_rank(*_columns([[0, 1, 0], [0, 0, 1]])) == 2
+        assert integer_rank([], 0) == 0 and integer_rank([], 3) == 0 and integer_rank([{}], 0) == 0
 
     @pytest.mark.parametrize("rv", range(0, 7))
     def test_certificate_slices_match_bareiss(self, monkeypatch, rv):
@@ -147,9 +182,9 @@ class TestIntegerRank:
         original = graded.slice_matrix
 
         def recording(M, d):
-            rows = original(M, d)
-            built.append(rows)
-            return rows
+            columns, n_rows = original(M, d)
+            built.append((columns, n_rows))
+            return columns, n_rows
 
         monkeypatch.setattr(graded, "slice_matrix", recording)
         slice_rank.cache_clear()
@@ -157,10 +192,37 @@ class TestIntegerRank:
             _, _, cx = alphabeta_builder(pair)
             slice_exactness_window(cx)
             splitting_type(cx, 2 * rv - 6)
+        misses = slice_rank.cache_info().misses
         slice_rank.cache_clear()
-        assert built
-        for rows in built:
-            assert integer_rank(rows) == bareiss_rank(rows)
+        # every slice the certificate builds, one per cache miss, full rank or not
+        assert len(built) == misses > 0
+        for columns, n_rows in built:
+            assert integer_rank(columns, n_rows) == bareiss_rank(_dense(columns, n_rows))
+
+
+def _fractional_pair(rv: int) -> SectionPair:
+    return SectionPair(
+        rv, s ** (rv + 2) * Fraction(1, 2) + u ** (rv + 2), Fraction(2, 3) * u ** (rv + 4) + s ** (rv + 3) * u
+    )
+
+
+def _random_pair(rng: random.Random, rv: int) -> SectionPair:
+    while True:
+        a, b = _random_section(rng, rv + 2), _random_section(rng, rv + 4)
+        if not a.is_zero() and not b.is_zero():
+            return SectionPair(rv, a, b)
+
+
+def _assert_scaled_reference(M: GradedMatrix, d: int) -> tuple[list[dict[int, int]], int, list]:
+    """The sparse slice equals the Fraction reference times one scale factor."""
+    columns, n_rows = slice_matrix(M, d)
+    old = _fraction_slice(M, d)
+    assert all(type(x) is int and x for col in columns for x in col.values())
+    assert all(0 <= r < n_rows for col in columns for r in col)
+    rows = _dense(columns, n_rows)
+    scale = next((x / y for a, b in zip(rows, old) for x, y in zip(a, b) if y), 1)
+    assert rows == [[scale * y for y in b] for b in old]
+    return columns, n_rows, old
 
 
 class TestSliceMatrix:
@@ -169,13 +231,21 @@ class TestSliceMatrix:
         alpha, beta, _ = alphabeta_builder(pair)
         for M in (alpha, beta, transpose_dual(alpha)):
             for d in range(-20, 24):
-                rows = slice_matrix(M, d)
-                old = _fraction_slice(M, d)
-                assert all(type(x) is int for row in rows for x in row)
-                # one common scale factor relates the two slices
-                scale = next((x / y for a, b in zip(rows, old) for x, y in zip(a, b) if y), 1)
-                assert rows == [[scale * y for y in b] for b in old]
-                assert integer_rank(rows) == matrix_rank(old)
+                columns, n_rows, old = _assert_scaled_reference(M, d)
+                assert integer_rank(columns, n_rows) == matrix_rank(old)
+
+    @pytest.mark.parametrize("rv", range(0, 9))
+    def test_sparse_slices_match_the_fraction_reference(self, rv):
+        rng = random.Random(20261018 + rv)
+        pairs = [default_pair(rv), _second_pair(rv), _fractional_pair(rv)]
+        pairs += [_random_pair(rng, rv) for _ in range(2)]
+        for pair in pairs:
+            alpha, beta, _ = alphabeta_builder(pair)
+            for M in (alpha, beta, transpose_dual(alpha)):
+                twists = M.source.twists + M.target.twists
+                # from below the first nonempty slice to past the last new block
+                for d in range(-max(twists) - 1, -min(twists) + 3):
+                    _assert_scaled_reference(M, d)
 
     def test_slice_rank_cached_by_value(self):
         first, _, _ = alphabeta_builder(default_pair(2))
