@@ -675,15 +675,14 @@ def run_graded(args) -> list[ReplicationRecord]:
     ]
     r_values = [args.r] if isinstance(args.r, int) else list(args.window)
     points = args.points
-    from .graded import alphabeta_builder, default_pair, splitting_type
+    from .graded import certified_split, default_pair
 
     for rv in r_values:
         if rv < 0:
             raise ValueError("graded complexes need r >= 0")
         for label, pair in (("monomial", default_pair(rv)), ("dense", _second_pair(rv))):
-            _, _, cx = alphabeta_builder(pair)
-            split = splitting_type(cx, 2 * rv - 6)
             injectivity_certificate(rv, pair, points)  # True or raises
+            split = certified_split(pair, tuple(points))  # the certificate's cached result
             twisted = tuple(sorted(a - rv - 2 for a in split))
             records.append(
                 _record(

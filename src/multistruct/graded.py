@@ -18,9 +18,10 @@ Exactness is certified three independent ways: the symbolic identities
 common-zero-free pair makes alpha fiberwise injective and beta fiberwise
 surjective), degree-slice rank bookkeeping over a window past the
 regularity bound, and fiberwise evaluation at sample points as a fast
-screen.  The certified cokernel splitting twisted by -r-2 has no global
+screen.  The cokernel of alpha is then a rank-2 bundle on the line; its
+splitting type is found by bisection, and twisted by -r-2 it has no global
 sections, which is the injectivity certificate the cohomology module
-consumes.
+consumes.  The chain runs once per (pair, sample points) in a process.
 
 Every slice rank is exact.  The entries' denominators are cleared by
 their lcm once per matrix, and each degree slice is built as sparse integer
@@ -29,12 +30,13 @@ is computed by one sparse elimination modulo the prime 2^61 - 1 first: a
 modular rank equal to the smaller dimension proves full rank, since a minor
 that is nonzero mod p is nonzero over Z.  Any smaller rank is recomputed by
 fraction-free Bareiss elimination on the dense slice.  Slice ranks are
-cached per (matrix, degree), so certificates that repeat across targets
-rebuild nothing.
+cached per (matrix, degree), so the slice window and the splitting type
+share them.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -138,12 +140,13 @@ class GradedMatrix:
         return rows
 
 
+@functools.cache
 def transpose_dual(M: GradedMatrix) -> GradedMatrix:
     """The Serre-dual matrix: transposed entries between dualized twists.
 
     The degree-d slice rank of M on first cohomology equals the degree -d
     slice rank of this matrix on global sections: S(a) dualizes to S(-a-2)
-    and the multiplication entries transpose unchanged.
+    and the multiplication entries transpose unchanged; cached per matrix.
     """
     dual_source = GradedFree(tuple(-a - 2 for a in M.target.twists))
     dual_target = GradedFree(tuple(-a - 2 for a in M.source.twists))
@@ -328,7 +331,7 @@ class ComplexSpec:
     beta: GradedMatrix
 
 
-def alphabeta_builder(p: SectionPair) -> tuple[GradedMatrix, GradedMatrix, ComplexSpec]:
+def alphabeta_builder(p: SectionPair) -> ComplexSpec:
     """Build alpha = (a^2, 2ab, b^2)^T and beta = [[2b, -a, 0], [0, -b, 2a]].
 
     Twists: source S(-2r-12), middle S(-8)+S(-6)+S(-4), target
@@ -345,7 +348,7 @@ def alphabeta_builder(p: SectionPair) -> tuple[GradedMatrix, GradedMatrix, Compl
     beta = GradedMatrix(
         middle, target, ((2 * p.b, -p.a, zero), (zero, -p.b, 2 * p.a))
     )
-    return alpha, beta, ComplexSpec(p, source, middle, target, alpha, beta)
+    return ComplexSpec(p, source, middle, target, alpha, beta)
 
 
 def compose(outer: GradedMatrix, inner: GradedMatrix) -> tuple[tuple[MultiPoly, ...], ...]:
@@ -462,8 +465,8 @@ def slice_exactness_window(cx: ComplexSpec) -> tuple[int, int]:
     return d0, d0 + 6
 
 
-def cokernel_h0_profile(cx: ComplexSpec, window: range) -> dict[int, int]:
-    """Exact h^0 of the cokernel sheaf of alpha, twist by twist.
+def cokernel_h0(cx: ComplexSpec, d: int) -> int:
+    """Exact h^0(F(d)) of the cokernel sheaf F of alpha.
 
     From 0 -> O(e) -> middle -> F -> 0:
       h^0(F(d)) = dim middle_d - rank(alpha_d) + h^1(O(e+d)) - rank(dual_(-d))
@@ -471,31 +474,26 @@ def cokernel_h0_profile(cx: ComplexSpec, window: range) -> dict[int, int]:
     duality as a section-level slice of the transposed dual matrix.
     """
     e = cx.source.twists[0]
-    dual = transpose_dual(cx.alpha)
-    profile: dict[int, int] = {}
-    for d in window:
-        h1_line = max(-(e + d) - 1, 0)
-        value = (
-            slice_dim(cx.middle, d)
-            - slice_rank(cx.alpha, d)
-            + h1_line
-            - slice_rank(dual, -d)
-        )
-        if value < 0:
-            raise GradedCertificateError(f"negative section count at twist {d}")
-        profile[d] = value
-    return profile
+    value = (
+        slice_dim(cx.middle, d)
+        - slice_rank(cx.alpha, d)
+        + max(-(e + d) - 1, 0)
+        - slice_rank(transpose_dual(cx.alpha), -d)
+    )
+    if value < 0:
+        raise GradedCertificateError(f"negative section count at twist {d}")
+    return value
 
 
 def splitting_type(cx: ComplexSpec, candidate_sum_degree: int) -> tuple[int, int]:
-    """Infer the two twists of the cokernel bundle, ascending.
+    """The twists (x, y), x <= y, of the cokernel bundle F = O(x) + O(y).
 
-    The cokernel of alpha is locally free of rank 2 with determinant degree
-    candidate_sum_degree = sum(middle twists) - source twist.  Its exact
-    h^0 profile determines the larger twist y through the last twist with
-    no sections (h^0(F(d)) = 0 exactly for d <= -y-1), and x follows from
-    the sum; the full profile is then verified against the split model and
-    against every other candidate pair, which must all fail.
+    Once common_zero_check has passed, alpha vanishes nowhere, so F is a
+    rank-2 bundle of degree candidate_sum_degree; it splits (Grothendieck)
+    and h^0(F(d)) is nondecreasing in d, as a linear form injects H^0(F(d))
+    into H^0(F(d+1)).  Bisection on [-|e|-4, top], top = max |twist| + r + 12,
+    finds the last twist -y-1 with no sections, x follows from the sum, and
+    the split model is checked at the twists -y-1, -y, -x-1, -x and top.
     """
     e = cx.source.twists[0]
     expected_sum = sum(cx.middle.twists) - e
@@ -503,33 +501,20 @@ def splitting_type(cx: ComplexSpec, candidate_sum_degree: int) -> tuple[int, int
         raise ValueError(
             f"candidate sum {candidate_sum_degree} contradicts determinant {expected_sum}"
         )
-    bound = abs(e) + 4
     d0 = max(abs(a) for a in cx.source.twists + cx.middle.twists + cx.target.twists)
-    hi = d0 + (cx.pair.r + 4) + 8
-    window = range(-bound, hi + 1)
-    profile = cokernel_h0_profile(cx, window)
-
-    zero_twists = [d for d, v in profile.items() if v == 0]
-    if not zero_twists or len(zero_twists) == len(profile):
+    top = d0 + (cx.pair.r + 4) + 8
+    lo = -(abs(e) + 4)
+    h0 = functools.cache(lambda d: cokernel_h0(cx, d))
+    if h0(lo) != 0 or h0(top) == 0:
         raise GradedCertificateError("section profile does not bracket a splitting")
-    y = -1 - max(zero_twists)
+    # -y is the first twist with sections
+    y = -(lo + bisect.bisect_left(range(lo, top), True, key=lambda d: h0(d) > 0))
     x = candidate_sum_degree - y
-
-    def model(xx: int, yy: int, d: int) -> int:
-        return max(d + xx + 1, 0) + max(d + yy + 1, 0)
-
-    if any(profile[d] != model(x, y, d) for d in window):
+    if any(h0(d) != max(d + x + 1, 0) + max(d + y + 1, 0) for d in (-y - 1, -y, -x - 1, -x, top)):
         raise GradedCertificateError(
             "no split pair matches the section profile (torsion or non-exactness)"
         )
-    matches = [
-        (xx, candidate_sum_degree - xx)
-        for xx in range(-bound, candidate_sum_degree // 2 + 1)
-        if all(profile[d] == model(xx, candidate_sum_degree - xx, d) for d in window)
-    ]
-    if matches != [(x, y)] and matches != [(min(x, y), max(x, y))]:
-        raise GradedCertificateError(f"splitting not unique: {matches}")
-    return (x, y) if x <= y else (y, x)
+    return x, y
 
 
 # -- the certificate ------------------------------------------------------------
@@ -542,37 +527,50 @@ def injectivity_certificate(
 ) -> bool:
     """Full certification chain for the connecting-map injectivity.
 
-    Steps: common-zero check, symbolic identities, complex construction,
-    fiberwise screen, slice exactness past regularity, splitting-type
-    inference, and finally vanishing of sections after the -r-2 twist.
-    Any failure raises GradedCertificateError; success returns True.
+    Checks the input before any engine work (r >= 0, a pair built for r, at
+    least five points; None means default_pair(r) and DEFAULT_POINTS), then
+    runs certified_split once per (pair, points) in a process.  Any failure
+    raises GradedCertificateError; success returns True.
     """
     if r < 0:
         raise ValueError("r must be a nonnegative integer")
-    p = pair if pair is not None else default_pair(r)
-    if p.r != r:
+    if pair is not None and pair.r != r:
         raise ValueError("section pair was built for a different r")
-    if not common_zero_check(p):
+    sample = tuple(points) if points else DEFAULT_POINTS
+    if len(sample) < 5:
+        raise ValueError("need at least five sample points")
+    certified_split(pair if pair is not None else default_pair(r), sample)
+    return True
+
+
+@functools.cache
+def certified_split(pair: SectionPair, points: tuple[tuple[Fraction, Fraction], ...]) -> tuple[int, int]:
+    """The certified splitting type of the pair's cokernel bundle.
+
+    Steps: common-zero check, symbolic identities, complex construction,
+    fiberwise screen, slice exactness past regularity, splitting type, and
+    vanishing of sections after the -r-2 twist.  A failure raises
+    GradedCertificateError and is not cached.  Callers validate the input
+    through injectivity_certificate first.
+    """
+    r = pair.r
+    if not common_zero_check(pair):
         raise GradedCertificateError("section pair has a common zero")
     if not symbolic_complex_identities():
         raise GradedCertificateError("symbolic complex identities failed")
-    alpha, beta, cx = alphabeta_builder(p)
-    if any(not entry.is_zero() for row in compose(beta, alpha) for entry in row):
+    cx = alphabeta_builder(pair)
+    if any(not entry.is_zero() for row in compose(cx.beta, cx.alpha) for entry in row):
         raise GradedCertificateError("beta . alpha != 0 for this pair")
-    sample = list(points) if points else list(DEFAULT_POINTS)
-    if len(sample) < 5:
-        raise ValueError("need at least five sample points")
-    ok, witness = pointwise_exactness(cx, sample)
+    ok, witness = pointwise_exactness(cx, points)
     if not ok:
         raise GradedCertificateError(f"fiberwise exactness fails at {witness}")
     slice_exactness_window(cx)
     split = splitting_type(cx, 2 * r - 6)
-    twisted = tuple(sorted(a + (-r - 2) for a in split))
     assumption = Assumption(fixed=r)
-    for a in twisted:
+    for a in sorted(a + (-r - 2) for a in split):
         sections = h_p1(LinForm(0, a), assumption).h0
         if not sections.is_zero():
             raise GradedCertificateError(
                 f"twisted summand O({a}) has sections; kernel map not injective"
             )
-    return True
+    return split

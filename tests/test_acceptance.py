@@ -385,8 +385,8 @@ def test_criterion_10_graded_certificates():
             ),
         }
         for label, pair in pairs.items():
-            alpha, beta, cx = alphabeta_builder(pair)
-            if any(not e.is_zero() for row in compose(beta, alpha) for e in row):
+            cx = alphabeta_builder(pair)
+            if any(not e.is_zero() for row in compose(cx.beta, cx.alpha) for e in row):
                 failures.append((rv, label, "beta.alpha"))
             ok_points, _ = pointwise_exactness(cx, list(DEFAULT_POINTS))
             if not ok_points:

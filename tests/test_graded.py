@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +12,7 @@ import pytest
 
 from multistruct import graded
 from multistruct.arith import MultiPoly, var
-from multistruct.cli import _second_pair
+from multistruct.cli import _second_pair, main
 from multistruct.graded import (
     DEFAULT_POINTS,
     MODULUS,
@@ -20,7 +23,8 @@ from multistruct.graded import (
     SectionPair,
     alphabeta_builder,
     bareiss_rank,
-    cokernel_h0_profile,
+    certified_split,
+    cokernel_h0,
     common_zero_check,
     compose,
     default_pair,
@@ -70,7 +74,8 @@ class TestGradedBasics:
 
     def test_slice_matrix_shape(self):
         pair = default_pair(0)
-        alpha, beta, cx = alphabeta_builder(pair)
+        cx = alphabeta_builder(pair)
+        alpha, beta = cx.alpha, cx.beta
         columns, n_rows = slice_matrix(alpha, 12)
         assert n_rows == slice_dim(cx.middle, 12)
         assert len(columns) == slice_dim(cx.source, 12)
@@ -78,10 +83,11 @@ class TestGradedBasics:
 
     def test_transpose_dual_twists(self):
         pair = default_pair(0)
-        alpha, _, _ = alphabeta_builder(pair)
+        alpha = alphabeta_builder(pair).alpha
         dual = transpose_dual(alpha)
         assert dual.source.twists == (6, 4, 2)
         assert dual.target.twists == (10,)
+        assert transpose_dual(alphabeta_builder(pair).alpha) is dual  # built once per matrix
 
 
 def _fraction_slice(M: GradedMatrix, d: int) -> list[list[Fraction]]:
@@ -189,7 +195,7 @@ class TestIntegerRank:
         monkeypatch.setattr(graded, "slice_matrix", recording)
         slice_rank.cache_clear()
         for pair in (default_pair(rv), _second_pair(rv)):
-            _, _, cx = alphabeta_builder(pair)
+            cx = alphabeta_builder(pair)
             slice_exactness_window(cx)
             splitting_type(cx, 2 * rv - 6)
         misses = slice_rank.cache_info().misses
@@ -228,7 +234,8 @@ def _assert_scaled_reference(M: GradedMatrix, d: int) -> tuple[list[dict[int, in
 class TestSliceMatrix:
     def test_fractional_coefficients_give_integer_slices(self):
         pair = SectionPair(1, s**3 * Fraction(1, 2) + u**3, Fraction(2, 3) * u**5 + s**4 * u)
-        alpha, beta, _ = alphabeta_builder(pair)
+        cx = alphabeta_builder(pair)
+        alpha, beta = cx.alpha, cx.beta
         for M in (alpha, beta, transpose_dual(alpha)):
             for d in range(-20, 24):
                 columns, n_rows, old = _assert_scaled_reference(M, d)
@@ -240,7 +247,8 @@ class TestSliceMatrix:
         pairs = [default_pair(rv), _second_pair(rv), _fractional_pair(rv)]
         pairs += [_random_pair(rng, rv) for _ in range(2)]
         for pair in pairs:
-            alpha, beta, _ = alphabeta_builder(pair)
+            cx = alphabeta_builder(pair)
+            alpha, beta = cx.alpha, cx.beta
             for M in (alpha, beta, transpose_dual(alpha)):
                 twists = M.source.twists + M.target.twists
                 # from below the first nonempty slice to past the last new block
@@ -248,8 +256,8 @@ class TestSliceMatrix:
                     _assert_scaled_reference(M, d)
 
     def test_slice_rank_cached_by_value(self):
-        first, _, _ = alphabeta_builder(default_pair(2))
-        second, _, _ = alphabeta_builder(default_pair(2))
+        first = alphabeta_builder(default_pair(2)).alpha
+        second = alphabeta_builder(default_pair(2)).alpha
         assert first == second and first is not second
         slice_rank.cache_clear()
         assert slice_rank(first, 30) == slice_rank(second, 30)
@@ -298,7 +306,8 @@ class TestSectionPairs:
 class TestComplex:
     def test_builder_entries(self):
         pair = default_pair(0)
-        alpha, beta, cx = alphabeta_builder(pair)
+        cx = alphabeta_builder(pair)
+        alpha, beta = cx.alpha, cx.beta
         assert alpha.entries == ((s**4,), (2 * s * s * u**4,), (u**8,))
         assert beta.entries[0] == (2 * u**4, -(s * s), MultiPoly.zero())
         assert beta.entries[1] == (MultiPoly.zero(), -(u**4), 2 * s * s)
@@ -311,30 +320,31 @@ class TestComplex:
 
     def test_beta_alpha_zero_concrete(self):
         for rv in range(4):
-            alpha, beta, _ = alphabeta_builder(default_pair(rv))
+            cx = alphabeta_builder(default_pair(rv))
+            alpha, beta = cx.alpha, cx.beta
             assert all(
                 entry.is_zero() for row in compose(beta, alpha) for entry in row
             )
 
     def test_pointwise_exactness(self):
-        _, _, cx = alphabeta_builder(default_pair(0))
+        cx = alphabeta_builder(default_pair(0))
         ok, witness = pointwise_exactness(cx, list(DEFAULT_POINTS))
         assert ok and witness is None
 
     def test_pointwise_catches_common_zero(self):
         bad = SectionPair(1, s * u * u, u**5)  # both vanish at [1:0]
-        _, _, cx = alphabeta_builder(bad)
+        cx = alphabeta_builder(bad)
         ok, witness = pointwise_exactness(cx, [(Fraction(1), Fraction(0))])
         assert not ok
         assert witness == (1, 0)
 
     def test_rejects_origin(self):
-        _, _, cx = alphabeta_builder(default_pair(0))
+        cx = alphabeta_builder(default_pair(0))
         with pytest.raises(ValueError):
             pointwise_exactness(cx, [(Fraction(0), Fraction(0))])
 
     def test_scaling_invariance(self):
-        _, _, cx = alphabeta_builder(default_pair(2))
+        cx = alphabeta_builder(default_pair(2))
         base = (Fraction(2), Fraction(3))
         scaled = (Fraction(4), Fraction(6))
         ok1, _ = pointwise_exactness(cx, [base])
@@ -342,13 +352,25 @@ class TestComplex:
         assert ok1 == ok2 == True
 
 
+def cokernel_h0_profile(cx: ComplexSpec, window: range) -> dict[int, int]:
+    """The full h^0 profile of the cokernel over a window, twist by twist."""
+    return {d: cokernel_h0(cx, d) for d in window}
+
+
+def _full_window(cx: ComplexSpec) -> range:
+    """Every twist from -(|e| + 4) to the top of the bisection bracket."""
+    e = cx.source.twists[0]
+    d0 = max(abs(a) for a in cx.source.twists + cx.middle.twists + cx.target.twists)
+    return range(-(abs(e) + 4), d0 + (cx.pair.r + 4) + 8 + 1)
+
+
 class TestSliceCertificates:
     def test_window_r0(self):
-        _, _, cx = alphabeta_builder(default_pair(0))
+        cx = alphabeta_builder(default_pair(0))
         assert slice_exactness_window(cx) == (18, 24)
 
     def test_alternating_slice_sums_vanish(self):
-        _, _, cx = alphabeta_builder(default_pair(1))
+        cx = alphabeta_builder(default_pair(1))
         d0, d1 = slice_exactness_window(cx)
         for d in range(d0, d1 + 1):
             total = (
@@ -361,12 +383,12 @@ class TestSliceCertificates:
 
     def test_window_fails_for_degenerate_pair(self):
         bad = SectionPair(1, s * u * u, u**5)
-        _, _, cx = alphabeta_builder(bad)
+        cx = alphabeta_builder(bad)
         with pytest.raises(GradedCertificateError):
             slice_exactness_window(cx)
 
     def test_cokernel_profile_nonnegative(self):
-        _, _, cx = alphabeta_builder(default_pair(0))
+        cx = alphabeta_builder(default_pair(0))
         profile = cokernel_h0_profile(cx, range(-6, 25))
         assert all(v >= 0 for v in profile.values())
         # h^0(F(d)) matches the split model O(-4) + O(-2)
@@ -377,13 +399,53 @@ class TestSliceCertificates:
 class TestSplitting:
     @pytest.mark.parametrize("rv", range(0, 7))
     def test_splitting_values(self, rv):
-        _, _, cx = alphabeta_builder(default_pair(rv))
+        cx = alphabeta_builder(default_pair(rv))
         assert splitting_type(cx, 2 * rv - 6) == (rv - 4, rv - 2)
 
     def test_sum_degree_checked(self):
-        _, _, cx = alphabeta_builder(default_pair(0))
+        cx = alphabeta_builder(default_pair(0))
         with pytest.raises(ValueError):
             splitting_type(cx, 0)
+
+    @pytest.mark.parametrize("rv", range(0, 9))
+    def test_bisection_matches_the_full_profile(self, rv):
+        pairs = [default_pair(rv), _second_pair(rv)]
+        pairs += [p for p in _seeded_random_pairs() if p.r == rv and common_zero_check(p)]
+        for pair in pairs:
+            cx = alphabeta_builder(pair)
+            window = _full_window(cx)
+            profile = cokernel_h0_profile(cx, window)
+            values = [profile[d] for d in window]
+            assert values == sorted(values) and values[0] == 0 < values[-1]
+            y = -1 - max(d for d in window if profile[d] == 0)
+            x = 2 * rv - 6 - y
+            assert x <= y
+            assert all(profile[d] == max(d + x + 1, 0) + max(d + y + 1, 0) for d in window)
+            assert splitting_type(cx, 2 * rv - 6) == (x, y)
+
+    def test_each_twist_computed_once(self, monkeypatch):
+        seen = []
+        original = graded.cokernel_h0
+        monkeypatch.setattr(graded, "cokernel_h0", lambda cx, d: seen.append(d) or original(cx, d))
+        cx = alphabeta_builder(_second_pair(8))
+        assert splitting_type(cx, 10) == (4, 6)
+        # two bracket ends, the bisection steps, and at most two new boundary twists
+        assert len(seen) == len(set(seen)) <= 2 + math.ceil(math.log2(len(_full_window(cx)))) + 2
+
+    @pytest.mark.parametrize("bad", [2, 3, 4, 24])  # -y, -x-1, -x and the bracket top at r = 0
+    def test_profile_off_the_split_model_rejected(self, monkeypatch, bad):
+        original = graded.cokernel_h0
+        monkeypatch.setattr(graded, "cokernel_h0", lambda cx, d: original(cx, d) + (d == bad))
+        cx = alphabeta_builder(default_pair(0))
+        assert _full_window(cx)[-1] == 24
+        with pytest.raises(GradedCertificateError, match="no split pair"):
+            splitting_type(cx, -6)
+
+    def test_torsion_cokernel_rejected(self):
+        # alpha = u^4 (s^2, 2s u^3, u^8): the cokernel has torsion at [1:0]
+        cx = alphabeta_builder(SectionPair(1, s * u * u, u**5))
+        with pytest.raises(GradedCertificateError, match="bracket"):
+            splitting_type(cx, -4)
 
 
 class TestCertificate:
@@ -400,32 +462,73 @@ class TestCertificate:
         with pytest.raises(GradedCertificateError, match="common zero"):
             injectivity_certificate(1, bad)
 
-    def test_mismatched_r_rejected(self):
+    def test_mismatched_r_rejected(self, monkeypatch):
+        monkeypatch.setattr(graded, "common_zero_check", lambda p: pytest.fail("engine work ran"))
         with pytest.raises(ValueError):
             injectivity_certificate(2, default_pair(1))
+        with pytest.raises(ValueError):
+            injectivity_certificate(-1)
 
-    def test_needs_five_points(self):
+    def test_needs_five_points(self, monkeypatch):
+        monkeypatch.setattr(graded, "common_zero_check", lambda p: pytest.fail("engine work ran"))
         with pytest.raises(ValueError):
             injectivity_certificate(0, points=[(Fraction(1), Fraction(0))])
 
     def test_random_pairs(self):
-        rng = random.Random(20260815)
         produced = 0
-        for _ in range(40):
-            rv = rng.randint(0, 3)
-            a = _random_section(rng, rv + 2)
-            b = _random_section(rng, rv + 4)
-            try:
-                pair = SectionPair(rv, a, b)
-            except ValueError:
-                continue
+        for pair in _seeded_random_pairs():
             if not common_zero_check(pair):
                 with pytest.raises(GradedCertificateError):
-                    injectivity_certificate(rv, pair)
+                    injectivity_certificate(pair.r, pair)
             else:
-                assert injectivity_certificate(rv, pair) is True
+                assert injectivity_certificate(pair.r, pair) is True
                 produced += 1
         assert produced >= 20
+
+
+class TestCertificateCache:
+    def test_repeat_runs_no_chain_step(self, monkeypatch):
+        certified_split.cache_clear()
+        assert injectivity_certificate(2) is True
+        monkeypatch.setattr(graded, "common_zero_check", lambda p: pytest.fail("the chain ran again"))
+        assert injectivity_certificate(2) is True
+        assert injectivity_certificate(2, default_pair(2), list(DEFAULT_POINTS)) is True
+        assert certified_split.cache_info().misses == 1
+        assert certified_split(default_pair(2), DEFAULT_POINTS) == (-2, 0)
+
+    def test_failures_are_not_cached(self, monkeypatch):
+        bad = SectionPair(1, s * u * u, u**5)
+        calls = []
+        original = graded.common_zero_check
+        monkeypatch.setattr(graded, "common_zero_check", lambda p: calls.append(p) or original(p))
+        for _ in range(3):
+            with pytest.raises(GradedCertificateError, match="common zero"):
+                injectivity_certificate(1, bad)
+        assert calls == [bad] * 3
+
+    def test_graded_target_splits_each_pair_once(self, monkeypatch):
+        calls = []
+        original = graded.splitting_type
+        monkeypatch.setattr(graded, "splitting_type", lambda cx, n: calls.append(cx.pair) or original(cx, n))
+        certified_split.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["replicate", "graded", "--r", "2"]) == 0
+        assert calls == [default_pair(2), _second_pair(2)]
+
+
+def _seeded_random_pairs() -> list[SectionPair]:
+    """Random section pairs, r = 0..3, some with a common zero."""
+    rng = random.Random(20260815)
+    pairs = []
+    for _ in range(40):
+        rv = rng.randint(0, 3)
+        a = _random_section(rng, rv + 2)
+        b = _random_section(rng, rv + 4)
+        try:
+            pairs.append(SectionPair(rv, a, b))
+        except ValueError:
+            continue
+    return pairs
 
 
 def _random_section(rng: random.Random, degree: int) -> MultiPoly:
