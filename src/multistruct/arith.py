@@ -32,7 +32,6 @@ from typing import Iterable, Mapping, Tuple, Union
 
 from . import _kernels
 
-Rational = Fraction
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
 

@@ -8,7 +8,11 @@ of rank-3 bundles, the Todd class by exact series inversion, and Euler
 characteristics via the hyperplane-degree pairing.
 
 Every closed-form path has an independent verification path through
-symbolic splitting roots a1, a2, a3 (see splitting_oracle).
+symbolic splitting roots a1, a2, a3 (see splitting_oracle).  A class
+derived once with symbolic Chern classes c1, c2, c3 serves every concrete
+bundle through specialize, so the split-bundle oracles of the wedge and
+Koszul targets check the symbolic result directly instead of re-running
+the pipeline per bundle.
 """
 
 from __future__ import annotations
@@ -129,13 +133,6 @@ class BundleClass:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "chern", entries)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-
-    def chern_list(self, upto: int) -> list[MultiPoly]:
-        """c1..c_upto with zeros past the rank."""
-        out = []
-        for i in range(1, upto + 1):
-            out.append(self.chern[i - 1] if i <= self.rank else MultiPoly.zero())
-        return out
 
 
 def line_bundle(degree: MultiPoly | Scalar, n: int) -> BundleClass:
@@ -272,40 +269,47 @@ def _exp_th(n: int) -> ChowElem:
     return ChowElem(n, [(t**k).scalar_div(math.factorial(k)) for k in range(n + 1)])
 
 
-def euler_characteristic(B: BundleClass, n: int | None = None) -> MultiPoly:
-    """chi(B(t)) on P^n: the h^n coefficient of ch(B) exp(th) td(P^n)."""
-    if n is None:
-        n = B.ambient_dim
-    if n != B.ambient_dim:
-        raise ValueError("bundle lives on a different ambient space")
+def euler_characteristic(B: BundleClass) -> MultiPoly:
+    """chi(B(t)) on P^n, n = B.ambient_dim: the h^n coefficient of ch(B) exp(th) td(P^n)."""
+    n = B.ambient_dim
     total = chern_character(B) * _exp_th(n) * todd_class(n)
     return total.coeffs[n]
 
 
-def koszul_euler(B: BundleClass, n: int = 5) -> MultiPoly:
+def koszul_euler(B: BundleClass) -> MultiPoly:
     """Euler characteristic of the zero scheme of a section of a rank-3 bundle.
 
     From the resolution wedge^3 E -> wedge^2 E -> E -> O of the structure
-    sheaf of the zero scheme:
+    sheaf of the zero scheme in P^n, n = B.ambient_dim:
       chi_Y(t) = chi(O(t)) - chi(E(t)) + chi(wedge^2 E(t)) - chi(wedge^3 E(t)).
-    The result has degree at most 2 in t (codimension-3 zero locus); this is
-    checked exactly.
+    The result has degree at most n - 3 in t (codimension-3 zero locus);
+    this is checked exactly.
     """
-    if B.rank != 3:
-        raise ValueError("koszul_euler needs a rank-3 bundle")
-    if B.ambient_dim != n:
-        raise ValueError("bundle lives on a different ambient space")
+    n = B.ambient_dim
+    if B.rank != 3 or n < 3:
+        raise ValueError("koszul_euler needs a rank-3 bundle on P^n, n >= 3")
     lam2, lam3 = wedge_powers(B)
-    triv = line_bundle(MultiPoly.zero(), n)
     chi = (
-        euler_characteristic(triv, n)
-        - euler_characteristic(B, n)
-        + euler_characteristic(lam2, n)
-        - euler_characteristic(lam3, n)
+        euler_characteristic(line_bundle(MultiPoly.zero(), n))
+        - euler_characteristic(B)
+        + euler_characteristic(lam2)
+        - euler_characteristic(lam3)
     )
-    if chi.degree("t") > 2:
-        raise EngineError("Koszul Euler characteristic must have degree <= 2 in t")
+    if chi.degree("t") > n - 3:
+        raise EngineError(f"Koszul Euler characteristic must have degree <= {n - 3} in t")
     return chi
+
+
+def specialize(p: MultiPoly, B: BundleClass) -> MultiPoly:
+    """p with (c1, c2, ...) := B.chern.
+
+    Substitution is a ring homomorphism, and every step of chern_character,
+    wedge_powers, euler_characteristic and koszul_euler is a Q-algebra
+    operation on the Chern classes, so a result derived once with symbolic
+    c1..c_rank specializes to the result for B; the self-checks that hold
+    symbolically hold at every specialization.
+    """
+    return p.substitute({f"c{i}": c for i, c in enumerate(B.chern, start=1)})
 
 
 # -- independent verification path ------------------------------------------
@@ -333,15 +337,11 @@ def splitting_oracle(rank: int, n: int = 5) -> dict[str, bool]:
     if not 1 <= rank <= 3:
         raise ValueError("splitting_oracle supports rank 1..3")
     roots = [var(f"a{i}") for i in range(1, rank + 1)]
-    elem = _elementary_symmetric(roots)
-    subs = {f"c{i}": elem[i - 1] for i in range(1, rank + 1)}
-    if rank < 3:
-        subs.update({f"c{i}": MultiPoly.zero() for i in range(rank + 1, 4)})
+    rooted = split_bundle(roots, n)
     symbolic = BundleClass(rank, [var(f"c{i}") for i in range(1, rank + 1)], n)
 
     def matches(closed: ChowElem, from_roots: ChowElem) -> bool:
-        substituted = ChowElem(n, [c.substitute(subs) for c in closed.coeffs])
-        return substituted == from_roots
+        return ChowElem(n, [specialize(c, rooted) for c in closed.coeffs]) == from_roots
 
     report: dict[str, bool] = {}
     ch_closed = chern_character(symbolic)
@@ -355,10 +355,10 @@ def splitting_oracle(rank: int, n: int = 5) -> dict[str, bool]:
         pair_roots = [roots[0] + roots[1], roots[0] + roots[2], roots[1] + roots[2]]
         lam2_roots = _elementary_symmetric(pair_roots)
         report["wedge2"] = all(
-            lam2.chern[i].substitute(subs) == lam2_roots[i] for i in range(3)
+            specialize(lam2.chern[i], rooted) == lam2_roots[i] for i in range(3)
         )
-        report["wedge3"] = lam3.chern[0].substitute(subs) == roots[0] + roots[1] + roots[2]
-        chi_closed = koszul_euler(symbolic, n).substitute(subs)
+        report["wedge3"] = specialize(lam3.chern[0], rooted) == roots[0] + roots[1] + roots[2]
+        chi_closed = specialize(koszul_euler(symbolic), rooted)
         chi_roots = _koszul_from_roots(roots, n)
         report["koszul_euler"] = chi_closed == chi_roots
     return report

@@ -33,6 +33,7 @@ from .chow import (
     euler_characteristic,
     koszul_complete_intersection,
     koszul_euler,
+    specialize,
     split_bundle,
     splitting_oracle,
     wedge_powers,
@@ -447,11 +448,10 @@ def run_wedge(args) -> list[ReplicationRecord]:
     for _ in range(trials):
         twists = [rng.randint(-5, 5) for _ in range(3)]
         bundle = split_bundle(twists, 5)
-        w2, w3 = wedge_powers(bundle)
+        w2 = tuple(specialize(c, bundle) for c in lambda2.chern)
+        w3 = specialize(lambda3.chern[0], bundle)
         pairwise = [twists[0] + twists[1], twists[0] + twists[2], twists[1] + twists[2]]
-        expected2 = split_bundle(pairwise, 5)
-        expected3 = split_bundle([sum(twists)], 5)
-        if w2 == expected2 and w3 == expected3:
+        if w2 == split_bundle(pairwise, 5).chern and w3 == sum(twists):
             agree += 1
     records.append(
         _record(
@@ -506,7 +506,7 @@ def run_koszul(args) -> list[ReplicationRecord]:
         ),
     ]
 
-    ci = koszul_euler(split_bundle([-1, -1, -2], 5))
+    ci = specialize(symbolic, split_bundle([-1, -1, -2], 5))
     t = var("t")
     records.append(
         _record(
@@ -525,7 +525,7 @@ def run_koszul(args) -> list[ReplicationRecord]:
     good = sum(
         1
         for degrees in triples
-        if koszul_euler(split_bundle([-d for d in degrees], 5))
+        if specialize(symbolic, split_bundle([-d for d in degrees], 5))
         == koszul_complete_intersection(degrees)
     )
     records.append(

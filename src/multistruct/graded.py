@@ -126,17 +126,21 @@ class GradedMatrix:
                         f"homogeneous of degree {forced}"
                     )
 
-    def evaluate(self, point: tuple[Fraction, Fraction]) -> list[list[Fraction]]:
-        """The numeric matrix at [s:u] = point, exactly."""
-        s_val, u_val = point
-        rows = []
-        for row in self.entries:
-            cells = []
-            for e in row:
-                terms, den = _su_terms(e)
-                value = sum((c * s_val**ds * u_val**du for (ds, du), c in terms.items()), Fraction(0))
-                cells.append(value / den)
-            rows.append(cells)
+    def evaluate(self, point: tuple[Fraction, Fraction]) -> list[list[int]]:
+        """den*M at an integer representative of [s:u] = point, exactly.
+
+        den is the lcm that _integer_columns clears, and the representative
+        scales s and u by the lcm L of their denominators.  Entry (i, j) is
+        then den * L^(t_i - a_j) times its value at the point, with t_i, a_j
+        the target and source twists: both factors rescale only rows and
+        columns, so every rank and zero test reads as at the point itself.
+        """
+        scale = math.lcm(point[0].denominator, point[1].denominator)
+        s_val, u_val = int(point[0] * scale), int(point[1] * scale)
+        rows = [[0] * len(self.source.twists) for _ in self.target.twists]
+        for j, (a, column) in enumerate(zip(self.source.twists, _integer_columns(self))):
+            for i, ds, c in column:
+                rows[i][j] += c * s_val**ds * u_val ** (self.target.twists[i] - a - ds)
         return rows
 
 
@@ -212,8 +216,8 @@ def slice_matrix(M: GradedMatrix, d: int) -> tuple[list[dict[int, int]], int]:
 def matrix_rank(rows: list[list[Fraction]]) -> int:
     """Exact rank of a rational matrix: cleared to integers, then Bareiss.
 
-    Used for the small fiber matrices of the pointwise screen, where a
-    modular pass would gain nothing.
+    Used for the small integer fiber matrices of the pointwise screen, where
+    a modular pass would gain nothing.
     """
     if not rows or not rows[0]:
         return 0

@@ -28,7 +28,6 @@ from .arith import VARIABLES, MultiPoly, binomial_poly, var
 from .chow import BundleClass, euler_characteristic
 
 ResidueTable = tuple[tuple[int, tuple[int, ...]], ...]
-ConstraintTable = tuple[tuple[str, int, tuple[int, ...]], ...]
 
 
 def lowest_terms(p: MultiPoly) -> tuple[MultiPoly, int]:
@@ -132,14 +131,12 @@ class Verdict:
     admissible_residues lists, for each modulus examined (one prime power
     per relevant prime), the residues of the parameter for which every
     constraint is integral; conclusion is "nonexistence" exactly when some
-    modulus admits no residue.  constraints carries the per-constraint
-    residue sets at their own moduli for reporting; substitution records a
-    reparametrization (m, rho) meaning r = m*R + rho was applied first.
+    modulus admits no residue.  substitution records a reparametrization
+    (m, rho) meaning r = m*R + rho was applied first.
     """
 
     conclusion: str
     admissible_residues: ResidueTable
-    constraints: ConstraintTable = ()
     substitution: tuple[int, int] | None = None
     parameter: str = ""
     expansion: BinomialExpansion | None = None
@@ -184,14 +181,12 @@ def schwarzenberger_verdict(B: BundleClass, n: int = 5) -> Verdict:
     parameter = _active_parameter(B.chern)
     chern_parts = [lowest_terms(c) for c in B.chern]
 
-    for idx, (num, den) in enumerate(chern_parts, start=1):
+    for num, den in chern_parts:
         if den == 1:
             continue
         residues = congruence_residues(num, den)
         if not residues:
-            table = ((den, ()),)
-            detail = ((f"c{idx}", den, ()),)
-            return Verdict("nonexistence", table, detail, None, parameter, None)
+            return Verdict("nonexistence", ((den, ()),), None, parameter, None)
         if len(residues) == 1 and parameter == "r":
             rho = next(iter(residues))
             shift = den * var("R") + rho
@@ -204,29 +199,19 @@ def schwarzenberger_verdict(B: BundleClass, n: int = 5) -> Verdict:
             return replace(inner, substitution=(den, rho))
 
     expansion = to_binomial_basis(euler_characteristic(B), n)
-    constraints: list[tuple[str, MultiPoly, int]] = []
-    for idx, (num, den) in enumerate(chern_parts, start=1):
-        if den > 1:
-            constraints.append((f"c{idx}", num, den))
-    for i in range(n + 1):
-        num, den = expansion.coeffs[i]
-        if den > 1:
-            constraints.append((f"C(t+{i},{i})", num, den))
+    constraints = [(num, den) for num, den in chern_parts + list(expansion.coeffs) if den > 1]
 
-    detail: list[tuple[str, int, tuple[int, ...]]] = []
     prime_max: dict[int, int] = {}
-    for _, _, den in constraints:
+    for _, den in constraints:
         for p, e in _factorize(den).items():
             prime_max[p] = max(prime_max.get(p, 0), e)
-    for label, num, den in constraints:
-        detail.append((label, den, tuple(sorted(congruence_residues(num, den)))))
 
     table: list[tuple[int, tuple[int, ...]]] = []
     empty = False
     for p in sorted(prime_max):
         q = p ** prime_max[p]
         admissible = set(range(q))
-        for _, num, den in constraints:
+        for num, den in constraints:
             f = 0
             d = den
             while d % p == 0:
@@ -242,6 +227,4 @@ def schwarzenberger_verdict(B: BundleClass, n: int = 5) -> Verdict:
             empty = True
 
     conclusion = "nonexistence" if empty else "exists-candidate"
-    return Verdict(
-        conclusion, tuple(table), tuple(detail), None, parameter, expansion
-    )
+    return Verdict(conclusion, tuple(table), None, parameter, expansion)

@@ -152,7 +152,7 @@ def derived_chi_formula(
     """
     if None not in _DERIVED_CACHE:
         symbolic = chow.BundleClass(3, [var("c1"), var("c2"), var("c3")], 5)
-        _DERIVED_CACHE[None] = chow.koszul_euler(symbolic, 5)
+        _DERIVED_CACHE[None] = chow.koszul_euler(symbolic)
     template = _DERIVED_CACHE[None]
     return template.substitute({"c1": _mp(c1), "c2": _mp(c2), "c3": _mp(c3)})
 

@@ -179,6 +179,14 @@ class TestKoszul:
         with pytest.raises(ValueError):
             koszul_euler(split_bundle([1, 2], 5))
 
+    def test_ambient_dimension_from_the_bundle(self):
+        # a codimension-3 zero scheme in P^n has chi of degree n - 3 in t
+        for n in range(3, 9):
+            assert koszul_euler(BundleClass(3, [c1, c2, c3], n)).degree("t") == n - 3
+        for low in (BundleClass(3, [c1, 0, 0], 1), BundleClass(3, [c1, c2, 0], 2)):
+            with pytest.raises(ValueError, match="n >= 3"):
+                koszul_euler(low)
+
 
 class TestSplittingOracle:
     def test_rank3_all_identities(self):

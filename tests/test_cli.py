@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -428,3 +429,105 @@ class TestSolvedOnce:
             assert main(["replicate", "all"]) == 1
         assert structures.solve_chern_from_hilbert.cache_info().misses == 4
         assert integrality.schwarzenberger_verdict.cache_info().misses == 5
+
+
+_PIPELINE = ("wedge_powers", "koszul_euler", "euler_characteristic")
+
+
+def _count_calls(argv: list[str]) -> dict[str, int]:
+    """Calls of the chow pipeline functions while main(argv) runs, by code object."""
+    codes = {getattr(chow, name).__code__: name for name in _PIPELINE}
+    counts = dict.fromkeys(_PIPELINE, 0)
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+class TestSpecializedOracles:
+    """The split-bundle oracles specialize the symbolic classes derived once per runner."""
+
+    SYMBOLIC = BundleClass(3, (var("c1"), var("c2"), var("c3")), 5)
+
+    @staticmethod
+    def _run(monkeypatch, target: str) -> tuple[dict[str, ReplicationRecord], list[BundleClass]]:
+        """The target's records and every bundle its runner specializes at, in call order."""
+        bundles = []
+
+        def recording(p, B, f=chow.specialize):
+            bundles.append(B)
+            return f(p, B)
+
+        monkeypatch.setattr(cli, "specialize", recording)
+        records = RUNNERS[target](build_parser().parse_args(["replicate", target]))
+        return {rec.claim_id: rec for rec in records}, bundles
+
+    # the default seed and the MULTISTRUCT_SEED values of the benchmark's seeds 101-103
+    @pytest.mark.parametrize("seed", ["0", "844259548", "964632535", "243282985"])
+    def test_wedge_equals_the_per_bundle_pipeline(self, monkeypatch, seed):
+        monkeypatch.setenv("MULTISTRUCT_SEED", seed)
+        records, bundles = self._run(monkeypatch, "wedge")
+        assert records["wedge/split-agreement"].computed_value == "50/50 random split bundles agree"
+        rng = random.Random(int(seed))
+        drawn = [chow.split_bundle([rng.randint(-5, 5) for _ in range(3)], 5) for _ in range(50)]
+        # four specializations per trial: the three lambda^2 classes and c1 of lambda^3
+        assert bundles == [bundle for bundle in drawn for _ in range(4)]
+        lam2, lam3 = chow.wedge_powers(self.SYMBOLIC)
+        for bundle in drawn:
+            w2, w3 = chow.wedge_powers(bundle)
+            assert w2.chern == tuple(chow.specialize(c, bundle) for c in lam2.chern)
+            assert w3.chern == (chow.specialize(lam3.chern[0], bundle),)
+
+    def test_koszul_equals_the_per_bundle_pipeline(self, monkeypatch):
+        records, bundles = self._run(monkeypatch, "koszul")
+        assert records["koszul/ci-oracle"].computed_value == "10/10 degree triples agree"
+        assert len(bundles) == 11  # ci[1,1,2] and the ten oracle triples
+        symbolic = chow.koszul_euler(self.SYMBOLIC)
+        for bundle in bundles:
+            assert chow.koszul_euler(bundle) == chow.specialize(symbolic, bundle)
+
+    @pytest.mark.parametrize("power", [2, 3])
+    def test_a_wrong_symbolic_wedge_fails_the_oracle(self, monkeypatch, power):
+        def skewed(B, f=chow.wedge_powers):
+            lam2, lam3 = f(B)
+            if power == 3:  # c1 + 1
+                return lam2, BundleClass(1, (lam3.chern[0] + 1,), lam3.ambient_dim)
+            c = lam2.chern  # c2 + 1
+            return BundleClass(3, (c[0], c[1] + 1, c[2]), lam2.ambient_dim), lam3
+
+        monkeypatch.setattr(cli, "wedge_powers", skewed)
+        record = self._run(monkeypatch, "wedge")[0]["wedge/split-agreement"]
+        assert int(record.computed_value.split("/")[0]) < 50
+        assert record.match is False
+
+    def test_a_wrong_symbolic_characteristic_fails_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(cli, "koszul_euler", lambda B, f=chow.koszul_euler: f(B) + 1)
+        record = self._run(monkeypatch, "koszul")[0]["koszul/ci-oracle"]
+        assert int(record.computed_value.split("/")[0]) < 10
+        assert record.match is False
+
+    def test_each_runner_derives_once(self):
+        # run_wedge, splitting_oracle, and the koszul_euler inside splitting_oracle
+        assert _count_calls(["replicate", "wedge"])["wedge_powers"] == 3
+        assert _count_calls(["replicate", "koszul"])["koszul_euler"] == 1
+
+    def test_replicate_all_counts_in_a_fresh_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, test_cli; print(json.dumps(test_cli._count_calls(['replicate', 'all'])))"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "wedge_powers": 5, "koszul_euler": 3, "euler_characteristic": 18
+        }

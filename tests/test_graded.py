@@ -352,6 +352,66 @@ class TestComplex:
         assert ok1 == ok2 == True
 
 
+def _fraction_evaluate(M: GradedMatrix, point: tuple[Fraction, Fraction]) -> list[list[Fraction]]:
+    """The entry-by-entry Fraction value of M at a point, the screen's former evaluation."""
+    s_val, u_val = point
+    rows = []
+    for row in M.entries:
+        cells = []
+        for e in row:
+            terms, den = graded._su_terms(e)
+            value = sum((c * s_val**ds * u_val**du for (ds, du), c in terms.items()), Fraction(0))
+            cells.append(value / den)
+        rows.append(cells)
+    return rows
+
+
+def _benchmark_points(seed: int) -> list[tuple[Fraction, Fraction]]:
+    """The six seeded --points pairs of the benchmark's graded-large-r workload."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < 6:
+        s_val = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        u_val = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        if s_val or u_val:
+            points.append((s_val, u_val))
+    return points
+
+
+class TestFiberScreen:
+    POINTS = list(DEFAULT_POINTS) + [p for seed in (101, 102, 103) for p in _benchmark_points(seed)]
+
+    @pytest.mark.parametrize("rv", range(0, 7))
+    def test_integer_values_match_the_fraction_reference(self, rv):
+        for pair in (default_pair(rv), _second_pair(rv)):
+            cx = alphabeta_builder(pair)
+            for M in (cx.alpha, cx.beta):
+                for point in self.POINTS:
+                    new = M.evaluate(point)
+                    old = _fraction_evaluate(M, point)
+                    assert all(type(x) is int for row in new for x in row)
+                    # the integer representative multiplies cell (i, j) by L^(t_i - a_j)
+                    L = math.lcm(point[0].denominator, point[1].denominator)
+                    unscaled = [
+                        [Fraction(x, L ** (t - a)) for x, a in zip(row, M.source.twists)]
+                        for row, t in zip(new, M.target.twists)
+                    ]
+                    scale = next((x / y for a, b in zip(unscaled, old) for x, y in zip(a, b) if y), 1)
+                    assert scale != 0
+                    assert unscaled == [[scale * y for y in row] for row in old]
+                    assert matrix_rank(new) == matrix_rank(old)
+                    if L == 1:
+                        assert new == [[scale * y for y in row] for row in old]
+
+    def test_fractional_common_zero_fails_the_screen(self):
+        # a and b both vanish at [3/2 : 1]; the earlier points pass
+        bad = SectionPair(0, (2 * s - 3 * u) * s, (2 * s - 3 * u) * u**3)
+        cx = alphabeta_builder(bad)
+        points = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(3, 2), Fraction(1))]
+        assert pointwise_exactness(cx, points) == (False, (Fraction(3, 2), Fraction(1)))
+        assert pointwise_exactness(cx, points[:2]) == (True, None)
+
+
 def cokernel_h0_profile(cx: ComplexSpec, window: range) -> dict[int, int]:
     """The full h^0 profile of the cokernel over a window, twist by twist."""
     return {d: cokernel_h0(cx, d) for d in window}
