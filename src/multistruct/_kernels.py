@@ -1,8 +1,13 @@
 """Integer kernels: sparse integer polynomial products and integer rank.
 
 These are the innermost loops of the engine.  Polynomials arrive here with
-denominators already cleared, as dicts mapping exponent tuples to nonzero
-Python ints.  Matrices are lists of lists of Python ints.  Everything is
+denominators already cleared, as dicts mapping packed exponent keys to
+nonzero Python ints.  A key (see ``arith``) holds one 16-bit field per
+variable and the total degree in a field above them, so the key of a
+product of two monomials is the sum of their keys, one int addition.
+The sum is exact because ``MultiPoly`` keeps every field below 2^15 and
+refuses, before calling in here, a product whose total degree would reach
+2^15.  Matrices are lists of lists of Python ints.  Everything is
 exact; the Bareiss elimination divides only where the division is exact.
 """
 
@@ -15,8 +20,8 @@ BACKEND = "pure"
 def mul_int_dicts(a: dict, b: dict) -> dict:
     """Product of two sparse integer-coefficient polynomials.
 
-    Keys are equal-length exponent tuples, values are nonzero ints.  The
-    result is in the same form (no zero coefficients stored).
+    Keys are packed exponent keys, values are nonzero ints.  The result is
+    in the same form (no zero coefficients stored).
     """
     if not a or not b:
         return {}
@@ -25,7 +30,7 @@ def mul_int_dicts(a: dict, b: dict) -> dict:
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
+            key = ea + eb
             c = out.get(key, 0) + ca * cb
             if c:
                 out[key] = c

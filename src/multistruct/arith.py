@@ -1,16 +1,25 @@
 """Exact rational arithmetic and sparse multivariate polynomials.
 
 A polynomial is stored as integer numerators over one common denominator:
-a dict mapping exponent tuples to nonzero ints, plus a positive int, in
-lowest terms (the gcd of the denominator and every numerator is 1, and the
-zero polynomial has denominator 1).  Coefficients are read back as
-Fractions.  Every polynomial lives in one fixed variable universe so
-exponent tuples always have the same length and align without bookkeeping:
+a dict mapping packed exponent keys to nonzero ints, plus a positive int,
+in lowest terms (the gcd of the denominator and every numerator is 1, and
+the zero polynomial has denominator 1).  Coefficients are read back as
+Fractions.  Every polynomial lives in one fixed variable universe:
 
   VARIABLES = (t, r, R, c1, c2, c3, h, s, u, a1, a2, a3, x, y)
 
-The term order used for serialization is graded lexicographic: higher total
-degree first, then lexicographic on the exponent tuple in the order above.
+A monomial key is one int (the packed exponent vectors of Monagan and
+Pearce): one FIELD_BITS-wide field per variable in the order above, t the
+most significant, and the total degree in one more field above them all.
+So the key of a product of monomials is the sum of their keys, and plain
+int order is graded lexicographic order: higher total degree first, then
+lexicographic on the exponents in the order above.  Every stored field,
+the degree field included, stays below EXPONENT_LIMIT = 2^15: pack rejects
+larger exponents with ValueError and a product whose total degree would
+reach the limit raises EngineError, so two fields never add into a carry.
+Exponent tuples appear only at the edges: the constructor packs them and
+items() and sorted_terms() unpack them.  Integer consumers of numerators()
+read one field of a key with exponent().
 All values are immutable after construction and safe to share.
 
 Text form (round-trips exactly through parse_poly/format_poly):
@@ -30,15 +39,46 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
-from . import _kernels
+from . import EngineError, _kernels
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 VARIABLES = ("t", "r", "R", "c1", "c2", "c3", "h", "s", "u", "a1", "a2", "a3", "x", "y")
 NVARS = len(VARIABLES)
-_VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
-_ZERO_EXP = (0,) * NVARS
+
+FIELD_BITS = 16
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+_MASK = (1 << FIELD_BITS) - 1
+_SHIFT = {name: FIELD_BITS * (NVARS - 1 - i) for i, name in enumerate(VARIABLES)}
+_DEGREE_SHIFT = FIELD_BITS * NVARS
+_DEGREE_ONE = 1 << _DEGREE_SHIFT
+_DEGREE_CAP = EXPONENT_LIMIT << _DEGREE_SHIFT
+
+
+def pack(exp: Exponent) -> int:
+    """The key of an exponent tuple; ValueError unless every field fits."""
+    if len(exp) != NVARS:
+        raise ValueError(f"exponent tuple of length {len(exp)}, expected {NVARS}")
+    key = 0
+    for e in exp:
+        if not 0 <= e < EXPONENT_LIMIT:
+            raise ValueError(f"exponent {e} outside 0..{EXPONENT_LIMIT - 1}")
+        key = key << FIELD_BITS | e
+    degree = sum(exp)
+    if degree >= EXPONENT_LIMIT:
+        raise ValueError(f"total degree {degree} outside 0..{EXPONENT_LIMIT - 1}")
+    return degree << _DEGREE_SHIFT | key
+
+
+def unpack(key: int) -> Exponent:
+    """The exponent tuple of a key, in VARIABLES order."""
+    return tuple(key >> shift & _MASK for shift in _SHIFT.values())
+
+
+def exponent(key: int, name: str) -> int:
+    """The exponent of one variable in a key."""
+    return key >> _SHIFT[name] & _MASK
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -53,9 +93,9 @@ class MultiPoly:
     """Sparse multivariate polynomial over the rationals.
 
     Stored as integer numerators over one common denominator: ``_num`` maps
-    exponent tuples to nonzero ints and ``_den`` is a positive int, kept in
-    lowest terms (gcd of ``_den`` and every numerator is 1; the zero
-    polynomial has ``_den == 1``).  The form is unique, so equality and
+    packed exponent keys (see the module docstring) to nonzero ints and
+    ``_den`` is a positive int, kept in lowest terms (gcd of ``_den`` and
+    every numerator is 1; the zero polynomial has ``_den == 1``).  The form is unique, so equality and
     hashing compare ints, and products go to the integer kernel as stored.
 
     Construct via the factory functions ``const``, ``var``, ``parse_poly``
@@ -68,14 +108,13 @@ class MultiPoly:
         fracs: dict = {}
         if terms:
             for exp, coeff in terms.items():
-                if len(exp) != NVARS:
-                    raise ValueError(f"exponent tuple of length {len(exp)}, expected {NVARS}")
+                key = pack(exp)
                 c = _as_fraction(coeff)
                 if c:
-                    fracs[tuple(exp)] = c
+                    fracs[key] = c
         # The lcm of reduced denominators leaves no common factor with the numerators.
         den = math.lcm(*[c.denominator for c in fracs.values()])
-        self._num = {exp: c.numerator * (den // c.denominator) for exp, c in fracs.items()}
+        self._num = {key: c.numerator * (den // c.denominator) for key, c in fracs.items()}
         self._den = den
 
     @classmethod
@@ -102,35 +141,34 @@ class MultiPoly:
     @classmethod
     def const(cls, value: Scalar) -> "MultiPoly":
         c = _as_fraction(value)
-        return cls._reduced({_ZERO_EXP: c.numerator} if c else {}, c.denominator)
+        return cls._reduced({0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        if name not in _VAR_INDEX:
+        if name not in _SHIFT:
             raise ValueError(f"unknown variable {name!r}; known: {', '.join(VARIABLES)}")
-        exp = [0] * NVARS
-        exp[_VAR_INDEX[name]] = 1
-        return cls._reduced({tuple(exp): 1}, 1)
+        return cls._reduced({_DEGREE_ONE | 1 << _SHIFT[name]: 1}, 1)
 
     # -- inspection --------------------------------------------------------
 
-    def numerators(self) -> tuple[dict[Exponent, int], int]:
-        """The stored form (numerator dict, denominator); the dict is read-only."""
+    def numerators(self) -> tuple[dict[int, int], int]:
+        """The stored form ({packed key: numerator}, denominator); the dict is read-only."""
         return self._num, self._den
 
     def items(self) -> Iterable[tuple[Exponent, Fraction]]:
         den = self._den
-        return [(exp, Fraction(c, den)) for exp, c in self._num.items()]
+        return [(unpack(key), Fraction(c, den)) for key, c in self._num.items()]
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in the canonical graded-lex order, highest first."""
-        return sorted(self.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        num, den = self._num, self._den
+        return [(unpack(key), Fraction(num[key], den)) for key in sorted(num, reverse=True)]
 
     def is_zero(self) -> bool:
         return not self._num
 
     def is_constant(self) -> bool:
-        return not self._num or (len(self._num) == 1 and _ZERO_EXP in self._num)
+        return not self._num or (len(self._num) == 1 and 0 in self._num)
 
     def as_fraction(self) -> Fraction:
         """The value of a constant polynomial; error when non-constant."""
@@ -138,32 +176,28 @@ class MultiPoly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self._num[_ZERO_EXP], self._den)
+        return Fraction(self._num[0], self._den)
 
     def degree(self, name: str | None = None) -> int:
         """Total degree, or the degree in one variable; zero poly has -1."""
         if not self._num:
             return -1
         if name is None:
-            return max(sum(exp) for exp in self._num)
-        idx = _VAR_INDEX[name]
-        return max(exp[idx] for exp in self._num)
+            return max(self._num) >> _DEGREE_SHIFT
+        shift = _SHIFT[name]
+        return max(key >> shift & _MASK for key in self._num)
 
     def variables_used(self) -> tuple[str, ...]:
-        used = [False] * NVARS
-        for exp in self._num:
-            for i, e in enumerate(exp):
-                if e:
-                    used[i] = True
-        return tuple(VARIABLES[i] for i in range(NVARS) if used[i])
+        used = 0
+        for key in self._num:
+            used |= key
+        return tuple(name for name in VARIABLES if used >> _SHIFT[name] & _MASK)
 
     def coeff_of(self, name: str, power: int) -> "MultiPoly":
         """Coefficient of name**power, as a polynomial in the other variables."""
-        idx = _VAR_INDEX[name]
-        out = {}
-        for exp, c in self._num.items():
-            if exp[idx] == power:
-                out[exp[:idx] + (0,) + exp[idx + 1 :]] = c
+        shift = _SHIFT[name]
+        drop = (power << shift) + (power << _DEGREE_SHIFT)
+        out = {key - drop: c for key, c in self._num.items() if key >> shift & _MASK == power}
         return MultiPoly._reduced(out, self._den)
 
     # -- ring operations ---------------------------------------------------
@@ -223,6 +257,13 @@ class MultiPoly:
             return NotImplemented
         if not self._num or not other._num:
             return MultiPoly()
+        # Every stored field is below EXPONENT_LIMIT, so the two top keys add
+        # without carry, and their sum reaches _DEGREE_CAP when the degree does.
+        top = max(self._num) + max(other._num)
+        if top >= _DEGREE_CAP:
+            raise EngineError(
+                f"product of total degree {top >> _DEGREE_SHIFT} exceeds {EXPONENT_LIMIT - 1}"
+            )
         prod = _kernels.mul_int_dicts(self._num, other._num)
         return MultiPoly._reduced(prod, self._den * other._den)
 
@@ -251,30 +292,33 @@ class MultiPoly:
 
     def substitute(self, bindings: Mapping[str, "MultiPoly | Scalar"]) -> "MultiPoly":
         """Exact substitution of polynomials or scalars for variables."""
-        binds: dict[int, MultiPoly] = {}
+        binds: dict[int, MultiPoly] = {}  # by field shift
         for name, value in bindings.items():
-            if name not in _VAR_INDEX:
+            if name not in _SHIFT:
                 raise ValueError(f"unknown variable {name!r}")
-            binds[_VAR_INDEX[name]] = value if isinstance(value, MultiPoly) else MultiPoly.const(value)
+            binds[_SHIFT[name]] = value if isinstance(value, MultiPoly) else MultiPoly.const(value)
         if not binds:
             return self
         powers: dict[tuple[int, int], MultiPoly] = {}
 
-        def power_of(idx: int, e: int) -> MultiPoly:
-            key = (idx, e)
+        def power_of(shift: int, e: int) -> MultiPoly:
+            key = (shift, e)
             if key not in powers:
-                powers[key] = binds[idx] ** e
+                powers[key] = binds[shift] ** e
             return powers[key]
 
         total = MultiPoly()
-        for exp, c in self._num.items():
-            residual = list(exp)
-            for idx in binds:
-                residual[idx] = 0
-            piece = MultiPoly._reduced({tuple(residual): c}, 1)
-            for idx in binds:
-                if exp[idx]:
-                    piece = piece * power_of(idx, exp[idx])
+        for key, c in self._num.items():
+            residual = key
+            factors = []
+            for shift in binds:
+                e = key >> shift & _MASK
+                if e:
+                    residual -= (e << shift) + (e << _DEGREE_SHIFT)
+                    factors.append(power_of(shift, e))
+            piece = MultiPoly._reduced({residual: c}, 1)
+            for factor in factors:
+                piece = piece * factor
             total = total + piece
         return total.scalar_div(self._den)
 
@@ -494,12 +538,11 @@ def _dense_univariate(p: MultiPoly) -> tuple[str | None, list[int], int]:
         raise ValueError(f"polynomial is not univariate: uses {used}")
     num, den = p.numerators()
     if not used:
-        return None, [num.get(_ZERO_EXP, 0)], den
+        return None, [num.get(0, 0)], den
     name = used[0]
-    coeffs = [0] * (p.degree(name) + 1)
-    idx = _VAR_INDEX[name]
-    for exp, c in num.items():
-        coeffs[exp[idx]] = c
+    coeffs = [0] * (p.degree() + 1)
+    for key, c in num.items():
+        coeffs[exponent(key, name)] = c
     return name, coeffs, den
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import EngineError
-from .arith import MultiPoly, Scalar, binomial_poly, var
+from .arith import MultiPoly, Scalar, var
 
 MAX_AMBIENT = 8
 
@@ -210,6 +210,7 @@ def adams_operation(k: int, c: ChowElem) -> ChowElem:
     return ChowElem(c.n, [coeff * (k**i) for i, coeff in enumerate(c.coeffs)])
 
 
+@functools.cache
 def wedge_powers(B: BundleClass) -> tuple[BundleClass, BundleClass]:
     """Chern classes of wedge^2 and wedge^3 of a rank-3 bundle.
 
@@ -218,6 +219,8 @@ def wedge_powers(B: BundleClass) -> tuple[BundleClass, BundleClass]:
       ch(wedge^3 E) = (ch(E)^3 - 3 ch(E) psi^2 ch(E) + 2 psi^3 ch(E)) / 6
     and converts back to Chern classes.  wedge^3 must come out as a line
     bundle with first Chern class c1(E); anything else is an error.
+    Cached per bundle, so the symbolic classes are derived once per process
+    and every caller shares the same immutable result.
     """
     if B.rank != 3:
         raise ValueError("wedge_powers is implemented for rank 3 exactly")
@@ -276,6 +279,7 @@ def euler_characteristic(B: BundleClass) -> MultiPoly:
     return total.coeffs[n]
 
 
+@functools.cache
 def koszul_euler(B: BundleClass) -> MultiPoly:
     """Euler characteristic of the zero scheme of a section of a rank-3 bundle.
 
@@ -283,7 +287,7 @@ def koszul_euler(B: BundleClass) -> MultiPoly:
     sheaf of the zero scheme in P^n, n = B.ambient_dim:
       chi_Y(t) = chi(O(t)) - chi(E(t)) + chi(wedge^2 E(t)) - chi(wedge^3 E(t)).
     The result has degree at most n - 3 in t (codimension-3 zero locus);
-    this is checked exactly.
+    this is checked exactly.  Cached per bundle, like wedge_powers.
     """
     n = B.ambient_dim
     if B.rank != 3 or n < 3:
@@ -381,7 +385,9 @@ def koszul_complete_intersection(degrees: Sequence[int], n: int = 5) -> MultiPol
     """Direct alternating binomial sum for a complete intersection.
 
     For Y cut out by hypersurfaces of the given degrees,
-      chi_Y(t) = sum over subsets S of (-1)^|S| C(t - sum(S) + n, n).
+      chi_Y(t) = sum over subsets S of (-1)^|S| C(t - sum(S) + n, n),
+    with each binomial built from its linear factors as
+    (t - sum(S) + 1) ... (t - sum(S) + n) / n!.
     Serves as the independent oracle for koszul_euler on split bundles of
     the form O(-d1) + O(-d2) + O(-d3).
     """
@@ -391,6 +397,8 @@ def koszul_complete_intersection(degrees: Sequence[int], n: int = 5) -> MultiPol
     for mask in range(1 << len(d)):
         shift = sum(d[i] for i in range(len(d)) if mask >> i & 1)
         sign = -1 if bin(mask).count("1") % 2 else 1
-        shifted = binomial_poly(n).substitute({"t": t - shift})
-        total = total + sign * shifted
-    return total
+        prod = MultiPoly.const(sign)
+        for j in range(1, n + 1):
+            prod = prod * (t + (j - shift))
+        total = total + prod
+    return total.scalar_div(math.factorial(n))

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from . import EngineError
 from ._kernels import bareiss_rank
-from .arith import VARIABLES, MultiPoly, format_poly, parse_poly, var
+from .arith import MultiPoly, exponent, format_poly, parse_poly, var
 from .cohomology import Assumption, LinForm, h_p1
 
 DEFAULT_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
@@ -54,7 +54,6 @@ DEFAULT_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
     (Fraction(1), Fraction(-1)),
     (Fraction(2), Fraction(3)),
 )
-_S, _U = VARIABLES.index("s"), VARIABLES.index("u")
 
 
 class GradedCertificateError(EngineError):
@@ -86,7 +85,7 @@ def _su_terms(p: MultiPoly) -> tuple[dict[tuple[int, int], int], int]:
     if not names <= {"s", "u"}:
         raise ValueError(f"entry uses variables outside s, u: {sorted(names)}")
     num, den = p.numerators()
-    return {(exp[_S], exp[_U]): c for exp, c in num.items()}, den
+    return {(exponent(key, "s"), exponent(key, "u")): c for key, c in num.items()}, den
 
 
 def homogeneous_degree(p: MultiPoly) -> int | None:

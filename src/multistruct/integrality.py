@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .arith import VARIABLES, MultiPoly, binomial_poly, var
+from .arith import VARIABLES, MultiPoly, binomial_poly, exponent, var
 from .chow import BundleClass, euler_characteristic
 
 ResidueTable = tuple[tuple[int, tuple[int, ...]], ...]
@@ -33,10 +33,11 @@ ResidueTable = tuple[tuple[int, tuple[int, ...]], ...]
 def lowest_terms(p: MultiPoly) -> tuple[MultiPoly, int]:
     """Write p as num/den with integer-coefficient num and positive den.
 
-    This is the stored form of p, which is kept in lowest terms.
+    This is the stored form of p, which is kept in lowest terms; num wraps
+    p's numerator dict as it is.
     """
     num, den = p.numerators()
-    return MultiPoly(num), den
+    return MultiPoly._reduced(num, 1), den
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,10 @@ def congruence_residues(numerator: MultiPoly, m: int) -> set[int]:
     names = numerator.variables_used()
     if len(names) > 1:
         raise ValueError(f"numerator must be univariate, uses {names}")
-    idx = VARIABLES.index(names[0]) if names else 0
+    name = names[0] if names else VARIABLES[0]
     coeffs = [0] * (max(numerator.degree(), 0) + 1)
-    for exp, c in num.items():
-        coeffs[exp[idx]] = c % m
+    for key, c in num.items():
+        coeffs[exponent(key, name)] = c % m
     coeffs.reverse()
     residues: set[int] = set()
     for rho in range(m):

@@ -139,22 +139,18 @@ def paper_chi_formula(
     return quad + lin + constant
 
 
-_DERIVED_CACHE: dict[None, MultiPoly] = {}
-
-
 def derived_chi_formula(
     c1: MultiPoly | Scalar, c2: MultiPoly | Scalar, c3: MultiPoly | Scalar
 ) -> MultiPoly:
     """chi_Y recomputed from the Koszul alternating sum with symbolic classes.
 
     Agrees with the published template in the t^2 and t coefficients; the
-    constant term carries denominator 12 instead of the published 2.
+    constant term carries denominator 12 instead of the published 2.  The
+    symbolic characteristic is derived once per process (koszul_euler is
+    cached per bundle) and specialized at (c1, c2, c3).
     """
-    if None not in _DERIVED_CACHE:
-        symbolic = chow.BundleClass(3, [var("c1"), var("c2"), var("c3")], 5)
-        _DERIVED_CACHE[None] = chow.koszul_euler(symbolic)
-    template = _DERIVED_CACHE[None]
-    return template.substitute({"c1": _mp(c1), "c2": _mp(c2), "c3": _mp(c3)})
+    symbolic = chow.koszul_euler(chow.BundleClass(3, [var("c1"), var("c2"), var("c3")], 5))
+    return chow.specialize(symbolic, chow.BundleClass(3, [c1, c2, c3], 5))
 
 
 def _mp(value: MultiPoly | Scalar) -> MultiPoly:

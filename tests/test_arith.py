@@ -9,16 +9,21 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly
+from multistruct import EngineError
 from multistruct.arith import (
+    EXPONENT_LIMIT,
     NVARS,
     VARIABLES,
     MultiPoly,
     binomial_poly,
     const,
+    exponent,
     format_poly,
+    pack,
     parse_poly,
     substitute_eval,
     univariate_resultant,
+    unpack,
     var,
 )
 
@@ -210,7 +215,9 @@ def _as_ref(p: MultiPoly) -> dict:
 def _assert_lowest_terms(p: MultiPoly) -> None:
     num, den = p.numerators()
     assert isinstance(den, int) and den > 0
-    assert all(isinstance(c, int) and c != 0 and len(e) == NVARS for e, c in num.items())
+    # every key is a valid packed key: its fields repack to the same int
+    assert all(type(k) is int and isinstance(c, int) and c != 0 for k, c in num.items())
+    assert all(len(unpack(k)) == NVARS and pack(unpack(k)) == k for k in num)
     assert math.gcd(den, *num.values()) == 1
     if not num:
         assert den == 1
@@ -249,7 +256,7 @@ class TestStoredForm:
 
     def test_items_are_fractions(self):
         p = parse_poly("(1/2)*t^2 + (3/2)*t + 1")
-        assert p.numerators() == ({_exp(t=2): 1, _exp(t=1): 3, _exp(): 2}, 2)
+        assert p.numerators() == ({pack(_exp(t=2)): 1, pack(_exp(t=1)): 3, pack(_exp()): 2}, 2)
         assert dict(p.items()) == {
             _exp(t=2): Fraction(1, 2),
             _exp(t=1): Fraction(3, 2),
@@ -280,3 +287,87 @@ class TestStoredForm:
     def test_zero_has_denominator_one(self):
         for zero in (MultiPoly.zero(), t.scalar_div(3) - t.scalar_div(3), 0 * t.scalar_div(7)):
             assert zero.numerators() == ({}, 1)
+
+
+# -- packed exponent keys against the tuple reference -----------------------------
+
+
+def _random_exp(rng: random.Random, top: int) -> tuple[int, ...]:
+    """A random exponent tuple on a few variables, each exponent at most top."""
+    exp = [0] * NVARS
+    for i in rng.sample(range(NVARS), rng.randint(0, 4)):
+        exp[i] = rng.randint(0, top)
+    return tuple(exp)
+
+
+class TestPackedKeys:
+    def test_round_trip_and_order(self):
+        rng = random.Random(31)
+        exps = [_random_exp(rng, rng.choice((3, 200, EXPONENT_LIMIT // 4 - 1))) for _ in range(400)]
+        exps += [_exp(), _exp(y=EXPONENT_LIMIT - 1), _exp(t=EXPONENT_LIMIT - 1)]
+        for e in exps:
+            assert unpack(pack(e)) == e
+            assert all(exponent(pack(e), name) == e[i] for i, name in enumerate(VARIABLES))
+        by_key = sorted(exps, key=pack)
+        assert by_key == sorted(exps, key=lambda e: (sum(e), e))
+        for a, b in zip(exps, reversed(exps)):
+            assert (pack(a) < pack(b)) == ((sum(a), a) < (sum(b), b))
+
+    def test_key_sum_is_tuple_sum(self):
+        rng = random.Random(32)
+        for _ in range(400):
+            a = _random_exp(rng, EXPONENT_LIMIT // 8 - 1)
+            b = _random_exp(rng, EXPONENT_LIMIT // 8 - 1)
+            assert pack(a) + pack(b) == pack(tuple(x + y for x, y in zip(a, b)))
+
+    def test_inspection_matches_reference(self):
+        rng = random.Random(33)
+        for _ in range(200):
+            ref = {}
+            for _ in range(rng.randint(1, 6)):
+                ref[_random_exp(rng, 5)] = Fraction(rng.choice((-3, -1, 1, 4)), rng.choice((1, 2, 7)))
+            p = MultiPoly(ref)
+            assert p.degree() == max(sum(e) for e in ref)
+            used = tuple(n for i, n in enumerate(VARIABLES) if any(e[i] for e in ref))
+            assert p.variables_used() == used
+            assert dict(p.items()) == ref
+            assert p.sorted_terms() == sorted(ref.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+            for i, name in enumerate(VARIABLES):
+                assert p.degree(name) == max(e[i] for e in ref)
+                power = rng.randint(0, 2)
+                want = {e[:i] + (0,) + e[i + 1 :]: c for e, c in ref.items() if e[i] == power}
+                assert _as_ref(p.coeff_of(name, power)) == want
+            name = rng.choice(VARIABLES)
+            value = {_random_exp(rng, 2): Fraction(rng.randint(1, 5)), _exp(): Fraction(-1, 3)}
+            assert _as_ref(p.substitute({name: MultiPoly(value)})) == _ref_substitute(ref, name, value)
+
+
+class TestExponentGuards:
+    @pytest.mark.parametrize(
+        "exp",
+        [
+            _exp(t=-1),
+            _exp(r=EXPONENT_LIMIT),
+            _exp(y=EXPONENT_LIMIT),
+            _exp(t=EXPONENT_LIMIT // 2, r=EXPONENT_LIMIT // 2),  # total degree 2^15
+            (0,) * (NVARS - 1),
+        ],
+    )
+    def test_constructor_rejects_fields_that_do_not_fit(self, exp):
+        with pytest.raises(ValueError):
+            MultiPoly({exp: 1})
+
+    def test_largest_fields_are_accepted(self):
+        top = EXPONENT_LIMIT - 1
+        assert MultiPoly({_exp(y=top): 1}).degree("y") == top
+        assert MultiPoly({_exp(t=top - 5, u=5): 1}).degree() == top
+        assert (t ** (top - 1) * t).degree() == top
+
+    def test_product_degree_guard(self):
+        half = t ** (EXPONENT_LIMIT // 2)
+        with pytest.raises(EngineError):
+            half * half
+        with pytest.raises(EngineError):
+            MultiPoly({_exp(t=EXPONENT_LIMIT - 1): 1}) * (r + 1)
+        with pytest.raises(EngineError):
+            t**EXPONENT_LIMIT

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from multistruct.arith import MultiPoly, var
+from multistruct import chow
+from multistruct.arith import MultiPoly, binomial_poly, var
 from multistruct.chow import (
     BundleClass,
     ChowElem,
@@ -168,6 +169,22 @@ class TestKoszul:
             direct = koszul_complete_intersection(degrees)
             via_chern = koszul_euler(split_bundle([-d for d in degrees], 5))
             assert direct == via_chern
+
+    def test_ci_oracle_equals_the_substitution_route(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the complete-intersection oracle must stay independent")
+
+        monkeypatch.setattr(chow, "koszul_euler", forbidden)
+        monkeypatch.setattr(chow, "specialize", forbidden)
+        triples = [(d1, d2, d3) for d1 in range(1, 4) for d2 in range(d1, 4) for d3 in range(d2, 4)]
+        for n in (3, 5):
+            for degrees in triples:
+                by_substitution = MultiPoly.zero()
+                for mask in range(8):
+                    shift = sum(d for i, d in enumerate(degrees) if mask >> i & 1)
+                    sign = (-1) ** bin(mask).count("1")
+                    by_substitution += sign * binomial_poly(n).substitute({"t": t - shift})
+                assert koszul_complete_intersection(degrees, n) == by_substitution
 
     def test_symbolic_coefficients(self):
         chi = koszul_euler(BundleClass(3, [c1, c2, c3], 5))

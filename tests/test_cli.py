@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -140,31 +141,42 @@ class TestFaultInjection:
             (
                 ("wedge",),
                 "must be a line bundle",
-                # wedge^3 comes out with a second Chern class
-                lambda mp: mp.setattr(
-                    chow,
-                    "chern_from_character",
-                    lambda ch, rank, f=chow.chern_from_character: f(ch, rank) + [var("c2")],
+                # wedge^3 comes out with a second Chern class; the wedge powers are
+                # cached per bundle, so the cache is emptied and the derivation runs
+                lambda mp: (
+                    chow.wedge_powers.cache_clear(),
+                    mp.setattr(
+                        chow,
+                        "chern_from_character",
+                        lambda ch, rank, f=chow.chern_from_character: f(ch, rank) + [var("c2")],
+                    ),
                 ),
             ),
             (
                 ("wedge",),
                 "must equal c1",
-                # wedge^3 comes out with the wrong first Chern class
-                lambda mp: mp.setattr(
-                    chow,
-                    "chern_from_character",
-                    lambda ch, rank, f=chow.chern_from_character: [
-                        f(ch, rank)[0] + 1,
-                        *f(ch, rank)[1:],
-                    ],
+                # wedge^3 comes out with the wrong first Chern class (cache emptied as above)
+                lambda mp: (
+                    chow.wedge_powers.cache_clear(),
+                    mp.setattr(
+                        chow,
+                        "chern_from_character",
+                        lambda ch, rank, f=chow.chern_from_character: [
+                            f(ch, rank)[0] + 1,
+                            *f(ch, rank)[1:],
+                        ],
+                    ),
                 ),
             ),
             (
                 ("koszul",),
                 "degree <= 2",
-                # a rank-3 "wedge^3" leaves a t^5 term in the Koszul sum
-                lambda mp: mp.setattr(chow, "wedge_powers", lambda bundle: (bundle, bundle)),
+                # a rank-3 "wedge^3" leaves a t^5 term in the Koszul sum; the
+                # characteristic is cached per bundle, so that cache is emptied
+                lambda mp: (
+                    chow.koszul_euler.cache_clear(),
+                    mp.setattr(chow, "wedge_powers", lambda bundle: (bundle, bundle)),
+                ),
             ),
             (
                 ("double-conic", "--r", "1"),
@@ -435,8 +447,11 @@ _PIPELINE = ("wedge_powers", "koszul_euler", "euler_characteristic")
 
 
 def _count_calls(argv: list[str]) -> dict[str, int]:
-    """Calls of the chow pipeline functions while main(argv) runs, by code object."""
-    codes = {getattr(chow, name).__code__: name for name in _PIPELINE}
+    """Calls of the chow pipeline functions while main(argv) runs, by code object.
+
+    A cached function counts the calls of the function it wraps, its cache misses.
+    """
+    codes = {inspect.unwrap(getattr(chow, name)).__code__: name for name in _PIPELINE}
     counts = dict.fromkeys(_PIPELINE, 0)
 
     def hook(frame, event, arg):
@@ -516,9 +531,13 @@ class TestSpecializedOracles:
         assert record.match is False
 
     def test_each_runner_derives_once(self):
-        # run_wedge, splitting_oracle, and the koszul_euler inside splitting_oracle
-        assert _count_calls(["replicate", "wedge"])["wedge_powers"] == 3
-        assert _count_calls(["replicate", "koszul"])["koszul_euler"] == 1
+        # with the caches emptied, as in a fresh process, run_wedge, splitting_oracle
+        # and the koszul_euler inside it, or run_koszul, derive each class once
+        for target in ("wedge", "koszul"):
+            chow.wedge_powers.cache_clear()
+            chow.koszul_euler.cache_clear()
+            counts = _count_calls(["replicate", target])
+            assert (counts["wedge_powers"], counts["koszul_euler"]) == (1, 1), target
 
     def test_replicate_all_counts_in_a_fresh_process(self):
         proc = subprocess.run(
@@ -529,5 +548,5 @@ class TestSpecializedOracles:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {
-            "wedge_powers": 5, "koszul_euler": 3, "euler_characteristic": 18
+            "wedge_powers": 1, "koszul_euler": 1, "euler_characteristic": 10
         }

@@ -7,20 +7,25 @@ import random
 import pytest
 
 from multistruct import _kernels
+from multistruct.arith import VARIABLES, pack
+
+
+def _key(**powers: int) -> int:
+    return pack(tuple(powers.get(name, 0) for name in VARIABLES))
 
 
 class TestPureKernels:
     def test_mul_identity(self):
-        one = {(0, 0): 1}
-        p = {(1, 0): 2, (0, 1): -3}
+        one = {_key(): 1}
+        p = {_key(x=1): 2, _key(y=1): -3}
         assert _kernels.mul_int_dicts(p, one) == p
         assert _kernels.mul_int_dicts(p, {}) == {}
 
     def test_mul_cancellation(self):
         # (x + y)(x - y) = x^2 - y^2: the xy terms must cancel and vanish
-        a = {(1, 0): 1, (0, 1): 1}
-        b = {(1, 0): 1, (0, 1): -1}
-        assert _kernels.mul_int_dicts(a, b) == {(2, 0): 1, (0, 2): -1}
+        a = {_key(x=1): 1, _key(y=1): 1}
+        b = {_key(x=1): 1, _key(y=1): -1}
+        assert _kernels.mul_int_dicts(a, b) == {_key(x=2): 1, _key(y=2): -1}
 
     def test_rank_examples(self):
         assert _kernels.bareiss_rank([]) == 0
