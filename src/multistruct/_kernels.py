@@ -39,13 +39,17 @@ def mul_int_dicts(a: dict, b: dict) -> dict:
     return out
 
 
-def bareiss_rank(rows: list) -> int:
-    """Rank of an integer matrix by fraction-free Bareiss elimination."""
+def _eliminate(rows: list) -> tuple[int, int]:
+    """Fraction-free Bareiss elimination on a copy of a nonempty integer matrix.
+
+    Returns the rank and the last pivot, negated for an odd number of row
+    swaps; for a square matrix of full rank that is the determinant.
+    Columns without a pivot are skipped, and the pass stops once every row
+    holds a pivot.
+    """
     m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
     nrows, ncols = len(m), len(m[0])
-    prev = 1
+    prev = sign = 1
     row = 0
     for col in range(ncols):
         pivot = -1
@@ -57,6 +61,7 @@ def bareiss_rank(rows: list) -> int:
             continue
         if pivot != row:
             m[row], m[pivot] = m[pivot], m[row]
+            sign = -sign
         piv = m[row][col]
         for i in range(row + 1, nrows):
             mic = m[i][col]
@@ -67,38 +72,25 @@ def bareiss_rank(rows: list) -> int:
         row += 1
         if row == nrows:
             break
-    return row
+    return row, sign * prev
+
+
+def bareiss_rank(rows: list) -> int:
+    """Rank of an integer matrix by fraction-free Bareiss elimination."""
+    if not rows or not rows[0]:
+        return 0
+    return _eliminate(rows)[0]
 
 
 def bareiss_det(rows: list) -> int:
     """Determinant of a square integer matrix, exactly (Bareiss).
 
-    Row swaps flip the sign; a zero pivot column makes the determinant 0.
+    Row swaps flip the sign; a rank below the size makes the determinant 0.
     """
-    m = [list(r) for r in rows]
-    n = len(m)
+    n = len(rows)
     if n == 0:
         return 1
-    if any(len(r) != n for r in m):
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    prev = 1
-    sign = 1
-    for col in range(n):
-        pivot = -1
-        for i in range(col, n):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot < 0:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        piv = m[col][col]
-        for i in range(col + 1, n):
-            mic = m[i][col]
-            for j in range(col + 1, n):
-                m[i][j] = (piv * m[i][j] - mic * m[col][j]) // prev
-            m[i][col] = 0
-        prev = piv
-    return sign * m[n - 1][n - 1]
+    rank, last_pivot = _eliminate(rows)
+    return last_pivot if rank == n else 0

@@ -98,8 +98,9 @@ class MultiPoly:
     every numerator is 1; the zero polynomial has ``_den == 1``).  The form is unique, so equality and
     hashing compare ints, and products go to the integer kernel as stored.
 
-    Construct via the factory functions ``const``, ``var``, ``parse_poly``
-    or the classmethods below; arithmetic never mutates operands.
+    Construct via the factory functions ``const`` and ``var`` or the
+    classmethods below; ``parse_poly`` reads the report text back.
+    Arithmetic never mutates operands.
     """
 
     __slots__ = ("_num", "_den")
@@ -366,16 +367,6 @@ def binomial_poly(n: int) -> MultiPoly:
     for j in range(1, n + 1):
         prod = prod * (t + j)
     return prod.scalar_div(math.factorial(n))
-
-
-def substitute_eval(
-    p: MultiPoly, bindings: Mapping[str, MultiPoly | Scalar]
-) -> MultiPoly | Fraction:
-    """Substitute into p; a fully evaluated result collapses to a Fraction."""
-    result = p.substitute(bindings)
-    if result.is_constant():
-        return result.as_fraction()
-    return result
 
 
 # -- serialization ----------------------------------------------------------

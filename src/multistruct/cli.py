@@ -9,9 +9,10 @@ text disagrees with the derivation" from "engine inconsistent with
 itself" (exit code 3).
 
 Exit codes: 0 all records match; 1 at least one documented discrepancy;
-2 invalid input (including --r or a --window bound beyond R_CAP); 3 internal
-inconsistency (an EngineError raised by a self-check: negative dimension,
-failed certificate, underdetermined sequence, ...) or any other unexpected
+2 invalid input (including --r or a --window bound beyond R_CAP, and a
+--points coordinate past POINT_DIGITS_CAP digits); 3 internal inconsistency
+(an EngineError raised by a self-check: negative dimension, failed
+certificate, underdetermined sequence, ...) or any other unexpected
 exception.
 """
 
@@ -21,6 +22,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -759,6 +761,14 @@ RUNNERS = {
 # as at r = 32.
 R_CAP = 32
 
+# Most digits accepted in the numerator or the denominator of a --points
+# coordinate, which must read [-]p or [-]p/q as str(Fraction) prints it.
+# The text is checked before any Fraction is built: Fraction would also read
+# an exponent form such as 1e100000, an integer of 100,001 digits that every
+# fiber evaluation of the certificate chain would then carry.
+POINT_DIGITS_CAP = 100
+_COORDINATE = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+
 
 def _check_cap(flag: str, value: int) -> int:
     if abs(value) > R_CAP:
@@ -796,9 +806,17 @@ def _parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
         s_txt, sep, u_txt = chunk.partition(":")
         if not sep:
             raise argparse.ArgumentTypeError(f"--points expects s:u pairs, got {chunk!r}")
+        for txt in (s_txt, u_txt):
+            m = _COORDINATE.fullmatch(txt)
+            if not m or any(len(g or "") > POINT_DIGITS_CAP for g in m.groups()):
+                shown = txt if len(txt) <= 40 else txt[:40] + "..."
+                raise argparse.ArgumentTypeError(
+                    f"--points coordinates must read p or p/q with at most "
+                    f"{POINT_DIGITS_CAP} digits each, got {shown!r}"
+                )
         try:
             point = (Fraction(s_txt), Fraction(u_txt))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise argparse.ArgumentTypeError(f"bad point {chunk!r}") from exc
         if point == (0, 0):
             raise argparse.ArgumentTypeError("[0:0] is not a projective point")

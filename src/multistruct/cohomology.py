@@ -137,11 +137,6 @@ class Assumption:
             return form.at(self.r_min) <= bound
         return False
 
-    def always_eq(self, form: LinForm, value: int) -> bool:
-        if self.fixed is not None:
-            return form.at(self.fixed) == value
-        return form.a == 0 and form.b == value
-
     def check_nonneg(self, p: MultiPoly, context: str) -> None:
         """Certify p >= 0 on the admissible range or raise.
 
@@ -201,9 +196,6 @@ class CohomPair:
     h0: LinForm
     h1: LinForm
 
-    def alternating(self) -> LinForm:
-        return self.h0 - self.h1
-
 
 def h_p1(d: LinForm, assumption: Assumption) -> CohomPair:
     """Cohomology of O_P1(d): h^0 = max(d+1, 0), h^1 = max(-d-1, 0).
@@ -248,23 +240,6 @@ def h_p2(d: LinForm, assumption: Assumption) -> tuple[MultiPoly, MultiPoly, Mult
     if assumption.always_le(d, -1):
         return zero, zero, quad.scalar_div(2)
     raise UndecidableSignError(f"sign of degree {d} undecidable under {assumption.describe()}")
-
-
-def det_degree_solve(
-    middle: LinForm, known: LinForm, expected: LinForm | None = None
-) -> LinForm:
-    """Unknown determinant degree in a short exact sequence of bundles.
-
-    Determinants are additive: middle = unknown + known, all as pullback
-    degrees on P^1.  An `expected` value turns the call into a checked
-    deduction (InconsistentSequenceError on mismatch).
-    """
-    unknown = middle - known
-    if expected is not None and unknown != expected:
-        raise InconsistentSequenceError(
-            f"determinant degree {unknown} does not match expected {expected}"
-        )
-    return unknown
 
 
 # -- exact-sequence solving --------------------------------------------------
@@ -404,65 +379,26 @@ def solve_exact_sequence(spec: ExactSeqSpec, assumption: Assumption) -> CohomPai
     return CohomPair(h0, h1)
 
 
-# -- declarative text format -------------------------------------------------
-
-
-def parse_exact_sequence(text: str) -> ExactSeqSpec:
-    """Parse the block format: one term per line, plus fact lines.
-
-      conic <k> <m>        term: the bundle L^k(m) on the conic
-      pair <h0> <h1>       term: explicit linear-form dimensions
-      unknown              term: the single unknown
-      fact: <kind> <arrow> declared arrow fact (injective/surjective/zero)
-    """
-    terms: list = []
-    facts: list[tuple[FactKind, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("fact:"):
-            fields = line[len("fact:") :].split()
-            if len(fields) != 2 or fields[0] not in ("injective", "surjective", "zero"):
-                raise ValueError(f"line {lineno}: bad fact {line!r}")
-            facts.append((fields[0], int(fields[1])))
-            continue
-        fields = line.split()
-        if fields[0] == "conic" and len(fields) == 3:
-            terms.append(ConicBundle(int(fields[1]), int(fields[2])))
-        elif fields[0] == "pair" and len(fields) == 3:
-            terms.append(CohomPair(_parse_linform(fields[1]), _parse_linform(fields[2])))
-        elif fields[0] == "unknown" and len(fields) == 1:
-            terms.append(None)
-        else:
-            raise ValueError(f"line {lineno}: cannot parse term {line!r}")
-    return ExactSeqSpec(tuple(terms), tuple(facts))
-
-
-def _parse_linform(text: str) -> LinForm:
-    from .structures import parse_linear_form
-
-    return LinForm.from_poly(parse_linear_form(text))
-
-
 # -- the composite double-conic computation ----------------------------------
 
 
 def normal_sheaf_sequences() -> dict[str, object]:
     """The fixed sheaf identifications feeding the tangent-space computation.
 
-    Carried out once with checked determinant deductions:
+    Carried out once with checked determinant deductions.  Determinants are
+    additive, so in a short exact sequence of bundles the unknown degree is
+    the middle one minus the known one, all as pullback degrees on P^1:
       conormal quotient:  I_Y/I_C^2 = L^(-1)(-3)   (from det O_C(-1)+O_C(-2))
       det of I_C I_Y/I_C^3 = L^(-2)(-9)            (from det O_C(-2)+O_C(-3)+O_C(-4))
       middle quotient:    O_C(-3)
     """
     conormal_det = LinForm(0, -6)  # pullback degree of det(O_C(-1) + O_C(-2))
-    iy_ic2 = det_degree_solve(conormal_det, pullback_degree(L_BUNDLE))
+    iy_ic2 = conormal_det - pullback_degree(L_BUNDLE)
     expected_iy = ConicBundle(-1, -3)
     if iy_ic2 != pullback_degree(expected_iy):
         raise InconsistentSequenceError("conormal determinant deduction failed")
     cubic_det = LinForm(0, -18)  # pullback degree of det(O_C(-2) + O_C(-3) + O_C(-4))
-    det_icy = det_degree_solve(cubic_det, pullback_degree(ConicBundle(2, 0)))
+    det_icy = cubic_det - pullback_degree(ConicBundle(2, 0))
     expected_det = ConicBundle(-2, -9)
     if det_icy != pullback_degree(expected_det):
         raise InconsistentSequenceError("cubic determinant deduction failed")

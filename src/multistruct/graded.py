@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from . import EngineError
 from ._kernels import bareiss_rank
-from .arith import MultiPoly, exponent, format_poly, parse_poly, var
+from .arith import MultiPoly, exponent, format_poly, var
 from .cohomology import Assumption, LinForm, h_p1
 
 DEFAULT_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
@@ -305,21 +305,6 @@ class SectionPair:
 def default_pair(r: int) -> SectionPair:
     """The canonical common-zero-free pair a = s^(r+2), b = u^(r+4)."""
     return SectionPair(r, var("s") ** (r + 2), var("u") ** (r + 4))
-
-
-def parse_section_pair(text: str) -> SectionPair:
-    """Parse the format `r=<int>; a=<poly in s,u>; b=<poly in s,u>`."""
-    fields: dict[str, str] = {}
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        key, _, value = chunk.partition("=")
-        fields[key.strip()] = value.strip()
-    missing = {"r", "a", "b"} - set(fields)
-    if missing:
-        raise ValueError(f"section pair needs fields r, a, b; missing {sorted(missing)}")
-    return SectionPair(int(fields["r"]), parse_poly(fields["a"]), parse_poly(fields["b"]))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Hilbert polynomials of layered structures and Chern-class solving.
 
 A multiple structure on a smooth carrier is described by the graded layers
-of its structure-sheaf filtration; each layer is a line bundle on the
-carrier, so the Hilbert polynomial is the sum of layer Euler
-characteristics.  Two carriers appear:
+of its structure-sheaf filtration.  Each layer is a line bundle on the
+carrier and enters only through its Euler characteristic, so a structure is
+a tuple of layer characteristics (polynomials in t and r) and its Hilbert
+polynomial is their sum.  Two carriers appear:
 
   conic   a smooth conic with P^1 normalization; O_C(l) pulls back to
-          O_P1(2l), so a layer tagged (k, m) contributes chi(O_P1(2t + kr + 2m))
-  plane   P^2 linearly embedded; a layer of twist d contributes C(t+d+2, 2)
+          O_P1(2l), so conic_layer(k, m) is chi(O_P1(2t + kr + 2m))
+  plane   P^2 linearly embedded; plane_layer(d) is C(t+d+2, 2)
 
 Chern classes are solved by matching a quadratic Hilbert polynomial against
 a chi_Y template.  Both templates are first-class: `paper` is the published
@@ -20,9 +21,8 @@ downstream value is computed under both and reported side by side.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Literal
 
 from . import EngineError, chow
 from .arith import MultiPoly, Scalar, var
@@ -30,82 +30,36 @@ from .arith import MultiPoly, Scalar, var
 Template = Literal["paper", "derived"]
 
 
-@dataclass(frozen=True)
-class FiltrationLayer:
-    """One graded layer: a line bundle on the carrier.
-
-    For carrier "conic": the pullback degree to P^1 is k*r + 2m (a twist by
-    O_C(1) doubles).  For carrier "plane": twist is a polynomial in r (the
-    k, m fields are unused).
-    """
-
-    carrier: Literal["conic", "plane"]
-    k: int = 0
-    m: int = 0
-    twist: MultiPoly | None = None
-
-    def __post_init__(self):
-        if self.carrier == "conic":
-            if self.twist is not None:
-                raise ValueError("conic layers are given by (k, m), not a twist")
-        elif self.carrier == "plane":
-            if self.twist is None:
-                raise ValueError("plane layers need a twist")
-        else:
-            raise ValueError(f"unknown carrier {self.carrier!r}")
-
-    def chi(self) -> MultiPoly:
-        """Euler characteristic of the twisted layer, chi(layer(t))."""
-        t = var("t")
-        r = var("r")
-        if self.carrier == "conic":
-            degree = self.k * r + MultiPoly.const(2 * self.m)
-            return 2 * t + degree + 1
-        shifted = t + self.twist
-        return ((shifted + 2) * (shifted + 1)).scalar_div(2)
+def conic_layer(k: int, m: int) -> MultiPoly:
+    """chi of the conic layer whose pullback to P^1 has degree k*r + 2m."""
+    return 2 * var("t") + k * var("r") + (2 * m + 1)
 
 
-def conic_layer(k: int, m: int) -> FiltrationLayer:
-    return FiltrationLayer("conic", k=k, m=m)
+def plane_layer(twist: MultiPoly | Scalar) -> MultiPoly:
+    """chi of the plane layer O_P2(twist), C(t + twist + 2, 2)."""
+    shifted = var("t") + twist
+    return ((shifted + 2) * (shifted + 1)).scalar_div(2)
 
 
-def plane_layer(twist: MultiPoly | Scalar) -> FiltrationLayer:
-    tw = twist if isinstance(twist, MultiPoly) else MultiPoly.const(twist)
-    return FiltrationLayer("plane", twist=tw)
-
-
-@dataclass(frozen=True)
-class StructureSpec:
-    """An ordered list of filtration layers plus a label."""
-
-    name: str
-    layers: tuple[FiltrationLayer, ...]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ValueError("a structure needs at least one layer")
-
-
-def hilbert_of_layers(s: StructureSpec) -> MultiPoly:
+def hilbert_of_layers(layers: tuple[MultiPoly, ...]) -> MultiPoly:
     """Hilbert polynomial: the sum of the layer Euler characteristics."""
-    total = MultiPoly.zero()
-    for layer in s.layers:
-        total = total + layer.chi()
-    return total
+    if not layers:
+        raise ValueError("a structure needs at least one layer")
+    return sum(layers, MultiPoly.zero())
 
 
-def double_conic_structure() -> StructureSpec:
+def double_conic_structure() -> tuple[MultiPoly, ...]:
     """Doubling of a conic with a line bundle pulling back to O_P1(r)."""
-    return StructureSpec("double-conic", (conic_layer(0, 0), conic_layer(1, 0)))
+    return conic_layer(0, 0), conic_layer(1, 0)
 
 
-def double_plane_structure() -> StructureSpec:
-    return StructureSpec("double-plane", (plane_layer(0), plane_layer(var("r"))))
+def double_plane_structure() -> tuple[MultiPoly, ...]:
+    return plane_layer(0), plane_layer(var("r"))
 
 
-def triple_plane_structure() -> StructureSpec:
+def triple_plane_structure() -> tuple[MultiPoly, ...]:
     r = var("r")
-    return StructureSpec("triple-plane", (plane_layer(0), plane_layer(r), plane_layer(2 * r)))
+    return plane_layer(0), plane_layer(r), plane_layer(2 * r)
 
 
 def hilbert_double_plane() -> MultiPoly:
@@ -198,61 +152,3 @@ def solve_chern_from_hilbert(
         raise EngineError("solved classes do not reproduce the target")
     return c1, c2, c3_poly
 
-
-# -- declarative layer format ------------------------------------------------
-
-
-def parse_linear_form(text: str) -> MultiPoly:
-    """Parse a linear form in r such as '2r+1', 'r', '-r-2', or '0'."""
-    cleaned = text.strip().replace(" ", "")
-    if not cleaned:
-        raise ValueError("empty linear form")
-    normalized = cleaned.replace("*", "")
-    a = 0
-    b = 0
-    pos = 0
-    sign = 1
-    while pos < len(normalized):
-        ch = normalized[pos]
-        if ch == "+":
-            sign = 1
-            pos += 1
-            continue
-        if ch == "-":
-            sign = -1
-            pos += 1
-            continue
-        start = pos
-        while pos < len(normalized) and normalized[pos].isdigit():
-            pos += 1
-        digits = normalized[start:pos]
-        if pos < len(normalized) and normalized[pos] == "r":
-            a += sign * (int(digits) if digits else 1)
-            pos += 1
-        elif digits:
-            b += sign * int(digits)
-        else:
-            raise ValueError(f"cannot parse linear form {text!r}")
-        sign = 1
-    return a * var("r") + MultiPoly.const(b)
-
-
-def parse_structure(text: str, name: str = "structure") -> StructureSpec:
-    """Parse the one-layer-per-line format: 'conic k m' or 'plane <form>'."""
-    layers: list[FiltrationLayer] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if fields[0] == "conic":
-            if len(fields) != 3:
-                raise ValueError(f"line {lineno}: expected 'conic k m'")
-            layers.append(conic_layer(int(fields[1]), int(fields[2])))
-        elif fields[0] == "plane":
-            if len(fields) != 2:
-                raise ValueError(f"line {lineno}: expected 'plane <linear form in r>'")
-            layers.append(plane_layer(parse_linear_form(fields[1])))
-        else:
-            raise ValueError(f"line {lineno}: unknown carrier {fields[0]!r}")
-    return StructureSpec(name, tuple(layers))

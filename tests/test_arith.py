@@ -21,7 +21,6 @@ from multistruct.arith import (
     format_poly,
     pack,
     parse_poly,
-    substitute_eval,
     univariate_resultant,
     unpack,
     var,
@@ -90,10 +89,6 @@ class TestSubstitution:
     def test_polynomial_substitution(self):
         p = t * t + 1
         assert p.substitute({"t": r + 1}) == r * r + 2 * r + 2
-
-    def test_substitute_eval(self):
-        p = t * r + r
-        assert substitute_eval(p, {"t": 1, "r": Fraction(1, 2)}) == 1
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import inspect
 import io
 import json
@@ -11,17 +12,25 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from multistruct import chow, cli, integrality, structures
-from multistruct.arith import MultiPoly, var
+from multistruct.arith import MultiPoly, parse_poly, var
 from multistruct.chow import BundleClass
-from multistruct.cli import R_CAP, ReplicationRecord, RUNNERS, build_parser, main, report_json
+from multistruct.cli import (
+    POINT_DIGITS_CAP,
+    R_CAP,
+    ReplicationRecord,
+    RUNNERS,
+    build_parser,
+    main,
+    report_json,
+)
 from multistruct.cohomology import LinForm
 from multistruct.graded import GradedCertificateError
-from multistruct.structures import parse_linear_form
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_REPORT = ROOT / "docs" / "example-report.json"
@@ -265,6 +274,47 @@ class TestParameterCap:
         assert lines[-1] == "summary: 3 records, 3 matched, 0 discrepancies"
 
 
+def _benchmark_points(seed: int) -> str:
+    spec = importlib.util.spec_from_file_location("replbench_run", ROOT / "replbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.workload_inputs(seed)[1]
+
+
+class TestPointsBound:
+    @pytest.mark.parametrize(
+        "points",
+        [
+            "1:0,0:1,1:1,2:1,1:2",
+            "1:0,0:1,1:1,2:3,-1/2:5",
+            *(_benchmark_points(seed) for seed in (101, 102, 103)),
+            f"-{'9' * POINT_DIGITS_CAP}/7:1,0:1,1:1,1:-1,2:3",
+        ],
+    )
+    def test_printed_fractions_are_accepted(self, points):
+        parsed = build_parser().parse_args(["replicate", "graded", f"--points={points}"]).points
+        assert ",".join(f"{s}:{u}" for s, u in parsed) == points
+
+    @pytest.mark.parametrize(
+        "coordinate",
+        [
+            "1e100000",
+            "1" + "0" * POINT_DIGITS_CAP,
+            "1/" + "7" * (POINT_DIGITS_CAP + 1),
+            "1.5",
+            "+1",
+            "1 ",
+        ],
+    )
+    def test_other_coordinates_exit_2_at_once(self, capsys, coordinate):
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["replicate", "graded", "--r", str(R_CAP), f"--points={coordinate}:1,0:1,1:1,1:-1,2:3"])
+        assert exc.value.code == 2
+        assert f"at most {POINT_DIGITS_CAP} digits" in capsys.readouterr().err
+        assert time.perf_counter() - started < 1
+
+
 class TestRecords:
     def test_record_structure(self, capsys):
         code, out, _ = run_cli(capsys, "replicate", "koszul")
@@ -335,7 +385,8 @@ class TestRecords:
 
         def at(text: str, rv: int) -> str:
             forms = text.strip("()").split(", ")
-            values = [str(LinForm.from_poly(parse_linear_form(f)).at(rv)) for f in forms]
+            polys = [parse_poly(re.sub(r"(\d)r", r"\1*r", f)) for f in forms]
+            values = [str(LinForm.from_poly(p).at(rv)) for p in polys]
             return f"({', '.join(values)})" if text.startswith("(") else values[0]
 
         for rv in range(1, 7):

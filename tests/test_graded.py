@@ -32,7 +32,6 @@ from multistruct.graded import (
     injectivity_certificate,
     integer_rank,
     matrix_rank,
-    parse_section_pair,
     pointwise_exactness,
     slice_dim,
     slice_exactness_window,
@@ -281,14 +280,6 @@ class TestSectionPairs:
             SectionPair(0, MultiPoly.zero(), u**4)
         with pytest.raises(ValueError):
             SectionPair(0, s * s + s, u**4)  # not homogeneous
-
-    def test_parse_round_trip(self):
-        pair = parse_section_pair("r=1; a=s^3 + s*u^2; b=u^5")
-        assert pair.r == 1
-        assert pair.a == s**3 + s * u * u
-        assert pair.b == u**5
-        with pytest.raises(ValueError):
-            parse_section_pair("a=s^2; b=u^4")
 
     def test_common_zero_check(self):
         assert common_zero_check(default_pair(0))

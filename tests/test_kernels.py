@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -44,21 +45,46 @@ class TestPureKernels:
             _kernels.bareiss_det([[1, 2]])
 
     def test_det_via_permutation_expansion(self):
-        import itertools
-
         rng = random.Random(7)
         for _ in range(20):
             n = rng.randint(1, 4)
             m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            brute = 0
-            for perm in itertools.permutations(range(n)):
-                sign = 1
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        if perm[i] > perm[j]:
-                            sign = -sign
-                term = sign
-                for i in range(n):
-                    term *= m[i][perm[i]]
-                brute += term
-            assert _kernels.bareiss_det(m) == brute
+            assert _kernels.bareiss_det(m) == _permutation_det(m)
+
+    def test_rank_via_minors(self):
+        # The rank is the largest k with a nonzero k x k minor; products of
+        # thin random factors make rank-deficient matrices common.
+        rng = random.Random(11)
+        for _ in range(40):
+            rows, cols, inner = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            a = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
+            m = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
+            brute = max(
+                (
+                    k
+                    for k in range(1, min(rows, cols) + 1)
+                    for rs in itertools.combinations(range(rows), k)
+                    for cs in itertools.combinations(range(cols), k)
+                    if _permutation_det([[m[i][j] for j in cs] for i in rs])
+                ),
+                default=0,
+            )
+            assert _kernels.bareiss_rank(m) == brute
+
+
+def _permutation_det(m: list) -> int:
+    """The determinant by the Leibniz permutation expansion."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = sign
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total

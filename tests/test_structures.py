@@ -15,8 +15,6 @@ from multistruct.structures import (
     hilbert_of_layers,
     hilbert_triple_plane,
     paper_chi_formula,
-    parse_linear_form,
-    parse_structure,
     plane_layer,
     solve_chern_from_hilbert,
     triple_plane_structure,
@@ -42,20 +40,15 @@ class TestHilbertOfLayers:
         assert hilbert_of_layers(triple_plane_structure()) == expected
 
     def test_single_layers(self):
-        assert hilbert_of_layers(parse_structure("conic 0 0")) == 2 * t + 1
-        assert hilbert_of_layers(parse_structure("plane 0")) == (
-            (t + 2) * (t + 1)
-        ).scalar_div(2)
+        assert hilbert_of_layers((conic_layer(0, 0),)) == 2 * t + 1
+        assert hilbert_of_layers((plane_layer(0),)) == ((t + 2) * (t + 1)).scalar_div(2)
 
     def test_layer_constructors(self):
-        from multistruct.structures import StructureSpec
-
-        one_conic = hilbert_of_layers(StructureSpec("c", (conic_layer(0, 0),)))
-        assert one_conic == 2 * t + 1
-        shifted = hilbert_of_layers(StructureSpec("p", (plane_layer(r),)))
+        assert conic_layer(1, -2) == 2 * t + r - 3
+        shifted = hilbert_of_layers((plane_layer(r),))
         assert shifted == ((t + r + 2) * (t + r + 1)).scalar_div(2)
         with pytest.raises(ValueError):
-            StructureSpec("empty", ())
+            hilbert_of_layers(())
 
 
 class TestChiTemplates:
@@ -118,23 +111,3 @@ class TestChernSolve:
             solve_chern_from_hilbert(t + 1, "paper")
         with pytest.raises(ValueError):
             solve_chern_from_hilbert(r * t * t, "paper")
-
-
-class TestParsing:
-    def test_linear_forms(self):
-        assert parse_linear_form("2r+1") == 2 * r + 1
-        assert parse_linear_form("-r - 2") == -r - 2
-        assert parse_linear_form("0") == MultiPoly.zero()
-        assert parse_linear_form("r") == r
-        with pytest.raises(ValueError):
-            parse_linear_form("r^2")
-
-    def test_structure_round_trip(self):
-        spec = parse_structure("conic 0 0\nconic 1 0\n")
-        assert hilbert_of_layers(spec) == 4 * t + r + 2
-
-    def test_structure_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_structure("sphere 1")
-        with pytest.raises(ValueError):
-            parse_structure("")
