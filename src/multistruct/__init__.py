@@ -11,7 +11,7 @@ Modules:
 """
 
 __version__ = "0.1.0"
-__all__ = ["EngineError", "__version__"]
+__all__ = ["EngineError", "Value", "__version__"]
 
 
 class EngineError(Exception):
@@ -20,3 +20,22 @@ class EngineError(Exception):
     Distinct from ValueError, which reports bad input; the CLI exits 3 on
     this and 2 on that.
     """
+
+
+class Value:
+    """Base of the slotted classes compared by value.
+
+    Two instances are equal when they have the same type and equal fields,
+    in __slots__ order; the hash is that of the field tuple.  So instances
+    serve as cache keys, and classes with the same fields stay unequal.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self.__slots__))

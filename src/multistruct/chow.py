@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import EngineError
+from . import EngineError, Value
 from .arith import MultiPoly, Scalar, var
 
 MAX_AMBIENT = 8
@@ -111,13 +110,10 @@ class ChowElem:
         return "ChowElem(" + "; ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class BundleClass:
+class BundleClass(Value):
     """A rank together with Chern classes c1..c_rank (possibly parametric)."""
 
-    rank: int
-    chern: tuple[MultiPoly, ...]
-    ambient_dim: int
+    __slots__ = ("rank", "chern", "ambient_dim")
 
     def __init__(self, rank: int, chern: Sequence[MultiPoly | Scalar], ambient_dim: int):
         if rank < 1:
@@ -130,9 +126,9 @@ class BundleClass:
         for i, c in enumerate(entries, start=1):
             if i > ambient_dim and not c.is_zero():
                 raise ValueError(f"c{i} lies beyond the ambient truncation and must vanish")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "chern", entries)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
+        self.rank = rank
+        self.chern = entries
+        self.ambient_dim = ambient_dim
 
 
 def line_bundle(degree: MultiPoly | Scalar, n: int) -> BundleClass:

@@ -22,11 +22,10 @@ a certificate (the graded module produces it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from . import EngineError
+from . import EngineError, Value
 from .arith import MultiPoly, var
 
 
@@ -45,12 +44,14 @@ class UnderdeterminedError(EngineError):
 # -- linear forms and assumptions -------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinForm:
+class LinForm(Value):
     """The integer linear form a*r + b."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        self.a = a
+        self.b = b
 
     @classmethod
     def const(cls, value: int) -> "LinForm":
@@ -108,16 +109,16 @@ class LinForm:
 ZERO_FORM = LinForm(0, 0)
 
 
-@dataclass(frozen=True)
 class Assumption:
     """Validity domain for parametric dimensions: r >= r_min, or r fixed."""
 
-    r_min: int | None = None
-    fixed: int | None = None
+    __slots__ = ("r_min", "fixed")
 
-    def __post_init__(self):
-        if (self.r_min is None) == (self.fixed is None):
+    def __init__(self, r_min: int | None = None, fixed: int | None = None):
+        if (r_min is None) == (fixed is None):
             raise ValueError("give exactly one of r_min or fixed")
+        self.r_min = r_min
+        self.fixed = fixed
 
     def describe(self) -> str:
         return f"r = {self.fixed}" if self.fixed is not None else f"r >= {self.r_min}"
@@ -166,12 +167,14 @@ class Assumption:
 # -- conic line bundles ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConicBundle:
+class ConicBundle(Value):
     """L^k (m) on the conic; pullback degree to P^1 is k*r + 2m."""
 
-    k: int
-    m: int
+    __slots__ = ("k", "m")
+
+    def __init__(self, k: int, m: int):
+        self.k = k
+        self.m = m
 
     def tensor(self, other: "ConicBundle") -> "ConicBundle":
         return ConicBundle(self.k + other.k, self.m + other.m)
@@ -189,12 +192,14 @@ def pullback_degree(c: ConicBundle) -> LinForm:
     return LinForm(c.k, 2 * c.m)
 
 
-@dataclass(frozen=True)
-class CohomPair:
+class CohomPair(Value):
     """(h^0, h^1) of a line bundle on P^1, as linear forms in r."""
 
-    h0: LinForm
-    h1: LinForm
+    __slots__ = ("h0", "h1")
+
+    def __init__(self, h0: LinForm, h1: LinForm):
+        self.h0 = h0
+        self.h1 = h1
 
 
 def h_p1(d: LinForm, assumption: Assumption) -> CohomPair:
@@ -247,7 +252,6 @@ def h_p2(d: LinForm, assumption: Assumption) -> tuple[MultiPoly, MultiPoly, Mult
 FactKind = Literal["injective", "surjective", "zero"]
 
 
-@dataclass(frozen=True)
 class ExactSeqSpec:
     """A short exact sequence of sheaves on the conic, for the LES solver.
 
@@ -258,15 +262,16 @@ class ExactSeqSpec:
     H0A->H0B, H0B->H0C, H0C->H1A (connecting), H1A->H1B, H1B->H1C.
     """
 
-    terms: tuple
-    map_facts: tuple[tuple[FactKind, int], ...] = ()
+    __slots__ = ("terms", "map_facts")
 
-    def __post_init__(self):
-        if len(self.terms) < 3:
+    def __init__(self, terms: tuple, map_facts: tuple[tuple[FactKind, int], ...] = ()):
+        if len(terms) < 3:
             raise ValueError("an exact sequence needs at least three terms")
-        unknowns = sum(1 for term in self.terms if term is None)
+        unknowns = sum(1 for term in terms if term is None)
         if unknowns != 1:
             raise ValueError(f"exactly one unknown term required, got {unknowns}")
+        self.terms = terms
+        self.map_facts = map_facts
 
 
 def _solve_chain(

@@ -39,10 +39,9 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import EngineError
+from . import EngineError, Value
 from ._kernels import bareiss_rank
 from .arith import MultiPoly, exponent, format_poly, var
 from .cohomology import Assumption, LinForm, h_p1
@@ -63,20 +62,9 @@ class GradedCertificateError(EngineError):
 # -- graded free modules and matrices ----------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedFree:
-    """The graded free module ⊕ S(a_i) given by its twist list."""
-
-    twists: tuple[int, ...]
-
-    def __post_init__(self):
-        if not all(isinstance(a, int) for a in self.twists):
-            raise ValueError("twists must be integers")
-
-
-def slice_dim(F: GradedFree, d: int) -> int:
-    """Dimension of the degree-d slice: sum of max(d + a_i + 1, 0)."""
-    return sum(max(d + a + 1, 0) for a in F.twists)
+def slice_dim(twists: tuple[int, ...], d: int) -> int:
+    """Dimension of the degree-d slice of ⊕ S(a_i): sum of max(d + a_i + 1, 0)."""
+    return sum(max(d + a + 1, 0) for a in twists)
 
 
 def _su_terms(p: MultiPoly) -> tuple[dict[tuple[int, int], int], int]:
@@ -96,34 +84,42 @@ def homogeneous_degree(p: MultiPoly) -> int | None:
     return degrees.pop()
 
 
-@dataclass(frozen=True)
-class GradedMatrix:
+class GradedMatrix(Value):
     """A degree-zero map of graded free modules, entries homogeneous in s, u.
 
-    entries[i][j] maps source component j (twist source.twists[j]) into
-    target component i (twist target.twists[i]); nonzero entries must be
-    homogeneous of degree target.twists[i] - source.twists[j].
+    source and target are the twist lists of ⊕ S(a_j) and ⊕ S(t_i).
+    entries[i][j] maps source component j (twist source[j]) into target
+    component i (twist target[i]); nonzero entries must be homogeneous of
+    degree target[i] - source[j].
     """
 
-    source: GradedFree
-    target: GradedFree
-    entries: tuple[tuple[MultiPoly, ...], ...]
+    __slots__ = ("source", "target", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != len(self.target.twists):
+    def __init__(
+        self,
+        source: tuple[int, ...],
+        target: tuple[int, ...],
+        entries: tuple[tuple[MultiPoly, ...], ...],
+    ):
+        if not all(isinstance(a, int) for a in source + target):
+            raise ValueError("twists must be integers")
+        if len(entries) != len(target):
             raise ValueError("row count must match target rank")
-        for i, row in enumerate(self.entries):
-            if len(row) != len(self.source.twists):
+        for i, row in enumerate(entries):
+            if len(row) != len(source):
                 raise ValueError("column count must match source rank")
             for j, entry in enumerate(row):
                 if entry.is_zero():
                     continue
-                forced = self.target.twists[i] - self.source.twists[j]
+                forced = target[i] - source[j]
                 if homogeneous_degree(entry) != forced:
                     raise ValueError(
                         f"entry ({i},{j}) = {format_poly(entry)} is not "
                         f"homogeneous of degree {forced}"
                     )
+        self.source = source
+        self.target = target
+        self.entries = entries
 
     def evaluate(self, point: tuple[Fraction, Fraction]) -> list[list[int]]:
         """den*M at an integer representative of [s:u] = point, exactly.
@@ -136,10 +132,10 @@ class GradedMatrix:
         """
         scale = math.lcm(point[0].denominator, point[1].denominator)
         s_val, u_val = int(point[0] * scale), int(point[1] * scale)
-        rows = [[0] * len(self.source.twists) for _ in self.target.twists]
-        for j, (a, column) in enumerate(zip(self.source.twists, _integer_columns(self))):
+        rows = [[0] * len(self.source) for _ in self.target]
+        for j, (a, column) in enumerate(zip(self.source, _integer_columns(self))):
             for i, ds, c in column:
-                rows[i][j] += c * s_val**ds * u_val ** (self.target.twists[i] - a - ds)
+                rows[i][j] += c * s_val**ds * u_val ** (self.target[i] - a - ds)
         return rows
 
 
@@ -151,10 +147,10 @@ def transpose_dual(M: GradedMatrix) -> GradedMatrix:
     slice rank of this matrix on global sections: S(a) dualizes to S(-a-2)
     and the multiplication entries transpose unchanged; cached per matrix.
     """
-    dual_source = GradedFree(tuple(-a - 2 for a in M.target.twists))
-    dual_target = GradedFree(tuple(-a - 2 for a in M.source.twists))
-    cols = len(M.source.twists)
-    rows = len(M.target.twists)
+    dual_source = tuple(-a - 2 for a in M.target)
+    dual_target = tuple(-a - 2 for a in M.source)
+    cols = len(M.source)
+    rows = len(M.target)
     entries = tuple(
         tuple(M.entries[i][j] for i in range(rows)) for j in range(cols)
     )
@@ -178,7 +174,7 @@ def _integer_columns(M: GradedMatrix) -> tuple[tuple[tuple[int, int, int], ...],
             for i, row in enumerate(terms)
             for (ds, _), c in row[j][0].items()
         )
-        for j in range(len(M.source.twists))
+        for j in range(len(M.source))
     )
 
 
@@ -193,19 +189,19 @@ def slice_matrix(M: GradedMatrix, d: int) -> tuple[list[dict[int, int]], int]:
     """
     tops = []  # row index of s^0 in each target component's basis
     n_rows = 0
-    for a in M.target.twists:
+    for a in M.target:
         n = d + a + 1
         if n > 0:
             n_rows += n
         tops.append(n_rows - 1)
     columns = []
-    for a, entries in zip(M.source.twists, _integer_columns(M)):
+    for a, entries in zip(M.source, _integer_columns(M)):
         n0 = d + a
         if n0 < 0:
             continue
         # s^k0 * s^ds lands at tops[i] - k0 - ds, inside block i when k0 + ds <= d + t_i
         for i, ds, _ in entries:
-            if n0 + ds > d + M.target.twists[i]:
+            if n0 + ds > d + M.target[i]:
                 raise AssertionError("slice monomial fell outside the basis")
         for k0 in range(n0, -1, -1):
             columns.append({tops[i] - k0 - ds: c for i, ds, c in entries})
@@ -283,8 +279,7 @@ def slice_rank(M: GradedMatrix, d: int) -> int:
 # -- section pairs and the alpha/beta complex --------------------------------
 
 
-@dataclass(frozen=True)
-class SectionPair:
+class SectionPair(Value):
     """Homogeneous sections a, b of degrees r+2 and r+4 on the line.
 
     The no-common-zero condition is certified separately by
@@ -292,14 +287,15 @@ class SectionPair:
     paths can be exercised.
     """
 
-    r: int
-    a: MultiPoly
-    b: MultiPoly
+    __slots__ = ("r", "a", "b")
 
-    def __post_init__(self):
-        for name, p, want in (("a", self.a, self.r + 2), ("b", self.b, self.r + 4)):
+    def __init__(self, r: int, a: MultiPoly, b: MultiPoly):
+        for name, p, want in (("a", a, r + 2), ("b", b, r + 4)):
             if p.is_zero() or homogeneous_degree(p) != want:
                 raise ValueError(f"{name} must be homogeneous of degree {want} in s, u")
+        self.r = r
+        self.a = a
+        self.b = b
 
 
 def default_pair(r: int) -> SectionPair:
@@ -307,16 +303,19 @@ def default_pair(r: int) -> SectionPair:
     return SectionPair(r, var("s") ** (r + 2), var("u") ** (r + 4))
 
 
-@dataclass(frozen=True)
 class ComplexSpec:
-    """The three-term complex with its matrices and the generating pair."""
+    """The three-term complex source -> middle -> target, by its matrices.
 
-    pair: SectionPair
-    source: GradedFree
-    middle: GradedFree
-    target: GradedFree
-    alpha: GradedMatrix
-    beta: GradedMatrix
+    The twist lists are the matrices' own: source is alpha.source, middle
+    is alpha.target (= beta.source) and target is beta.target.
+    """
+
+    __slots__ = ("pair", "alpha", "beta")
+
+    def __init__(self, pair: SectionPair, alpha: GradedMatrix, beta: GradedMatrix):
+        self.pair = pair
+        self.alpha = alpha
+        self.beta = beta
 
 
 def alphabeta_builder(p: SectionPair) -> ComplexSpec:
@@ -326,9 +325,9 @@ def alphabeta_builder(p: SectionPair) -> ComplexSpec:
     S(r-4)+S(r-2); homogeneity of every entry is verified on construction.
     """
     r = p.r
-    source = GradedFree((-2 * r - 12,))
-    middle = GradedFree((-8, -6, -4))
-    target = GradedFree((r - 4, r - 2))
+    source = (-2 * r - 12,)
+    middle = (-8, -6, -4)
+    target = (r - 4, r - 2)
     zero = MultiPoly.zero()
     alpha = GradedMatrix(
         source, middle, ((p.a * p.a,), (2 * p.a * p.b,), (p.b * p.b,))
@@ -336,16 +335,16 @@ def alphabeta_builder(p: SectionPair) -> ComplexSpec:
     beta = GradedMatrix(
         middle, target, ((2 * p.b, -p.a, zero), (zero, -p.b, 2 * p.a))
     )
-    return ComplexSpec(p, source, middle, target, alpha, beta)
+    return ComplexSpec(p, alpha, beta)
 
 
 def compose(outer: GradedMatrix, inner: GradedMatrix) -> tuple[tuple[MultiPoly, ...], ...]:
     """Entry table of the composite outer . inner (not degree-checked)."""
-    if outer.source.twists != inner.target.twists:
+    if outer.source != inner.target:
         raise ValueError("composition shape mismatch")
-    rows = len(outer.target.twists)
-    cols = len(inner.source.twists)
-    mid = len(inner.target.twists)
+    rows = len(outer.target)
+    cols = len(inner.source)
+    mid = len(inner.target)
     return tuple(
         tuple(
             sum(
@@ -439,16 +438,16 @@ def slice_exactness_window(cx: ComplexSpec) -> tuple[int, int]:
     checks rank(alpha_d) = dim source_d, rank(beta_d) = dim target_d, and
     rank(alpha_d) + rank(beta_d) = dim middle_d.  Returns the window.
     """
-    twists = cx.source.twists + cx.middle.twists + cx.target.twists
-    d0 = max(abs(a) for a in twists) + (cx.pair.r + 4) + 2
+    source, middle, target = cx.alpha.source, cx.alpha.target, cx.beta.target
+    d0 = max(abs(a) for a in source + middle + target) + (cx.pair.r + 4) + 2
     for d in range(d0, d0 + 7):
         r_alpha = slice_rank(cx.alpha, d)
         r_beta = slice_rank(cx.beta, d)
-        if r_alpha != slice_dim(cx.source, d):
+        if r_alpha != slice_dim(source, d):
             raise GradedCertificateError(f"alpha slice not injective at degree {d}")
-        if r_beta != slice_dim(cx.target, d):
+        if r_beta != slice_dim(target, d):
             raise GradedCertificateError(f"beta slice not surjective at degree {d}")
-        if r_alpha + r_beta != slice_dim(cx.middle, d):
+        if r_alpha + r_beta != slice_dim(middle, d):
             raise GradedCertificateError(f"slice exactness fails at degree {d}")
     return d0, d0 + 6
 
@@ -461,9 +460,9 @@ def cokernel_h0(cx: ComplexSpec, d: int) -> int:
     where the last rank is the first-cohomology map computed by Serre
     duality as a section-level slice of the transposed dual matrix.
     """
-    e = cx.source.twists[0]
+    e = cx.alpha.source[0]
     value = (
-        slice_dim(cx.middle, d)
+        slice_dim(cx.alpha.target, d)
         - slice_rank(cx.alpha, d)
         + max(-(e + d) - 1, 0)
         - slice_rank(transpose_dual(cx.alpha), -d)
@@ -483,13 +482,13 @@ def splitting_type(cx: ComplexSpec, candidate_sum_degree: int) -> tuple[int, int
     finds the last twist -y-1 with no sections, x follows from the sum, and
     the split model is checked at the twists -y-1, -y, -x-1, -x and top.
     """
-    e = cx.source.twists[0]
-    expected_sum = sum(cx.middle.twists) - e
+    e = cx.alpha.source[0]
+    expected_sum = sum(cx.alpha.target) - e
     if candidate_sum_degree != expected_sum:
         raise ValueError(
             f"candidate sum {candidate_sum_degree} contradicts determinant {expected_sum}"
         )
-    d0 = max(abs(a) for a in cx.source.twists + cx.middle.twists + cx.target.twists)
+    d0 = max(abs(a) for a in cx.alpha.source + cx.alpha.target + cx.beta.target)
     top = d0 + (cx.pair.r + 4) + 8
     lo = -(abs(e) + 4)
     h0 = functools.cache(lambda d: cokernel_h0(cx, d))

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 from typing import Iterable
 
+from . import Value
 from .arith import VARIABLES, MultiPoly, binomial_poly, exponent, var
 from .chow import BundleClass, euler_characteristic
 
@@ -40,8 +40,7 @@ def lowest_terms(p: MultiPoly) -> tuple[MultiPoly, int]:
     return MultiPoly._reduced(num, 1), den
 
 
-@dataclass(frozen=True)
-class BinomialExpansion:
+class BinomialExpansion(Value):
     """Coefficients of a degree-<=n polynomial in the basis C(t+i, i).
 
     coeffs[i] is the (numerator, denominator) pair of the coefficient of
@@ -49,17 +48,18 @@ class BinomialExpansion:
     an integer-coefficient polynomial in the parameter.
     """
 
-    n: int
-    coeffs: tuple[tuple[MultiPoly, int], ...]
+    __slots__ = ("n", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.n + 1:
+    def __init__(self, n: int, coeffs: tuple[tuple[MultiPoly, int], ...]):
+        if len(coeffs) != n + 1:
             raise ValueError("need exactly n+1 coefficients")
-        for num, den in self.coeffs:
+        for num, den in coeffs:
             if den <= 0:
                 raise ValueError("denominators must be positive")
             if num.numerators()[1] != 1:
                 raise ValueError("numerators must have integer coefficients")
+        self.n = n
+        self.coeffs = coeffs
 
     def coefficient(self, i: int) -> MultiPoly:
         """The i-th coefficient as an exact rational polynomial."""
@@ -125,8 +125,7 @@ def congruence_residues(numerator: MultiPoly, m: int) -> set[int]:
     return residues
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Outcome of the integrality analysis of a parametric bundle class.
 
     admissible_residues lists, for each modulus examined (one prime power
@@ -136,11 +135,21 @@ class Verdict:
     (m, rho) meaning r = m*R + rho was applied first.
     """
 
-    conclusion: str
-    admissible_residues: ResidueTable
-    substitution: tuple[int, int] | None = None
-    parameter: str = ""
-    expansion: BinomialExpansion | None = None
+    __slots__ = ("conclusion", "admissible_residues", "substitution", "parameter", "expansion")
+
+    def __init__(
+        self,
+        conclusion: str,
+        admissible_residues: ResidueTable,
+        substitution: tuple[int, int] | None,
+        parameter: str,
+        expansion: BinomialExpansion | None,
+    ):
+        self.conclusion = conclusion
+        self.admissible_residues = admissible_residues
+        self.substitution = substitution
+        self.parameter = parameter
+        self.expansion = expansion
 
 
 def _factorize(value: int) -> dict[int, int]:
@@ -177,7 +186,7 @@ def schwarzenberger_verdict(B: BundleClass, n: int = 5) -> Verdict:
     Chern entry whose denominator admits exactly one residue class forces
     the reparametrization r = m*R + rho (applied at most once) before the
     expansion is analyzed, mirroring how such conditions are used by hand.
-    Cached per (bundle, n); the frozen Verdict is shared by every caller.
+    Cached per (bundle, n); the one Verdict is shared by every caller.
     """
     parameter = _active_parameter(B.chern)
     chern_parts = [lowest_terms(c) for c in B.chern]
@@ -197,7 +206,13 @@ def schwarzenberger_verdict(B: BundleClass, n: int = 5) -> Verdict:
                 B.ambient_dim,
             )
             inner = schwarzenberger_verdict(substituted, n)
-            return replace(inner, substitution=(den, rho))
+            return Verdict(
+                inner.conclusion,
+                inner.admissible_residues,
+                (den, rho),
+                inner.parameter,
+                inner.expansion,
+            )
 
     expansion = to_binomial_basis(euler_characteristic(B), n)
     constraints = [(num, den) for num, den in chern_parts + list(expansion.coeffs) if den > 1]

@@ -60,6 +60,15 @@ class TestBundleClass:
         with pytest.raises(ValueError):
             BundleClass(3, [c1, c2, c3], 2)  # c3 beyond the truncation
 
+    def test_compared_and_hashed_by_value(self):
+        # the integrality verdicts and the symbolic classes are cached per bundle
+        B = BundleClass(3, [c1, 2, c3], 5)
+        same = BundleClass(3, [c1, MultiPoly.const(2), c3], 5)
+        assert B == same and B is not same and hash(B) == hash(same)
+        assert {B: 1}[same] == 1
+        assert B != BundleClass(3, [c1, 2, c3], 4)
+        assert B != split_bundle([1, 2, 3], 5)
+
     def test_split_bundle_elementary_symmetric(self):
         B = split_bundle([1, 2, 3], 5)
         assert [c.as_fraction() for c in B.chern] == [6, 11, 6]

@@ -22,6 +22,7 @@ from multistruct.arith import MultiPoly, parse_poly, var
 from multistruct.chow import BundleClass
 from multistruct.cli import (
     POINT_DIGITS_CAP,
+    POINTS_CAP,
     R_CAP,
     ReplicationRecord,
     RUNNERS,
@@ -314,6 +315,23 @@ class TestPointsBound:
         assert f"at most {POINT_DIGITS_CAP} digits" in capsys.readouterr().err
         assert time.perf_counter() - started < 1
 
+    def test_count_at_the_cap_is_accepted(self, capsys):
+        points = ",".join(f"{k}:1" for k in range(POINTS_CAP))
+        parsed = build_parser().parse_args(["replicate", "graded", f"--points={points}"]).points
+        assert len(parsed) == POINTS_CAP
+        assert exit_code(capsys, "replicate", "graded", "--r", "0", f"--points={points}") == 0
+
+    def test_one_past_the_count_cap_exits_2_before_any_coordinate(self, capsys, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("a coordinate was parsed")
+
+        monkeypatch.setattr(cli, "Fraction", no_fraction)
+        points = ",".join(f"{k}:1" for k in range(POINTS_CAP + 1))
+        with pytest.raises(SystemExit) as exc:
+            main(["replicate", "graded", f"--points={points}"])
+        assert exc.value.code == 2
+        assert f"at most {POINTS_CAP} points, got {POINTS_CAP + 1}" in capsys.readouterr().err
+
 
 class TestRecords:
     def test_record_structure(self, capsys):
@@ -402,24 +420,29 @@ class TestRecords:
         assert "vanishing[r=3]" not in out
 
 
+def assert_report_schema(doc: dict) -> None:
+    """The four top-level keys, the summary keys and the record keys, in order."""
+    assert list(doc) == ["version", "timestamp", "records", "summary"]
+    assert list(doc["summary"]) == ["total", "matched", "discrepancies"]
+    assert doc["summary"]["total"] == len(doc["records"]) == 83
+    for record in doc["records"]:
+        assert list(record) == [
+            "claim_id",
+            "paper_value",
+            "computed_value",
+            "template",
+            "match",
+            "notes",
+        ]
+        assert record["template"] in ("paper", "derived", "n/a")
+        assert isinstance(record["match"], bool)
+
+
 class TestJsonReport:
     def test_schema(self, full_report):
         code, doc = full_report
         assert code == 1
-        assert list(doc) == ["version", "timestamp", "records", "summary"]
-        assert list(doc["summary"]) == ["total", "matched", "discrepancies"]
-        assert doc["summary"]["total"] == len(doc["records"]) == 83
-        for record in doc["records"]:
-            assert list(record) == [
-                "claim_id",
-                "paper_value",
-                "computed_value",
-                "template",
-                "match",
-                "notes",
-            ]
-            assert record["template"] in ("paper", "derived", "n/a")
-            assert isinstance(record["match"], bool)
+        assert_report_schema(doc)
 
     def test_record_keys_unique(self, full_report):
         _, doc = full_report
@@ -465,6 +488,43 @@ class TestJsonReport:
         ]
         doc = report_json(records)
         assert doc["summary"] == {"total": 2, "matched": 1, "discrepancies": 1}
+
+
+# Loaded only to build classes (dataclasses pulls in inspect, ast and dis) or
+# to write a report; a process that writes none should not pay for them.
+STARTUP_EXCLUDED = ("dataclasses", "inspect", "ast", "dis", "json", "datetime")
+
+
+def _fresh_process(code: str, *argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestStartup:
+    @staticmethod
+    def _excluded_loaded_after(statement: str) -> set[str]:
+        proc = _fresh_process(
+            f"{statement}\nimport sys\nprint(*sorted(set({STARTUP_EXCLUDED!r}) & set(sys.modules)))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def test_import_loads_no_dataclasses_or_report_modules(self):
+        # an interpreter whose own start-up loads one of them is not held against the package
+        package = self._excluded_loaded_after("import multistruct.cli")
+        assert package <= self._excluded_loaded_after("pass")
+
+    def test_report_is_still_written(self, tmp_path):
+        path = tmp_path / "report.json"
+        proc = _fresh_process(
+            "import sys; from multistruct.cli import main; sys.exit(main())",
+            "replicate", "all", "--json", str(path),
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert_report_schema(json.loads(path.read_text()))
 
 
 class TestRunnersDirect:

@@ -61,6 +61,26 @@ class TestLinForm:
         assert -LinForm(1, -2) == LinForm(-1, 2)
         assert 3 * LinForm(1, 1) == LinForm(3, 3)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LinForm(2, -1),
+            lambda: ConicBundle(-1, -3),
+            lambda: CohomPair(LinForm(1, -1), ZERO_FORM),
+        ],
+    )
+    def test_compared_and_hashed_by_value(self, build):
+        first, second = build(), build()
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert {first: 1}[second] == 1
+
+    def test_same_fields_of_another_type_differ(self):
+        assert LinForm(0, 1) != ConicBundle(0, 1)
+        assert ConicBundle(0, 1) != LinForm(0, 1)
+        assert LinForm(0, 1) != (0, 1)
+        assert len({LinForm(0, 1), ConicBundle(0, 1)}) == 2
+
 
 class TestAssumption:
     def test_exactly_one_mode(self):

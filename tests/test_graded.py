@@ -18,7 +18,6 @@ from multistruct.graded import (
     MODULUS,
     ComplexSpec,
     GradedCertificateError,
-    GradedFree,
     GradedMatrix,
     SectionPair,
     alphabeta_builder,
@@ -48,7 +47,7 @@ u = var("u")
 
 class TestGradedBasics:
     def test_slice_dim(self):
-        F = GradedFree((-2, 0))
+        F = (-2, 0)
         # S(-2)_d has dim max(d-1, 0); S(0)_d has dim max(d+1, 0)
         assert slice_dim(F, 0) == 1
         assert slice_dim(F, 3) == 6
@@ -60,11 +59,17 @@ class TestGradedBasics:
         assert homogeneous_degree(MultiPoly.zero()) is None
 
     def test_entry_degree_validation(self):
-        source = GradedFree((-4,))
-        target = GradedFree((-2,))
+        source = (-4,)
+        target = (-2,)
         GradedMatrix(source, target, ((s * u,),))  # degree 2 = -2 - (-4)
         with pytest.raises(ValueError):
             GradedMatrix(source, target, ((s,),))
+        with pytest.raises(ValueError):
+            GradedMatrix((Fraction(-4),), target, ((s * u,),))  # twists must be integers
+        with pytest.raises(ValueError):
+            GradedMatrix(source, target, ((s * u,), (s * u,)))  # one row per target twist
+        with pytest.raises(ValueError):
+            GradedMatrix(source, target, ((s * u, s * u),))  # one column per source twist
 
     def test_matrix_rank_fractions(self):
         rows = [[Fraction(1, 2), Fraction(1)], [Fraction(1), Fraction(2)]]
@@ -76,16 +81,16 @@ class TestGradedBasics:
         cx = alphabeta_builder(pair)
         alpha, beta = cx.alpha, cx.beta
         columns, n_rows = slice_matrix(alpha, 12)
-        assert n_rows == slice_dim(cx.middle, 12)
-        assert len(columns) == slice_dim(cx.source, 12)
+        assert n_rows == slice_dim(alpha.target, 12)
+        assert len(columns) == slice_dim(alpha.source, 12)
         assert all(0 <= r < n_rows and x for col in columns for r, x in col.items())
 
     def test_transpose_dual_twists(self):
         pair = default_pair(0)
         alpha = alphabeta_builder(pair).alpha
         dual = transpose_dual(alpha)
-        assert dual.source.twists == (6, 4, 2)
-        assert dual.target.twists == (10,)
+        assert dual.source == (6, 4, 2)
+        assert dual.target == (10,)
         assert transpose_dual(alphabeta_builder(pair).alpha) is dual  # built once per matrix
 
 
@@ -96,8 +101,8 @@ def _fraction_slice(M: GradedMatrix, d: int) -> list[list[Fraction]]:
         n = d + twist
         return [(k, n - k) for k in range(n, -1, -1)] if n >= 0 else []
 
-    rows = [(i, mono) for i, a in enumerate(M.target.twists) for mono in basis(a)]
-    cols = [(j, mono) for j, a in enumerate(M.source.twists) for mono in basis(a)]
+    rows = [(i, mono) for i, a in enumerate(M.target) for mono in basis(a)]
+    cols = [(j, mono) for j, a in enumerate(M.source) for mono in basis(a)]
     out = [[Fraction(0)] * len(cols) for _ in rows]
     for c, (j, (ds0, du0)) in enumerate(cols):
         for r_, (i, (ds1, du1)) in enumerate(rows):
@@ -249,19 +254,24 @@ class TestSliceMatrix:
             cx = alphabeta_builder(pair)
             alpha, beta = cx.alpha, cx.beta
             for M in (alpha, beta, transpose_dual(alpha)):
-                twists = M.source.twists + M.target.twists
+                twists = M.source + M.target
                 # from below the first nonempty slice to past the last new block
                 for d in range(-max(twists) - 1, -min(twists) + 3):
                     _assert_scaled_reference(M, d)
 
-    def test_slice_rank_cached_by_value(self):
+    def test_slice_rank_cached_by_value(self, monkeypatch):
         first = alphabeta_builder(default_pair(2)).alpha
         second = alphabeta_builder(default_pair(2)).alpha
-        assert first == second and first is not second
+        assert first == second and first is not second and hash(first) == hash(second)
+        assert first != transpose_dual(first)
+        built = []
+        original = graded.slice_matrix
+        monkeypatch.setattr(graded, "slice_matrix", lambda M, d: built.append(d) or original(M, d))
         slice_rank.cache_clear()
         assert slice_rank(first, 30) == slice_rank(second, 30)
         info = slice_rank.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+        assert built == [30]  # the equal rebuilt matrix hit the cache
         slice_rank.cache_clear()
 
 
@@ -270,6 +280,13 @@ class TestSectionPairs:
         pair = default_pair(3)
         assert pair.a == s**5
         assert pair.b == u**7
+
+    def test_compared_and_hashed_by_value(self):
+        pair = SectionPair(1, s**3 + u**3, s * u**4)
+        same = SectionPair(1, u**3 + s**3, s * u**4)
+        assert pair == same and pair is not same and hash(pair) == hash(same)
+        assert pair != SectionPair(1, s**3 + u**3, u**5)
+        assert default_pair(2) == default_pair(2) != default_pair(3)
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
@@ -302,9 +319,9 @@ class TestComplex:
         assert alpha.entries == ((s**4,), (2 * s * s * u**4,), (u**8,))
         assert beta.entries[0] == (2 * u**4, -(s * s), MultiPoly.zero())
         assert beta.entries[1] == (MultiPoly.zero(), -(u**4), 2 * s * s)
-        assert cx.source.twists == (-12,)
-        assert cx.middle.twists == (-8, -6, -4)
-        assert cx.target.twists == (-4, -2)
+        assert alpha.source == (-12,)
+        assert alpha.target == beta.source == (-8, -6, -4)
+        assert beta.target == (-4, -2)
 
     def test_symbolic_identities(self):
         assert symbolic_complex_identities() is True
@@ -384,8 +401,8 @@ class TestFiberScreen:
                     # the integer representative multiplies cell (i, j) by L^(t_i - a_j)
                     L = math.lcm(point[0].denominator, point[1].denominator)
                     unscaled = [
-                        [Fraction(x, L ** (t - a)) for x, a in zip(row, M.source.twists)]
-                        for row, t in zip(new, M.target.twists)
+                        [Fraction(x, L ** (t - a)) for x, a in zip(row, M.source)]
+                        for row, t in zip(new, M.target)
                     ]
                     scale = next((x / y for a, b in zip(unscaled, old) for x, y in zip(a, b) if y), 1)
                     assert scale != 0
@@ -410,8 +427,8 @@ def cokernel_h0_profile(cx: ComplexSpec, window: range) -> dict[int, int]:
 
 def _full_window(cx: ComplexSpec) -> range:
     """Every twist from -(|e| + 4) to the top of the bisection bracket."""
-    e = cx.source.twists[0]
-    d0 = max(abs(a) for a in cx.source.twists + cx.middle.twists + cx.target.twists)
+    e = cx.alpha.source[0]
+    d0 = max(abs(a) for a in cx.alpha.source + cx.alpha.target + cx.beta.target)
     return range(-(abs(e) + 4), d0 + (cx.pair.r + 4) + 8 + 1)
 
 
@@ -425,9 +442,9 @@ class TestSliceCertificates:
         d0, d1 = slice_exactness_window(cx)
         for d in range(d0, d1 + 1):
             total = (
-                slice_dim(cx.source, d)
-                - slice_dim(cx.middle, d)
-                + slice_dim(cx.target, d)
+                slice_dim(cx.alpha.source, d)
+                - slice_dim(cx.alpha.target, d)
+                + slice_dim(cx.beta.target, d)
             )
             # exactness of 0 -> source -> middle -> target -> 0 in high slices
             assert total == 0
