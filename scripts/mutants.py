@@ -1,0 +1,178 @@
+"""Check that the tests still catch a fixed list of faults in the fast paths.
+
+Usage, from anywhere::
+
+    python3 scripts/mutants.py [CHECKOUT]
+
+CHECKOUT defaults to the repository holding this script.  Each entry of
+``MUTANTS`` names a file, an exact source snippet, its replacement and the
+test node ids that must catch the fault.  First every snippet must occur
+exactly once in its file, so the list follows the code; then the named tests
+must pass on an unmutated copy of the checkout.  Then, for each entry, the
+checkout is copied to a temporary directory, the one edit is applied and the
+named tests are run there: pytest must report a failing test (exit status
+1).  A collection error, a usage error or a timeout counts as not caught.
+The checkout itself is never written.
+
+Prints one line per entry and a summary; exits 0 when every mutant is
+caught and 1 otherwise.  The tests run one copy at a time, so a full run
+takes about as long as the named tests take, once per entry plus once.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+GRADED = "src/multistruct/graded.py"
+CLI = "src/multistruct/cli.py"
+SPLITTING = "tests/test_graded.py::TestSplitting"
+
+# (name, file, snippet, replacement, test node ids that must catch it)
+MUTANTS = (
+    (
+        "one-twist reading of y off by one",
+        GRADED,
+        "y = cokernel_h0(cx, d_star) - d_star - 1",
+        "y = cokernel_h0(cx, d_star) - d_star",
+        [f"{SPLITTING}::test_splitting_values", f"{SPLITTING}::test_one_twist_matches_the_full_profile"],
+    ),
+    (
+        "split-model check dropped",
+        GRADED,
+        "    if any(cokernel_h0(cx, d) != max(d + x + 1, 0) + max(d + y + 1, 0) for d in twists):",
+        "    if False:",
+        [f"{SPLITTING}::test_profile_off_the_split_model_rejected", f"{SPLITTING}::test_torsion_cokernel_rejected"],
+    ),
+    (
+        "slice_rank cache removed",
+        GRADED,
+        "@functools.cache\ndef slice_rank(",
+        "def slice_rank(",
+        [
+            "tests/test_graded.py::TestSliceMatrix::test_slice_rank_cached_by_value",
+            f"{SPLITTING}::test_each_twist_computed_once",
+        ],
+    ),
+    (
+        "certified_split cache removed",
+        GRADED,
+        "@functools.cache\ndef certified_split(",
+        "def certified_split(",
+        [
+            "tests/test_graded.py::TestCertificateCache::test_repeat_runs_no_chain_step",
+            "tests/test_graded.py::TestCertificateCache::test_graded_target_splits_each_pair_once",
+        ],
+    ),
+    (
+        "mod-p full-rank early return forced",
+        GRADED,
+        "        if len(pivots) == full:\n            return full",
+        "        return full",
+        [
+            "tests/test_graded.py::TestIntegerRank::test_random_matrices_match_bareiss",
+            "tests/test_graded.py::TestIntegerRank::test_thin_products_are_rank_deficient",
+        ],
+    ),
+    (
+        "ext-claim window check removed",
+        CLI,
+        "    if min([args.r] if isinstance(args.r, int) else args.window) < 0:\n"
+        '        raise ValueError("the vanishing claim is stated for r >= 0")\n',
+        "",
+        ["tests/test_cli.py::TestFaultInjection::test_bad_r_exits_2"],
+    ),
+    (
+        "Bareiss fallback after a short modular rank removed",
+        GRADED,
+        "    rows = [[0] * len(columns) for _ in range(n_rows)]\n",
+        "    return len(pivots)\n",
+        ["tests/test_graded.py::TestIntegerRank::test_short_modular_rank_falls_back_to_bareiss"],
+    ),
+    (
+        "--points count cap dropped",
+        CLI,
+        "    if count > POINTS_CAP:",
+        "    if False:",
+        ["tests/test_cli.py::TestPointsBound::test_one_past_the_count_cap_exits_2_before_any_coordinate"],
+    ),
+    (
+        "EngineError mapped to exit 1 instead of 3",
+        CLI,
+        '        print(f"internal inconsistency: {exc}", file=sys.stderr)\n        return 3',
+        '        print(f"internal inconsistency: {exc}", file=sys.stderr)\n        return 1',
+        ["tests/test_cli.py::TestFaultInjection::test_engine_failures_exit_3"],
+    ),
+)
+
+TIMEOUT_S = 600
+
+
+def copy_checkout(checkout: Path, into: Path) -> Path:
+    """A copy of the checkout's files, without its git data and caches."""
+    target = into / "checkout"
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".replbench_out")
+    shutil.copytree(checkout, target, ignore=ignore)
+    return target
+
+
+def run_tests(copy: Path, tests: list[str]) -> int | None:
+    """pytest's exit status on the named tests of a copy, or None on a timeout."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=copy,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None
+    return proc.returncode
+
+
+def main(argv: list[str]) -> int:
+    checkout = Path(argv[0]).resolve() if argv else Path(__file__).resolve().parent.parent
+    stale = [
+        (name, path, n)
+        for name, path, snippet, _, _ in MUTANTS
+        if (n := (checkout / path).read_text(encoding="utf-8").count(snippet)) != 1
+    ]
+    for name, path, n in stale:
+        print(f"[STALE] {name}: snippet occurs {n} times in {path}")
+    if stale:
+        return 1
+
+    every_test = sorted({test for *_, tests in MUTANTS for test in tests})
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        status = run_tests(copy_checkout(checkout, Path(tmp)), every_test)
+    if status != 0:
+        print(f"[BROKEN] the unmutated checkout fails its named tests (pytest status {status})")
+        return 1
+    print(f"unmutated: all {len(every_test)} named test ids pass")
+
+    missed = 0
+    for name, path, snippet, replacement, tests in MUTANTS:
+        with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+            copy = copy_checkout(checkout, Path(tmp))
+            source = copy / path
+            source.write_text(
+                source.read_text(encoding="utf-8").replace(snippet, replacement), encoding="utf-8"
+            )
+            status = run_tests(copy, tests)
+        caught = status == 1
+        missed += not caught
+        shown = "timeout" if status is None else f"pytest status {status}"
+        print(f"[{'caught' if caught else 'MISSED'}] {name} ({path}; {shown})")
+    print(f"summary: {len(MUTANTS) - missed} of {len(MUTANTS)} mutants caught")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

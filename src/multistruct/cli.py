@@ -52,6 +52,8 @@ from .cohomology import (
 from .graded import (
     DEFAULT_POINTS,
     SectionPair,
+    certified_split,
+    default_pair,
     injectivity_certificate,
     symbolic_complex_identities,
 )
@@ -69,18 +71,6 @@ from .structures import (
     solve_chern_from_hilbert,
 )
 
-TARGETS = (
-    "double-conic",
-    "double-plane",
-    "triple-plane",
-    "wedge",
-    "koszul",
-    "expansion",
-    "congruence",
-    "graded",
-    "ext-claim",
-    "all",
-)
 
 class ReplicationRecord:
     """One published value against the engine's recomputation.
@@ -686,8 +676,6 @@ def run_graded(args) -> list[ReplicationRecord]:
     ]
     r_values = [args.r] if isinstance(args.r, int) else list(args.window)
     points = args.points
-    from .graded import certified_split, default_pair
-
     for rv in r_values:
         if rv < 0:
             raise ValueError("graded complexes need r >= 0")
@@ -714,10 +702,10 @@ def run_graded(args) -> list[ReplicationRecord]:
 
 
 def run_ext_claim(args) -> list[ReplicationRecord]:
+    if min([args.r] if isinstance(args.r, int) else args.window) < 0:
+        raise ValueError("the vanishing claim is stated for r >= 0")
     records: list[ReplicationRecord] = []
     if isinstance(args.r, int):
-        if args.r < 0:
-            raise ValueError("the vanishing claim is stated for r >= 0")
         vanished = ext_vanishing_claim(args.r)
         records.append(
             _record(
@@ -849,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     rep = sub.add_parser("replicate", help="re-run a computation chain and compare")
-    rep.add_argument("target", choices=TARGETS)
+    rep.add_argument("target", choices=(*RUNNERS, "all"))
     rep.add_argument(
         "--r", type=_parse_r, default="sym", help=f"integer value in -{R_CAP}..{R_CAP}, or 'sym'"
     )

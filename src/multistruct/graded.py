@@ -19,9 +19,10 @@ common-zero-free pair makes alpha fiberwise injective and beta fiberwise
 surjective), degree-slice rank bookkeeping over a window past the
 regularity bound, and fiberwise evaluation at sample points as a fast
 screen.  The cokernel of alpha is then a rank-2 bundle on the line; its
-splitting type is found by bisection, and twisted by -r-2 it has no global
-sections, which is the injectivity certificate the cohomology module
-consumes.  The chain runs once per (pair, sample points) in a process.
+splitting type is read from the section count at one twist, and twisted by
+-r-2 it has no global sections, which is the injectivity certificate the
+cohomology module consumes.  The chain runs once per (pair, sample points)
+in a process.
 
 Every slice rank is exact.  The entries' denominators are cleared by
 their lcm once per matrix, and each degree slice is built as sparse integer
@@ -36,14 +37,13 @@ share them.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from fractions import Fraction
 
 from . import EngineError, Value
 from ._kernels import bareiss_rank
-from .arith import MultiPoly, exponent, format_poly, var
+from .arith import MultiPoly, exponent, format_poly, univariate_resultant, var
 from .cohomology import Assumption, LinForm, h_p1
 
 DEFAULT_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
@@ -398,8 +398,6 @@ def common_zero_check(p: SectionPair) -> bool:
     b_affine = p.b.substitute({"u": 1})
     if a_affine.is_constant() or b_affine.is_constant():
         return True  # a nonzero constant section vanishes nowhere in the chart
-    from .arith import univariate_resultant
-
     return univariate_resultant(a_affine, b_affine) != 0
 
 
@@ -476,11 +474,11 @@ def splitting_type(cx: ComplexSpec, candidate_sum_degree: int) -> tuple[int, int
     """The twists (x, y), x <= y, of the cokernel bundle F = O(x) + O(y).
 
     Once common_zero_check has passed, alpha vanishes nowhere, so F is a
-    rank-2 bundle of degree candidate_sum_degree; it splits (Grothendieck)
-    and h^0(F(d)) is nondecreasing in d, as a linear form injects H^0(F(d))
-    into H^0(F(d+1)).  Bisection on [-|e|-4, top], top = max |twist| + r + 12,
-    finds the last twist -y-1 with no sections, x follows from the sum, and
-    the split model is checked at the twists -y-1, -y, -x-1, -x and top.
+    rank-2 bundle of degree S = candidate_sum_degree and splits
+    (Grothendieck).  At the one twist d* = -floor(S/2) - 1 the summand O(x)
+    has no sections (x <= S/2) and O(y) has y + d* + 1 >= 0 of them, so
+    y = h^0(F(d*)) - d* - 1 and x = S - y.  The split model is then checked
+    at the twists -y-1, -y, -x-1, -x and top = max |twist| + r + 12.
     """
     e = cx.alpha.source[0]
     expected_sum = sum(cx.alpha.target) - e
@@ -490,14 +488,11 @@ def splitting_type(cx: ComplexSpec, candidate_sum_degree: int) -> tuple[int, int
         )
     d0 = max(abs(a) for a in cx.alpha.source + cx.alpha.target + cx.beta.target)
     top = d0 + (cx.pair.r + 4) + 8
-    lo = -(abs(e) + 4)
-    h0 = functools.cache(lambda d: cokernel_h0(cx, d))
-    if h0(lo) != 0 or h0(top) == 0:
-        raise GradedCertificateError("section profile does not bracket a splitting")
-    # -y is the first twist with sections
-    y = -(lo + bisect.bisect_left(range(lo, top), True, key=lambda d: h0(d) > 0))
+    d_star = -(candidate_sum_degree // 2) - 1
+    y = cokernel_h0(cx, d_star) - d_star - 1
     x = candidate_sum_degree - y
-    if any(h0(d) != max(d + x + 1, 0) + max(d + y + 1, 0) for d in (-y - 1, -y, -x - 1, -x, top)):
+    twists = (-y - 1, -y, -x - 1, -x, top)
+    if any(cokernel_h0(cx, d) != max(d + x + 1, 0) + max(d + y + 1, 0) for d in twists):
         raise GradedCertificateError(
             "no split pair matches the section profile (torsion or non-exactness)"
         )

@@ -226,6 +226,8 @@ class TestFaultInjection:
             ("replicate", "graded", "--r", str(R_CAP + 1)),
             ("replicate", "graded", "--r", "-3"),
             ("replicate", "double-conic", "--r", "0"),
+            ("replicate", "ext-claim", "--window=-3..0"),
+            ("replicate", "ext-claim", "--window=-2..-1"),
         ],
     )
     def test_bad_r_exits_2(self, capsys, argv):

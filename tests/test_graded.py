@@ -426,7 +426,11 @@ def cokernel_h0_profile(cx: ComplexSpec, window: range) -> dict[int, int]:
 
 
 def _full_window(cx: ComplexSpec) -> range:
-    """Every twist from -(|e| + 4) to the top of the bisection bracket."""
+    """Every twist from -(|e| + 4) to the top twist of the split-model check.
+
+    The cokernel has no sections at the low end and has sections at the top,
+    so the window holds the whole profile between.
+    """
     e = cx.alpha.source[0]
     d0 = max(abs(a) for a in cx.alpha.source + cx.alpha.target + cx.beta.target)
     return range(-(abs(e) + 4), d0 + (cx.pair.r + 4) + 8 + 1)
@@ -476,8 +480,8 @@ class TestSplitting:
             splitting_type(cx, 0)
 
     @pytest.mark.parametrize("rv", range(0, 9))
-    def test_bisection_matches_the_full_profile(self, rv):
-        pairs = [default_pair(rv), _second_pair(rv)]
+    def test_one_twist_matches_the_full_profile(self, rv):
+        pairs = [default_pair(rv), _second_pair(rv), _fractional_pair(rv)]
         pairs += [p for p in _seeded_random_pairs() if p.r == rv and common_zero_check(p)]
         for pair in pairs:
             cx = alphabeta_builder(pair)
@@ -489,18 +493,23 @@ class TestSplitting:
             x = 2 * rv - 6 - y
             assert x <= y
             assert all(profile[d] == max(d + x + 1, 0) + max(d + y + 1, 0) for d in window)
-            assert splitting_type(cx, 2 * rv - 6) == (x, y)
+            # the last oracle reads no slice: exactness makes coker alpha = im beta = O(r-4) + O(r-2)
+            assert splitting_type(cx, 2 * rv - 6) == (x, y) == tuple(sorted(cx.beta.target))
 
     def test_each_twist_computed_once(self, monkeypatch):
-        seen = []
-        original = graded.cokernel_h0
+        seen, built = [], []
+        original, original_slice = graded.cokernel_h0, graded.slice_matrix
         monkeypatch.setattr(graded, "cokernel_h0", lambda cx, d: seen.append(d) or original(cx, d))
+        monkeypatch.setattr(graded, "slice_matrix", lambda M, d: built.append((M, d)) or original_slice(M, d))
+        slice_rank.cache_clear()
         cx = alphabeta_builder(_second_pair(8))
         assert splitting_type(cx, 10) == (4, 6)
-        # two bracket ends, the bisection steps, and at most two new boundary twists
-        assert len(seen) == len(set(seen)) <= 2 + math.ceil(math.log2(len(_full_window(cx)))) + 2
+        # the twist d* that gives y, then the five twists of the split-model check
+        assert len(seen) <= 6
+        # d* = -y here: the second reading reuses the cached slice ranks
+        assert len(built) == len(set(built)) > 0
 
-    @pytest.mark.parametrize("bad", [2, 3, 4, 24])  # -y, -x-1, -x and the bracket top at r = 0
+    @pytest.mark.parametrize("bad", [2, 3, 4, 24])  # -y, -x-1, -x and the top twist at r = 0
     def test_profile_off_the_split_model_rejected(self, monkeypatch, bad):
         original = graded.cokernel_h0
         monkeypatch.setattr(graded, "cokernel_h0", lambda cx, d: original(cx, d) + (d == bad))
@@ -512,7 +521,7 @@ class TestSplitting:
     def test_torsion_cokernel_rejected(self):
         # alpha = u^4 (s^2, 2s u^3, u^8): the cokernel has torsion at [1:0]
         cx = alphabeta_builder(SectionPair(1, s * u * u, u**5))
-        with pytest.raises(GradedCertificateError, match="bracket"):
+        with pytest.raises(GradedCertificateError, match="no split pair"):
             splitting_type(cx, -4)
 
 
