@@ -30,6 +30,9 @@ from pathlib import Path
 
 GRADED = "src/multistruct/graded.py"
 CLI = "src/multistruct/cli.py"
+CHOW = "src/multistruct/chow.py"
+ARITH = "src/multistruct/arith.py"
+INTEGRALITY = "src/multistruct/integrality.py"
 SPLITTING = "tests/test_graded.py::TestSplitting"
 
 # (name, file, snippet, replacement, test node ids that must catch it)
@@ -106,6 +109,57 @@ MUTANTS = (
         '        print(f"internal inconsistency: {exc}", file=sys.stderr)\n        return 3',
         '        print(f"internal inconsistency: {exc}", file=sys.stderr)\n        return 1',
         ["tests/test_cli.py::TestFaultInjection::test_engine_failures_exit_3"],
+    ),
+    (
+        "truncate drops h^n",
+        CHOW,
+        'if exponent(key, "h") <= n}',
+        'if exponent(key, "h") < n}',
+        [
+            "tests/test_chow.py::TestTruncate::test_hyperplane_powers_on_p3",
+            "tests/test_chow.py::TestTruncate::test_truncating_only_at_the_end_agrees",
+        ],
+    ),
+    (
+        "Adams scaling h -> (k+1)h",
+        CHOW,
+        'return c.substitute({"h": k * var("h")})',
+        'return c.substitute({"h": (k + 1) * var("h")})',
+        [
+            "tests/test_chow.py::TestAdamsAndWedge::test_adams_on_line_bundle",
+            "tests/test_chow.py::TestSplittingOracle::test_rank3_all_identities",
+        ],
+    ),
+    (
+        "complete-intersection oracle specializes at O(d) instead of O(-d)",
+        CLI,
+        "        if specialize(symbolic, split_bundle([-d for d in degrees], 5))",
+        "        if specialize(symbolic, split_bundle([d for d in degrees], 5))",
+        ["tests/test_cli.py::TestSpecializedOracles::test_koszul_equals_the_per_bundle_pipeline"],
+    ),
+    (
+        "packed-key degree guard of the product dropped",
+        ARITH,
+        "        if top >= _DEGREE_CAP:",
+        "        if False:",
+        ["tests/test_arith.py::TestExponentGuards::test_product_degree_guard"],
+    ),
+    (
+        "Horner step of the congruences adds c*rho",
+        INTEGRALITY,
+        "            value = (value * rho + c) % m",
+        "            value = (value + c * rho) % m",
+        [
+            "tests/test_integrality.py::TestCongruences::test_matches_substitute_reference",
+            "tests/test_integrality.py::TestCongruences::test_no_polynomial_arithmetic",
+        ],
+    ),
+    (
+        "--points digit cap dropped",
+        CLI,
+        '            if not m or any(len(g or "") > POINT_DIGITS_CAP for g in m.groups()):',
+        "            if not m:",
+        ["tests/test_cli.py::TestPointsBound::test_other_coordinates_exit_2_at_once"],
     ),
 )
 

@@ -8,6 +8,9 @@ Fractions.  Every polynomial lives in one fixed variable universe:
 
   VARIABLES = (t, r, R, c1, c2, c3, h, s, u, a1, a2, a3, x, y)
 
+h is the hyperplane class: a Chow-ring class on P^n is a polynomial in h
+reduced mod h^(n+1) (see chow.truncate).
+
 A monomial key is one int (the packed exponent vectors of Monagan and
 Pearce): one FIELD_BITS-wide field per variable in the order above, t the
 most significant, and the total degree in one more field above them all.
@@ -297,7 +300,7 @@ class MultiPoly:
         for name, value in bindings.items():
             if name not in _SHIFT:
                 raise ValueError(f"unknown variable {name!r}")
-            binds[_SHIFT[name]] = value if isinstance(value, MultiPoly) else MultiPoly.const(value)
+            binds[_SHIFT[name]] = as_poly(value)
         if not binds:
             return self
         powers: dict[tuple[int, int], MultiPoly] = {}
@@ -348,6 +351,11 @@ def _coerce(value) -> "MultiPoly":
     if isinstance(value, (int, Fraction)):
         return MultiPoly.const(value)
     return NotImplemented
+
+
+def as_poly(value: "MultiPoly | Scalar") -> MultiPoly:
+    """A MultiPoly as it is, an int or Fraction as a constant; TypeError otherwise."""
+    return value if isinstance(value, MultiPoly) else MultiPoly.const(value)
 
 
 def const(value: Scalar) -> MultiPoly:

@@ -1,8 +1,11 @@
 """Truncated Chow-ring computations on projective n-space.
 
 Classes on P^n live in Q[h]/(h^(n+1)) with h the hyperplane class; an
-element is stored as the list of its h^0..h^n coefficients, each an exact
-MultiPoly (so Chern classes may carry parameters).  On top of that sit the
+element is a MultiPoly in h of h-degree at most n, whose h^i coefficient
+is a polynomial in the other variables (so Chern classes may carry
+parameters).  truncate reduces a product mod h^(n+1); reduction is a ring
+map, so truncating after every product never changes a coefficient of
+degree <= n and only bounds the term counts.  On top of that sit the
 Chern character (via Newton's identities), Adams operations, wedge powers
 of rank-3 bundles, the Todd class by exact series inversion, and Euler
 characteristics via the hyperplane-degree pairing.
@@ -23,91 +26,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import EngineError, Value
-from .arith import MultiPoly, Scalar, var
+from .arith import MultiPoly, Scalar, as_poly, exponent, var
 
 MAX_AMBIENT = 8
 
 
-def _poly(value: MultiPoly | Scalar) -> MultiPoly:
-    return value if isinstance(value, MultiPoly) else MultiPoly.const(value)
-
-
-class ChowElem:
-    """Element of Q[h]/(h^(n+1)): coeffs[i] is the h^i coefficient."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: Sequence[MultiPoly | Scalar] | None = None):
-        if not 0 <= n <= MAX_AMBIENT:
-            raise ValueError(f"ambient dimension must be in 0..{MAX_AMBIENT}")
-        self.n = n
-        filled = [MultiPoly.zero()] * (n + 1)
-        if coeffs is not None:
-            if len(coeffs) > n + 1:
-                raise ValueError("too many coefficients for the truncation")
-            for i, c in enumerate(coeffs):
-                filled[i] = _poly(c)
-        self.coeffs = filled
-
-    @classmethod
-    def unit(cls, n: int) -> "ChowElem":
-        return cls(n, [MultiPoly.const(1)])
-
-    def _check(self, other: "ChowElem") -> None:
-        if self.n != other.n:
-            raise ValueError("mixed ambient dimensions")
-
-    def __add__(self, other: "ChowElem") -> "ChowElem":
-        self._check(other)
-        return ChowElem(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "ChowElem") -> "ChowElem":
-        self._check(other)
-        return ChowElem(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "ChowElem":
-        return ChowElem(self.n, [-a for a in self.coeffs])
-
-    def __mul__(self, other) -> "ChowElem":
-        if isinstance(other, ChowElem):
-            self._check(other)
-            out = [MultiPoly.zero()] * (self.n + 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
-                    continue
-                for j in range(self.n + 1 - i):
-                    b = other.coeffs[j]
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-            return ChowElem(self.n, out)
-        return ChowElem(self.n, [c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def scalar_div(self, value: Scalar) -> "ChowElem":
-        return ChowElem(self.n, [c.scalar_div(value) for c in self.coeffs])
-
-    def __pow__(self, k: int) -> "ChowElem":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = ChowElem.unit(self.n)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChowElem)
-            and self.n == other.n
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, tuple(self.coeffs)))
-
-    def __repr__(self) -> str:
-        parts = [f"h^{i}: {c}" for i, c in enumerate(self.coeffs)]
-        return "ChowElem(" + "; ".join(parts) + ")"
+def truncate(p: MultiPoly, n: int) -> MultiPoly:
+    """p mod h^(n+1): the terms of h-degree at most n."""
+    num, den = p.numerators()
+    return MultiPoly._reduced({key: c for key, c in num.items() if exponent(key, "h") <= n}, den)
 
 
 class BundleClass(Value):
@@ -122,7 +49,7 @@ class BundleClass(Value):
             raise ValueError(f"ambient dimension must be in 1..{MAX_AMBIENT}")
         if len(chern) != rank:
             raise ValueError(f"expected {rank} Chern classes, got {len(chern)}")
-        entries = tuple(_poly(c) for c in chern)
+        entries = tuple(as_poly(c) for c in chern)
         for i, c in enumerate(entries, start=1):
             if i > ambient_dim and not c.is_zero():
                 raise ValueError(f"c{i} lies beyond the ambient truncation and must vanish")
@@ -132,12 +59,12 @@ class BundleClass(Value):
 
 
 def line_bundle(degree: MultiPoly | Scalar, n: int) -> BundleClass:
-    return BundleClass(1, [_poly(degree)], n)
+    return BundleClass(1, [as_poly(degree)], n)
 
 
 def split_bundle(degrees: Sequence[MultiPoly | Scalar], n: int) -> BundleClass:
     """Direct sum of line bundles, encoded by elementary symmetric functions."""
-    degs = [_poly(d) for d in degrees]
+    degs = [as_poly(d) for d in degrees]
     elem = _elementary_symmetric(degs)
     return BundleClass(len(degs), elem, n)
 
@@ -169,25 +96,25 @@ def _power_sums(chern: list[MultiPoly], upto: int) -> list[MultiPoly]:
     return p
 
 
-def chern_character(B: BundleClass) -> ChowElem:
+def chern_character(B: BundleClass) -> MultiPoly:
     """ch(B) = rank + sum p_k / k! h^k, truncated at the ambient dimension."""
     n = B.ambient_dim
     p = _power_sums(list(B.chern), n)
-    coeffs: list[MultiPoly | Scalar] = [MultiPoly.const(B.rank)]
+    h = var("h")
+    ch = MultiPoly.const(B.rank)
     for k in range(1, n + 1):
-        coeffs.append(p[k - 1].scalar_div(math.factorial(k)))
-    return ChowElem(n, coeffs)
+        ch = ch + p[k - 1].scalar_div(math.factorial(k)) * h**k
+    return ch
 
 
-def chern_from_character(ch: ChowElem, rank: int) -> list[MultiPoly]:
-    """Invert Newton's identities: recover c_1..c_n from a Chern character.
+def chern_from_character(ch: MultiPoly, rank: int, n: int) -> list[MultiPoly]:
+    """Invert Newton's identities: recover c_1..c_n from a Chern character on P^n.
 
     The h^0 part of ch must equal the given rank.
     """
-    if ch.coeffs[0] != rank:
-        raise ValueError(f"character rank {ch.coeffs[0]} does not match {rank}")
-    n = ch.n
-    p = [ch.coeffs[k] * math.factorial(k) for k in range(1, n + 1)]
+    if ch.coeff_of("h", 0) != rank:
+        raise ValueError(f"character rank {ch.coeff_of('h', 0)} does not match {rank}")
+    p = [ch.coeff_of("h", k) * math.factorial(k) for k in range(1, n + 1)]
     c: list[MultiPoly] = []
     for k in range(1, n + 1):
         acc = p[k - 1]
@@ -199,11 +126,11 @@ def chern_from_character(ch: ChowElem, rank: int) -> list[MultiPoly]:
     return c
 
 
-def adams_operation(k: int, c: ChowElem) -> ChowElem:
-    """psi^k: scales the h^i component by k^i."""
+def adams_operation(k: int, c: MultiPoly) -> MultiPoly:
+    """psi^k: the ring map h -> k*h, which scales the h^i component by k^i."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("Adams operations need k >= 1")
-    return ChowElem(c.n, [coeff * (k**i) for i, coeff in enumerate(c.coeffs)])
+    return c.substitute({"h": k * var("h")})
 
 
 @functools.cache
@@ -224,10 +151,11 @@ def wedge_powers(B: BundleClass) -> tuple[BundleClass, BundleClass]:
     ch = chern_character(B)
     psi2 = adams_operation(2, ch)
     psi3 = adams_operation(3, ch)
-    ch2 = (ch * ch - psi2).scalar_div(2)
-    ch3 = (ch * ch * ch - 3 * (ch * psi2) + 2 * psi3).scalar_div(6)
-    c_wedge2 = chern_from_character(ch2, 3)
-    c_wedge3 = chern_from_character(ch3, 1)
+    square = truncate(ch * ch, n)
+    ch2 = (square - psi2).scalar_div(2)
+    ch3 = (truncate(square * ch, n) - 3 * truncate(ch * psi2, n) + 2 * psi3).scalar_div(6)
+    c_wedge2 = chern_from_character(ch2, 3, n)
+    c_wedge3 = chern_from_character(ch3, 1, n)
     for extra in c_wedge3[1:]:
         if not extra.is_zero():
             raise EngineError("wedge^3 of a rank-3 bundle must be a line bundle")
@@ -239,12 +167,12 @@ def wedge_powers(B: BundleClass) -> tuple[BundleClass, BundleClass]:
 
 
 @functools.cache
-def todd_class(n: int) -> ChowElem:
+def todd_class(n: int) -> MultiPoly:
     """Todd class of P^n: (h / (1 - exp(-h)))^(n+1), truncated at h^n.
 
     The series 1/(1 - exp(-h)) * h = sum is obtained by exact inversion of
     (1 - exp(-h))/h; no hard-coded coefficient tables.  Cached per n, so
-    callers share one value and must not mutate its coeffs.
+    callers share one immutable value.
     """
     if not 1 <= n <= MAX_AMBIENT:
         raise ValueError(f"ambient dimension must be in 1..{MAX_AMBIENT}")
@@ -258,21 +186,33 @@ def todd_class(n: int) -> ChowElem:
         for i in range(1, k + 1):
             acc += f[i] * g[k - i]
         g[k] = -acc / f[0]
-    base = ChowElem(n, [MultiPoly.const(c) for c in g])
-    return base ** (n + 1)
+    h = var("h")
+    base = sum(g[k] * h**k for k in range(n + 1))
+    td = MultiPoly.const(1)
+    for _ in range(n + 1):
+        td = truncate(td * base, n)
+    return td
 
 
-def _exp_th(n: int) -> ChowElem:
-    """exp(t*h) truncated: h^k coefficient t^k / k!."""
-    t = var("t")
-    return ChowElem(n, [(t**k).scalar_div(math.factorial(k)) for k in range(n + 1)])
+def _exp(a: MultiPoly, n: int) -> MultiPoly:
+    """exp(a*h) truncated at h^n: h^k coefficient a^k / k!."""
+    ah = a * var("h")
+    return sum((ah**k).scalar_div(math.factorial(k)) for k in range(n + 1))
+
+
+def _riemann_roch(ch: MultiPoly, n: int) -> MultiPoly:
+    """chi(E(t)) on P^n for ch = ch(E): the h^n coefficient of ch exp(th) td(P^n).
+
+    Only the h^(n-k) part of exp(th) td(P^n) meets the h^k part of ch, so
+    the degree-n coefficient is read as that pairing, without the product.
+    """
+    twisted_todd = _exp(var("t"), n) * todd_class(n)
+    return sum(ch.coeff_of("h", k) * twisted_todd.coeff_of("h", n - k) for k in range(n + 1))
 
 
 def euler_characteristic(B: BundleClass) -> MultiPoly:
     """chi(B(t)) on P^n, n = B.ambient_dim: the h^n coefficient of ch(B) exp(th) td(P^n)."""
-    n = B.ambient_dim
-    total = chern_character(B) * _exp_th(n) * todd_class(n)
-    return total.coeffs[n]
+    return _riemann_roch(chern_character(B), B.ambient_dim)
 
 
 @functools.cache
@@ -315,16 +255,9 @@ def specialize(p: MultiPoly, B: BundleClass) -> MultiPoly:
 # -- independent verification path ------------------------------------------
 
 
-def _root_character(roots: list[MultiPoly], n: int) -> ChowElem:
+def _root_character(roots: list[MultiPoly], n: int) -> MultiPoly:
     """ch of a formal sum of line bundles with the given first Chern roots."""
-    coeffs = [MultiPoly.zero()] * (n + 1)
-    coeffs[0] = MultiPoly.const(len(roots))
-    for k in range(1, n + 1):
-        acc = MultiPoly.zero()
-        for a in roots:
-            acc = acc + a**k
-        coeffs[k] = acc.scalar_div(math.factorial(k))
-    return ChowElem(n, coeffs)
+    return sum(_exp(a, n) for a in roots)
 
 
 def splitting_oracle(rank: int, n: int = 5) -> dict[str, bool]:
@@ -340,16 +273,13 @@ def splitting_oracle(rank: int, n: int = 5) -> dict[str, bool]:
     rooted = split_bundle(roots, n)
     symbolic = BundleClass(rank, [var(f"c{i}") for i in range(1, rank + 1)], n)
 
-    def matches(closed: ChowElem, from_roots: ChowElem) -> bool:
-        return ChowElem(n, [specialize(c, rooted) for c in closed.coeffs]) == from_roots
-
     report: dict[str, bool] = {}
     ch_closed = chern_character(symbolic)
     ch_roots = _root_character(roots, n)
-    report["chern_character"] = matches(ch_closed, ch_roots)
+    report["chern_character"] = specialize(ch_closed, rooted) == ch_roots
     for k in (2, 3):
         scaled = _root_character([k * a for a in roots], n)
-        report[f"adams_{k}"] = matches(adams_operation(k, ch_closed), scaled)
+        report[f"adams_{k}"] = specialize(adams_operation(k, ch_closed), rooted) == scaled
     if rank == 3:
         lam2, lam3 = wedge_powers(symbolic)
         pair_roots = [roots[0] + roots[1], roots[0] + roots[2], roots[1] + roots[2]]
@@ -372,9 +302,7 @@ def _koszul_from_roots(roots: list[MultiPoly], n: int) -> MultiPoly:
         [roots[0] + roots[1], roots[0] + roots[2], roots[1] + roots[2]], n
     )
     top = _root_character([roots[0] + roots[1] + roots[2]], n)
-    virtual = triv - e + pairs - top
-    total = virtual * _exp_th(n) * todd_class(n)
-    return total.coeffs[n]
+    return _riemann_roch(triv - e + pairs - top, n)
 
 
 def koszul_complete_intersection(degrees: Sequence[int], n: int = 5) -> MultiPoly:

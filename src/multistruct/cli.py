@@ -60,6 +60,7 @@ from .graded import (
 from .integrality import (
     congruence_residues,
     from_binomial_basis,
+    lowest_terms,
     schwarzenberger_verdict,
     to_binomial_basis,
 )
@@ -360,6 +361,12 @@ def run_double_plane(args) -> list[ReplicationRecord]:
     )
 
 
+def _printed_triple_plane_coefficient() -> MultiPoly:
+    """The published C(t+1,1) coefficient of the triple-plane chi_E, after r = 3R."""
+    R = var("R")
+    return (207 * R**4 - 1512 * R**3 - 1845 * R * R - 828 * R - 134).scalar_div(12)
+
+
 def run_triple_plane(args) -> list[ReplicationRecord]:
     r, R, t = var("r"), var("R"), var("t")
     expected = (
@@ -393,17 +400,15 @@ def run_triple_plane(args) -> list[ReplicationRecord]:
             )
         )
         verdict = schwarzenberger_verdict(BundleClass(3, triple, 5))
-        num, den = verdict.expansion.coeffs[1]
-        printed = (
-            207 * R**4 - 1512 * R**3 - 1845 * R * R - 828 * R - 134
-        ).scalar_div(12)
+        computed = verdict.expansion.coefficient(1)
+        printed = _printed_triple_plane_coefficient()
         records.append(
             _record(
                 "triple-plane/C(t+1,1)-coefficient",
                 format_poly(printed),
-                format_poly(num.scalar_div(den)),
+                format_poly(computed),
                 template="paper",
-                match=printed == num.scalar_div(den),
+                match=printed == computed,
                 notes=(
                     "computed coefficient is the negative of the published one (same global "
                     "sign slip as the displayed quintic expansion); never-integral verdict "
@@ -604,11 +609,11 @@ def run_expansion(args) -> list[ReplicationRecord]:
 
 
 def run_congruence(args) -> list[ReplicationRecord]:
-    r, R = var("r"), var("R")
     records: list[ReplicationRecord] = []
-    cubic = 7 * r**3 + 30 * r * r + 29 * r - 54
-    quartic = r**4 - 24 * r**3 - 197 * r * r - 560 * r - 548
-    quintic_R = 207 * R**4 - 1512 * R**3 - 1845 * R * R - 828 * R - 134
+    printed = _printed_expansion()
+    cubic, _ = lowest_terms(printed[2])
+    quartic, _ = lowest_terms(printed[1])
+    quintic_R, _ = lowest_terms(_printed_triple_plane_coefficient())
     cubic_set = congruence_residues(cubic, 3)
     quartic_set = congruence_residues(quartic, 3)
     both = cubic_set & quartic_set

@@ -265,8 +265,8 @@ class ExactSeqSpec:
     __slots__ = ("terms", "map_facts")
 
     def __init__(self, terms: tuple, map_facts: tuple[tuple[FactKind, int], ...] = ()):
-        if len(terms) < 3:
-            raise ValueError("an exact sequence needs at least three terms")
+        if len(terms) != 3:
+            raise ValueError(f"a short exact sequence has exactly three terms, got {len(terms)}")
         unknowns = sum(1 for term in terms if term is None)
         if unknowns != 1:
             raise ValueError(f"exactly one unknown term required, got {unknowns}")

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Literal
 
 from . import EngineError, chow
-from .arith import MultiPoly, Scalar, var
+from .arith import MultiPoly, Scalar, as_poly, var
 
 Template = Literal["paper", "derived"]
 
@@ -86,7 +86,7 @@ def paper_chi_formula(
     can be reported rather than silently reconciled.
     """
     t = var("t")
-    c1p, c2p, c3p = (_mp(c1), _mp(c2), _mp(c3))
+    c1p, c2p, c3p = (as_poly(c1), as_poly(c2), as_poly(c3))
     quad = -(c3p * t * t).scalar_div(2)
     lin = -((c1p + 6) * c3p * t).scalar_div(2)
     constant = ((c2p - 2 * c1p * c1p - 18 * c1p - 51) * c3p).scalar_div(2)
@@ -105,10 +105,6 @@ def derived_chi_formula(
     """
     symbolic = chow.koszul_euler(chow.BundleClass(3, [var("c1"), var("c2"), var("c3")], 5))
     return chow.specialize(symbolic, chow.BundleClass(3, [c1, c2, c3], 5))
-
-
-def _mp(value: MultiPoly | Scalar) -> MultiPoly:
-    return value if isinstance(value, MultiPoly) else MultiPoly.const(value)
 
 
 def chi_template(template: Template, c1, c2, c3) -> MultiPoly:

@@ -15,6 +15,7 @@ from multistruct.arith import (
     NVARS,
     VARIABLES,
     MultiPoly,
+    as_poly,
     binomial_poly,
     const,
     exponent,
@@ -50,6 +51,13 @@ class TestConstruction:
         assert const(7) == 7
         assert const(Fraction(1, 2)) == Fraction(1, 2)
         assert t != 1
+
+    def test_as_poly(self):
+        assert as_poly(t) is t
+        assert as_poly(3) == const(3) and as_poly(Fraction(-1, 4)) == const(Fraction(-1, 4))
+        for other in ("1", 1.5, None):
+            with pytest.raises(TypeError):
+                as_poly(other)
 
 
 class TestArithmetic:

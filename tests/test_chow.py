@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from multistruct import chow
 from multistruct.arith import MultiPoly, binomial_poly, var
 from multistruct.chow import (
     BundleClass,
-    ChowElem,
     adams_operation,
     chern_character,
     chern_from_character,
@@ -22,33 +22,43 @@ from multistruct.chow import (
     split_bundle,
     splitting_oracle,
     todd_class,
+    truncate,
     wedge_powers,
 )
 
 t = var("t")
 c1, c2, c3 = var("c1"), var("c2"), var("c3")
+h = var("h")
 
 
-class TestChowElem:
-    def test_truncation(self):
-        h = ChowElem(3, [0, 1])  # the hyperplane class on P^3
-        assert (h**4).coeffs == ChowElem(3).coeffs
-        assert (h**3).coeffs[3] == 1
+class TestTruncate:
+    def test_hyperplane_powers_on_p3(self):
+        assert truncate(h**4, 3).is_zero()
+        assert truncate(h**3, 3).coeff_of("h", 3) == 1
+        assert truncate((1 + h) ** 5, 3) == 1 + 5 * h + 10 * h**2 + 10 * h**3
 
-    def test_ring_ops(self):
-        a = ChowElem(2, [1, 2, 3])
-        b = ChowElem(2, [4, 5, 6])
-        assert (a + b) - b == a
-        assert a * b == b * a
-        assert a * ChowElem.unit(2) == a
+    def test_keeps_the_other_variables(self):
+        p = (c1 + t * h) ** 3 + Fraction(1, 3) * h**2
+        assert truncate(p, 1) == c1**3 + 3 * c1 * c1 * t * h
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ChowElem(2, [1]) + ChowElem(3, [1])
+    def test_truncating_only_at_the_end_agrees(self):
+        # reduction mod h^(n+1) is a ring map, so the untruncated products read
+        # at degrees 0..n give the classes that truncate after every product
+        series = [1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720), 0, Fraction(1, 30240)]
 
-    def test_too_many_coefficients_rejected(self):
-        with pytest.raises(ValueError):
-            ChowElem(1, [1, 2, 3])
+        def untruncated_todd(n):
+            return sum(c * h**k for k, c in enumerate(series[: n + 1])) ** (n + 1)
+
+        for n in range(1, 7):
+            full = untruncated_todd(n)
+            assert todd_class(n).degree("h") == n
+            for k in range(n + 1):
+                assert todd_class(n).coeff_of("h", k) == full.coeff_of("h", k)
+        for B in (BundleClass(3, [c1, c2, c3], 5), split_bundle([2, -1], 4), line_bundle(t, 1)):
+            n = B.ambient_dim
+            exp_th = sum((t * h) ** k * Fraction(1, math.factorial(k)) for k in range(n + 1))
+            full = chern_character(B) * exp_th * untruncated_todd(n)
+            assert euler_characteristic(B) == full.coeff_of("h", n)
 
 
 class TestBundleClass:
@@ -76,7 +86,7 @@ class TestBundleClass:
     def test_character_round_trip_symbolic(self):
         B = BundleClass(3, [c1, c2, c3], 5)
         ch = chern_character(B)
-        recovered = chern_from_character(ch, 3)
+        recovered = chern_from_character(ch, 3, 5)
         assert recovered[0] == c1
         assert recovered[1] == c2
         assert recovered[2] == c3
@@ -85,7 +95,7 @@ class TestBundleClass:
     def test_character_rank_checked(self):
         B = split_bundle([1, -1], 4)
         with pytest.raises(ValueError):
-            chern_from_character(chern_character(B), 3)
+            chern_from_character(chern_character(B), 3, 4)
 
 
 class TestAdamsAndWedge:
@@ -150,14 +160,14 @@ class TestEulerCharacteristic:
 
     def test_todd_degree_zero_is_one(self):
         for n in range(1, 6):
-            assert todd_class(n).coeffs[0] == 1
+            assert todd_class(n).coeff_of("h", 0) == 1
 
     def test_todd_class_cached_and_exact(self):
         # h / (1 - exp(-h)) = 1 + h/2 + h^2/12 - h^4/720 + ... (Bernoulli numbers)
         series = [1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720), 0]
         for n in range(1, 6):
-            base = ChowElem(n, [MultiPoly.const(c) for c in series[: n + 1]])
-            assert todd_class(n) == todd_class(n) == base ** (n + 1)
+            base = sum(c * h**k for k, c in enumerate(series[: n + 1]))
+            assert todd_class(n) == todd_class(n) == truncate(base ** (n + 1), n)
             assert todd_class(n) is todd_class(n)
 
 

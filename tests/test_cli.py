@@ -158,7 +158,10 @@ class TestFaultInjection:
                     mp.setattr(
                         chow,
                         "chern_from_character",
-                        lambda ch, rank, f=chow.chern_from_character: f(ch, rank) + [var("c2")],
+                        lambda ch, rank, n, f=chow.chern_from_character: [
+                            *f(ch, rank, n),
+                            var("c2"),
+                        ],
                     ),
                 ),
             ),
@@ -171,9 +174,9 @@ class TestFaultInjection:
                     mp.setattr(
                         chow,
                         "chern_from_character",
-                        lambda ch, rank, f=chow.chern_from_character: [
-                            f(ch, rank)[0] + 1,
-                            *f(ch, rank)[1:],
+                        lambda ch, rank, n, f=chow.chern_from_character: [
+                            f(ch, rank, n)[0] + 1,
+                            *f(ch, rank, n)[1:],
                         ],
                     ),
                 ),

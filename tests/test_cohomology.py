@@ -175,6 +175,12 @@ class TestExactSequences:
             ExactSeqSpec((None, None, ConicBundle(0, 0)))
         with pytest.raises(ValueError):
             ExactSeqSpec((ConicBundle(0, 0),) * 3)
+        # the solver reads a six-term cohomology sequence, so four or five
+        # terms are bad input, not left for the solver to misread
+        a, b = ConicBundle(0, 0), ConicBundle(1, 0)
+        for terms in ((a, None, b, a), (a, None, b, a, b)):
+            with pytest.raises(ValueError, match="exactly three terms"):
+                ExactSeqSpec(terms)
 
     def test_middle_term_solve(self):
         sides = double_conic_side_terms()
