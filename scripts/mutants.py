@@ -33,7 +33,10 @@ CLI = "src/multistruct/cli.py"
 CHOW = "src/multistruct/chow.py"
 ARITH = "src/multistruct/arith.py"
 INTEGRALITY = "src/multistruct/integrality.py"
+KERNELS = "src/multistruct/_kernels.py"
 SPLITTING = "tests/test_graded.py::TestSplitting"
+RANK = "tests/test_graded.py::TestIntegerRank"
+ORACLES = "tests/test_cli.py::TestSpecializedOracles"
 
 # (name, file, snippet, replacement, test node ids that must catch it)
 MUTANTS = (
@@ -74,12 +77,44 @@ MUTANTS = (
     (
         "mod-p full-rank early return forced",
         GRADED,
-        "        if len(pivots) == full:\n            return full",
-        "        return full",
-        [
-            "tests/test_graded.py::TestIntegerRank::test_random_matrices_match_bareiss",
-            "tests/test_graded.py::TestIntegerRank::test_thin_products_are_rank_deficient",
-        ],
+        "    if len(pivots) == full:\n        return full\n",
+        "    return full\n",
+        [f"{RANK}::test_random_matrices_match_bareiss", f"{RANK}::test_thin_products_are_rank_deficient"],
+    ),
+    (
+        "lead rows counted from a list instead of a set",
+        GRADED,
+        "    if len({min(column) for column in columns if column}) == full:",
+        "    if len([min(column) for column in columns if column]) == full:",
+        [f"{RANK}::test_random_matrices_match_bareiss", f"{RANK}::test_thin_products_are_rank_deficient"],
+    ),
+    (
+        "exact check of the kernel vector over Z skipped",
+        GRADED,
+        "    return not any(image.values())",
+        "    return True",
+        [f"{RANK}::test_short_modular_rank_falls_back_to_bareiss"],
+    ),
+    (
+        "reconstruction denominator bound dropped",
+        GRADED,
+        "    if abs(t1) > bound:\n        return None\n",
+        "",
+        [f"{RANK}::test_rational_reconstruction"],
+    ),
+    (
+        "sparse slice row index read from the u-exponent",
+        GRADED,
+        "columns.append({tops[i] - k0 - ds: c for i, ds, c in entries})",
+        "columns.append({tops[i] - (n0 - k0) - ds: c for i, ds, c in entries})",
+        ["tests/test_graded.py::TestSliceMatrix::test_sparse_slices_match_the_fraction_reference"],
+    ),
+    (
+        "symbolic identities cache removed",
+        GRADED,
+        "@functools.cache\ndef symbolic_complex_identities(",
+        "def symbolic_complex_identities(",
+        ["tests/test_graded.py::TestCertificateCache::test_symbolic_identities_evaluated_once"],
     ),
     (
         "ext-claim window check removed",
@@ -90,11 +125,11 @@ MUTANTS = (
         ["tests/test_cli.py::TestFaultInjection::test_bad_r_exits_2"],
     ),
     (
-        "Bareiss fallback after a short modular rank removed",
+        "Bareiss fallback after a failed kernel proof removed",
         GRADED,
         "    rows = [[0] * len(columns) for _ in range(n_rows)]\n",
         "    return len(pivots)\n",
-        ["tests/test_graded.py::TestIntegerRank::test_short_modular_rank_falls_back_to_bareiss"],
+        [f"{RANK}::test_short_modular_rank_falls_back_to_bareiss"],
     ),
     (
         "--points count cap dropped",
@@ -135,7 +170,38 @@ MUTANTS = (
         CLI,
         "        if specialize(symbolic, split_bundle([-d for d in degrees], 5))",
         "        if specialize(symbolic, split_bundle([d for d in degrees], 5))",
-        ["tests/test_cli.py::TestSpecializedOracles::test_koszul_equals_the_per_bundle_pipeline"],
+        [f"{ORACLES}::test_koszul_equals_the_per_bundle_pipeline"],
+    ),
+    (
+        "wedge oracle specializes lambda^2 at the dual bundle",
+        CLI,
+        "        w2 = tuple(specialize(c, bundle) for c in lambda2.chern)",
+        "        w2 = tuple(specialize(c, split_bundle([-t for t in twists], 5)) for c in lambda2.chern)",
+        [f"{ORACLES}::test_wedge_equals_the_per_bundle_pipeline"],
+    ),
+    (
+        "wedge_powers per-bundle cache removed",
+        CHOW,
+        "@functools.cache\ndef wedge_powers(",
+        "def wedge_powers(",
+        [f"{ORACLES}::test_replicate_all_counts_in_a_fresh_process"],
+    ),
+    (
+        "koszul_euler per-bundle cache removed",
+        CHOW,
+        "@functools.cache\ndef koszul_euler(",
+        "def koszul_euler(",
+        [f"{ORACLES}::test_replicate_all_counts_in_a_fresh_process"],
+    ),
+    (
+        "packed-key product merges keys by bitwise or",
+        KERNELS,
+        "            key = ea + eb",
+        "            key = ea | eb",
+        [
+            "tests/test_kernels.py::TestPureKernels::test_mul_cancellation",
+            "tests/test_arith.py::TestArithmetic::test_product_expansion",
+        ],
     ),
     (
         "packed-key degree guard of the product dropped",

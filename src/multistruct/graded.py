@@ -27,12 +27,17 @@ in a process.
 Every slice rank is exact.  The entries' denominators are cleared by
 their lcm once per matrix, and each degree slice is built as sparse integer
 columns: a multiplication map has only a few nonzeros per column.  Its rank
-is computed by one sparse elimination modulo the prime 2^61 - 1 first: a
-modular rank equal to the smaller dimension proves full rank, since a minor
-that is nonzero mod p is nonzero over Z.  Any smaller rank is recomputed by
-fraction-free Bareiss elimination on the dense slice.  Slice ranks are
-cached per (matrix, degree), so the slice window and the splitting type
-share them.
+is proved by the first of three arguments that applies.  When the columns
+have min(rows, cols) distinct lead rows, the slice holds a triangular minor
+with nonzero integer diagonal, and no arithmetic is done.  Otherwise one
+sparse elimination modulo the prime 2^61 - 1 gives the rank rho mod p, a
+lower bound over Q, since a minor that is nonzero mod p is nonzero over Z;
+rho = min(rows, cols) is the rank.  A shorter rho is proved an upper bound
+too: each column that reduced to zero yields a kernel vector, rebuilt over
+Z by rational reconstruction and checked exactly.  Only if a rebuilt vector
+fails is the rank recomputed by fraction-free Bareiss elimination on the
+dense slice.  Slice ranks are cached per (matrix, degree), so the slice
+window and the splitting type share them.
 """
 
 from __future__ import annotations
@@ -221,48 +226,134 @@ def matrix_rank(rows: list[list[Fraction]]) -> int:
 
 
 MODULUS = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
+# Numerators and denominators of a reconstructed fraction stay within this
+# bound, so two such fractions congruent mod MODULUS are equal.
+RECONSTRUCTION_BOUND = math.isqrt(MODULUS // 2)
 
 
-def integer_rank(columns: list[dict[int, int]], n_rows: int) -> int:
-    """Exact rank of a sparse integer matrix, proved full mod a prime or by Bareiss.
+def _eliminate_mod_p(columns: list[dict[int, int]], full: int, record: bool) -> tuple[dict, list]:
+    """Sparse elimination of the columns mod MODULUS, in their order.
 
-    columns[c] maps row index to a nonzero int.  Each column is reduced mod
-    MODULUS and eliminated against a pivot table keyed by leading (smallest)
-    row index, which gives the rank over F_p.  That rank never exceeds the
-    rank over Q: every minor that is nonzero mod p is a nonzero integer.  A
-    modular rank of min(rows, cols) is therefore the rank; any smaller one
-    is recomputed exactly by bareiss_rank on the dense slice.  No step is
-    random.
+    Each column is reduced against a pivot table keyed by leading (smallest)
+    row index.  A pivot keeps its lead unnormalised; the lead is inverted
+    only once a later column hits it.  Returns the table, lead row ->
+    (column index, lead, rest, multipliers), and the list of (column index,
+    multipliers) of the columns that reduced to zero.  The multipliers are
+    the (lead row, factor) steps of the column's reduction, kept only when
+    record is set.  The pass stops once the table holds full pivots or,
+    unless record is set, once the rank mod p can no longer be full.
     """
-    full = min(n_rows, len(columns))
-    if full == 0:
-        return 0
     p = MODULUS
-    pivots: dict[int, list[tuple[int, int]]] = {}  # lead row -> rest, lead scaled to 1
+    pivots: dict[int, tuple] = {}
+    inverses: dict[int, int] = {}  # lead row -> inverse of its lead, once hit
+    zeros = []
     spare = len(columns) - full  # columns that may still reduce to zero
-    for column in columns:
-        v = {r: x % p for r, x in column.items() if x % p}
+    for c, column in enumerate(columns):
+        v = {r: y for r, x in column.items() if (y := x % p)}
+        steps = []
         while v:
             lead = min(v)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = pow(v.pop(lead), -1, p)
-                pivots[lead] = [(r, x * inv % p) for r, x in v.items()]
+                pivots[lead] = (c, v.pop(lead), list(v.items()), steps)
                 break
-            f = v.pop(lead)
-            for r, x in pivot:
+            inv = inverses.get(lead)
+            if inv is None:
+                inv = inverses[lead] = pow(pivot[1], -1, p)
+            f = v.pop(lead) * inv % p
+            if record:
+                steps.append((lead, f))
+            for r, x in pivot[2]:
                 y = (v.get(r, 0) - f * x) % p
                 if y:
                     v[r] = y
                 else:
                     del v[r]
         else:  # the column reduced to zero
-            spare -= 1
-            if spare < 0:
-                break  # the rank mod p can no longer be full
+            zeros.append((c, steps))
+            if len(zeros) > spare and not record:
+                break
             continue
         if len(pivots) == full:
-            return full
+            break
+    return pivots, zeros
+
+
+def rational_reconstruction(x: int) -> tuple[int, int] | None:
+    """(n, d) with n = d*x mod MODULUS, |n| and 0 < d at most RECONSTRUCTION_BOUND.
+
+    The half-extended Euclidean algorithm (Wang, Guy and Davenport, 1982);
+    None when no such fraction exists.
+    """
+    bound = RECONSTRUCTION_BOUND
+    r0, r1, t0, t1 = MODULUS, x % MODULUS, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _kernel_vector_checks(columns: list[dict[int, int]], c: int, steps: list, pivots: dict) -> bool:
+    """Whether column c gives an integer kernel vector of the matrix.
+
+    Column c reduced to zero mod p through the pivots' reduced columns with
+    the given multipliers.  Back-substituting the pivots newest first (a
+    pivot's own multipliers name older pivots only) writes column c as a
+    combination of the pivots' original columns: a kernel vector mod p with
+    x_c = 1, supported on c and the pivot columns.  Its entries are
+    reconstructed as fractions and the denominators cleared; True only if
+    the integer vector, nonzero at c, is checked to be a kernel vector over Z.
+    """
+    p = MODULUS
+    y = dict(steps)  # lead row -> factor of that pivot's reduced column
+    x = {c: 1}
+    for lead in reversed(pivots):
+        f = y.pop(lead, 0)
+        if f:
+            col, _, _, pivot_steps = pivots[lead]
+            x[col] = -f % p
+            for older, g in pivot_steps:
+                y[older] = (y.get(older, 0) - f * g) % p
+    fractions = {k: rational_reconstruction(v) for k, v in x.items()}
+    if None in fractions.values():
+        return False
+    den = math.lcm(*[d for _, d in fractions.values()])
+    w = {k: n * (den // d) for k, (n, d) in fractions.items() if n}
+    image: dict[int, int] = {}
+    for k, wk in w.items():
+        for r, e in columns[k].items():
+            image[r] = image.get(r, 0) + wk * e
+    return not any(image.values())
+
+
+def integer_rank(columns: list[dict[int, int]], n_rows: int) -> int:
+    """Exact rank of a sparse integer matrix, by three proofs in turn.
+
+    columns[c] maps row index to a nonzero int.  (1) If the columns have
+    min(rows, cols) distinct lead (smallest) rows, that is the rank: one
+    column per lead, taken in lead order, restricts to a triangular minor
+    on the lead rows with nonzero integer diagonal.  (2) Otherwise one
+    sparse elimination mod MODULUS gives the rank rho over F_p, which never
+    exceeds the rank over Q (a minor nonzero mod p is a nonzero integer);
+    rho = min(rows, cols) is the rank.  (3) A shorter rho is proved from
+    above: each column that reduced to zero gives a kernel vector, rebuilt
+    over Z by rational reconstruction and checked exactly.  These vectors
+    are independent (each is nonzero at its own column and zero at the
+    others), so the rank over Q is at most rho.  Only if a reconstruction
+    or a check fails is the rank computed by bareiss_rank on the dense
+    slice.  No step is random.
+    """
+    full = min(n_rows, len(columns))
+    if len({min(column) for column in columns if column}) == full:
+        return full
+    pivots, _ = _eliminate_mod_p(columns, full, record=False)
+    if len(pivots) == full:
+        return full
+    pivots, zeros = _eliminate_mod_p(columns, full, record=True)
+    if all(_kernel_vector_checks(columns, c, steps, pivots) for c, steps in zeros):
+        return len(pivots)
     rows = [[0] * len(columns) for _ in range(n_rows)]
     for c, column in enumerate(columns):
         for r, x in column.items():
@@ -357,12 +448,13 @@ def compose(outer: GradedMatrix, inner: GradedMatrix) -> tuple[tuple[MultiPoly, 
     )
 
 
+@functools.cache
 def symbolic_complex_identities() -> bool:
     """beta.alpha = 0 and the beta minors are -2b^2, 4ab, -2a^2, symbolically.
 
     Verified with free stand-ins for a and b, so the identities hold for
     every section pair; the minor shapes show beta is fiberwise surjective
-    wherever a and b do not vanish together.
+    wherever a and b do not vanish together.  Evaluated once per process.
     """
     a, b = var("a1"), var("a2")
     composite = (

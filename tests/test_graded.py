@@ -32,6 +32,7 @@ from multistruct.graded import (
     integer_rank,
     matrix_rank,
     pointwise_exactness,
+    rational_reconstruction,
     slice_dim,
     slice_exactness_window,
     slice_matrix,
@@ -145,32 +146,69 @@ class TestIntegerRank:
             rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
             assert integer_rank(*_columns(rows)) == bareiss_rank(rows) <= k
 
-    @pytest.mark.parametrize(
-        "rows, rank",
-        # full rank over Q, not mod p; then deficient over Q and more so mod p
-        [([[P]], 1), ([[1, 1], [1, 1 + P]], 2), ([[2, 3], [4, 6 + P]], 2), ([[P, 0], [0, 0]], 1)],
-    )
-    def test_short_modular_rank_falls_back_to_bareiss(self, monkeypatch, rows, rank):
-        calls = []
-        monkeypatch.setattr(graded, "bareiss_rank", lambda m: calls.append(m) or bareiss_rank(m))
-        assert integer_rank(*_columns(rows)) == bareiss_rank(rows) == rank
-        assert calls == [rows]  # the modular rank fell short, so Bareiss decided on the dense slice
+    def test_thin_products_with_large_entries_need_no_bareiss(self, monkeypatch):
+        # a left factor of full column rank keeps the small right factor's kernel,
+        # whose vectors reconstruct, so every product is proved without Bareiss
+        monkeypatch.setattr(graded, "bareiss_rank", lambda m: pytest.fail("Bareiss was called"))
+        rng = random.Random(70)
+        for _ in range(200):
+            m, n = rng.randint(2, 8), rng.randint(2, 8)
+            k = rng.randint(1, min(m, n) - 1)
+            left = [[rng.randint(-(2**70), 2**70) for _ in range(k)] for _ in range(m)]
+            right = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
+            rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+            assert bareiss_rank(left) == k
+            assert integer_rank(*_columns(rows)) == bareiss_rank(rows) <= k
 
     @pytest.mark.parametrize(
         "rows, rank",
         [
             ([[0, 1, 0], [0, 2, 0], [0, 3, 0]], 1),  # all-zero columns
             ([[1, 2, 3], [2, 4, 5], [3, 6, 7]], 2),  # the second column cancels to 0
-            ([[1, 1 + P], [1, 1]], 2),  # it cancels to 0 mod p only
-            ([[P, 2 * P], [3 * P, P]], 2),  # every entry vanishes mod p
             ([[1, 2, 3, 4], [2, 4, 6, 8]], 1),  # wide, rank below its row count
+            ([[P]], 1),  # vanishes mod p, but its one lead row makes it triangular
         ],
     )
-    def test_columns_reducing_to_zero_reach_bareiss(self, monkeypatch, rows, rank):
+    def test_short_mod_p_proved_without_bareiss(self, monkeypatch, rows, rank):
+        monkeypatch.setattr(graded, "bareiss_rank", lambda m: pytest.fail("Bareiss was called"))
+        assert integer_rank(*_columns(rows)) == bareiss_rank(rows) == rank
+
+    @pytest.mark.parametrize(
+        "rows, rank",
+        # each rank mod p is below the rank over Q, except where noted
+        [
+            ([[P, 0], [0, 0]], 1),
+            ([[1, 1], [1, 1 + P]], 2),
+            ([[2, 3], [4, 6 + P]], 2),
+            # equal ranks, but the kernel vector (-b/a, 1) is past the reconstruction bound
+            ([[2**40 + 1, 2**40 + 3], [2 * (2**40 + 1), 2 * (2**40 + 3)]], 1),
+            ([[1, 1 + P], [1, 1]], 2),  # the second column cancels to 0 mod p only
+            ([[P, 2 * P], [3 * P, P]], 2),  # every entry vanishes mod p
+        ],
+    )
+    def test_short_modular_rank_falls_back_to_bareiss(self, monkeypatch, rows, rank):
         calls = []
         monkeypatch.setattr(graded, "bareiss_rank", lambda m: calls.append(m) or bareiss_rank(m))
         assert integer_rank(*_columns(rows)) == bareiss_rank(rows) == rank
-        assert calls == [rows]
+        assert calls == [rows]  # no kernel vector checked out over Z, so Bareiss decided
+
+    def test_rational_reconstruction(self):
+        bound = graded.RECONSTRUCTION_BOUND
+        assert 2 * bound * bound < self.P < 2 * (bound + 1) ** 2
+        rng = random.Random(2)
+        for _ in range(500):
+            n, d = rng.randint(-bound, bound), rng.randint(1, bound)
+            g = math.gcd(n, d)
+            assert rational_reconstruction(n * pow(d, -1, self.P)) == (n // g, d // g)
+        found = 0
+        for _ in range(500):
+            x = rng.randrange(self.P)
+            fraction = rational_reconstruction(x)
+            if fraction is not None:
+                n, d = fraction
+                assert abs(n) <= bound and 0 < d <= bound and (n - d * x) % self.P == 0
+                found += 1
+        assert 0 < found < 500  # most residues have a small fraction, not all
 
     def test_full_rank_mod_p_skips_bareiss(self, monkeypatch):
         monkeypatch.setattr(graded, "bareiss_rank", lambda m: pytest.fail("Bareiss was called"))
@@ -582,6 +620,18 @@ class TestCertificateCache:
             with pytest.raises(GradedCertificateError, match="common zero"):
                 injectivity_certificate(1, bad)
         assert calls == [bad] * 3
+
+    def test_symbolic_identities_evaluated_once(self, monkeypatch):
+        stand_ins = []
+        original = graded.var
+        monkeypatch.setattr(graded, "var", lambda name: stand_ins.append(name) or original(name))
+        certified_split.cache_clear()
+        symbolic_complex_identities.cache_clear()
+        for rv in (1, 2, 3):
+            assert injectivity_certificate(rv) is True
+        assert certified_split.cache_info().misses == 3
+        # the free stand-ins a1, a2 are built by the first chain only
+        assert [name for name in stand_ins if name.startswith("a")] == ["a1", "a2"]
 
     def test_graded_target_splits_each_pair_once(self, monkeypatch):
         calls = []
