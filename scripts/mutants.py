@@ -36,6 +36,8 @@ INTEGRALITY = "src/multistruct/integrality.py"
 KERNELS = "src/multistruct/_kernels.py"
 SPLITTING = "tests/test_graded.py::TestSplitting"
 RANK = "tests/test_graded.py::TestIntegerRank"
+SECTIONS = "tests/test_graded.py::TestSectionPairs"
+PLANTED = "test_common_zero_check_matches_planted_roots_and_dense_sylvester"
 ORACLES = "tests/test_cli.py::TestSpecializedOracles"
 
 # (name, file, snippet, replacement, test node ids that must catch it)
@@ -101,6 +103,20 @@ MUTANTS = (
         "    if abs(t1) > bound:\n        return None\n",
         "",
         [f"{RANK}::test_rational_reconstruction"],
+    ),
+    (
+        "Sylvester slice read one degree too high",
+        GRADED,
+        "    return slice_rank(sylvester, m + n - 1) == m + n\n",
+        "    return slice_rank(sylvester, m + n) == m + n\n",
+        [f"{SECTIONS}::test_common_zero_check", f"{SECTIONS}::{PLANTED}"],
+    ),
+    (
+        "Sylvester rank allowed one short",
+        GRADED,
+        "    return slice_rank(sylvester, m + n - 1) == m + n\n",
+        "    return slice_rank(sylvester, m + n - 1) >= m + n - 1\n",
+        [f"{SECTIONS}::test_common_zero_check", f"{SECTIONS}::{PLANTED}"],
     ),
     (
         "sparse slice row index read from the u-exponent",

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic and sparse multivariate polynomials.
+"""Sparse multivariate polynomials over Q, their packed keys and their text form.
 
 A polynomial is stored as integer numerators over one common denominator:
 a dict mapping packed exponent keys to nonzero ints, plus a positive int,
@@ -526,57 +526,3 @@ def parse_poly(text: str) -> MultiPoly:
         raise ValueError("trailing input after polynomial")
     return poly
 
-
-# -- resultants -------------------------------------------------------------
-
-
-def _dense_univariate(p: MultiPoly) -> tuple[str | None, list[int], int]:
-    """Integer coefficients of a univariate polynomial, ascending, and their denominator."""
-    used = p.variables_used()
-    if len(used) > 1:
-        raise ValueError(f"polynomial is not univariate: uses {used}")
-    num, den = p.numerators()
-    if not used:
-        return None, [num.get(0, 0)], den
-    name = used[0]
-    coeffs = [0] * (p.degree() + 1)
-    for key, c in num.items():
-        coeffs[exponent(key, name)] = c
-    return name, coeffs, den
-
-
-def univariate_resultant(f: MultiPoly, g: MultiPoly) -> Fraction:
-    """Resultant of two univariate polynomials via the Sylvester determinant.
-
-    Nonzero exactly when f and g share no root over the algebraic closure.
-    """
-    if f.is_zero() and g.is_zero():
-        raise ValueError("resultant of two zero polynomials is undefined")
-    if f.is_zero() or g.is_zero():
-        return Fraction(0)
-    name_f, fi, lf = _dense_univariate(f)
-    name_g, gi, lg = _dense_univariate(g)
-    if name_f is not None and name_g is not None and name_f != name_g:
-        raise ValueError(f"mixed variables {name_f!r} and {name_g!r}")
-    m = len(fi) - 1
-    n = len(gi) - 1
-    if m == 0 and n == 0:
-        return Fraction(1)
-    if m == 0:
-        return Fraction(fi[0], lf) ** n
-    if n == 0:
-        return Fraction(gi[0], lg) ** m
-    size = m + n
-    rows = []
-    for shift in range(m):
-        row = [0] * size
-        for k, c in enumerate(reversed(gi)):
-            row[shift + k] = c
-        rows.append(row)
-    for shift in range(n):
-        row = [0] * size
-        for k, c in enumerate(reversed(fi)):
-            row[shift + k] = c
-        rows.append(row)
-    det = _kernels.bareiss_det(rows)
-    return Fraction(det, lf**n * lg**m)

@@ -14,7 +14,7 @@ k*r + 2m.
 The long-exact-sequence solver does pure rank bookkeeping: for an exact
 chain 0 -> V_0 -> ... -> V_(L-1) -> 0 with arrow ranks rho_i it propagates
   dim V_i = rho_(i-1) + rho_i
-together with declared arrow facts (injective / surjective / zero) until
+together with declared arrow facts (injective / zero) until
 the single unknown term is pinned down.  Facts are always explicit inputs;
 injectivity of a connecting map is never inferred here, it must arrive as
 a certificate (the graded module produces it).
@@ -249,7 +249,7 @@ def h_p2(d: LinForm, assumption: Assumption) -> tuple[MultiPoly, MultiPoly, Mult
 
 # -- exact-sequence solving --------------------------------------------------
 
-FactKind = Literal["injective", "surjective", "zero"]
+FactKind = Literal["injective", "zero"]
 
 
 class ExactSeqSpec:
@@ -257,9 +257,10 @@ class ExactSeqSpec:
 
     terms: exactly three entries, each a ConicBundle (cohomology computed
     via h_p1 of the pullback degree), an explicit CohomPair, or None for
-    the single unknown.  map_facts: declared facts about arrows of the
-    induced six-term cohomology sequence, indexed 0..4 in order
-    H0A->H0B, H0B->H0C, H0C->H1A (connecting), H1A->H1B, H1B->H1C.
+    the single unknown.  map_facts: declared (kind, arrow) facts about
+    arrows of the induced six-term cohomology sequence, kind "injective"
+    or "zero", arrow indexed 0..4 in order H0A->H0B, H0B->H0C, H0C->H1A
+    (connecting), H1A->H1B, H1B->H1C.
     """
 
     __slots__ = ("terms", "map_facts")
@@ -307,10 +308,6 @@ def _solve_chain(
             if dims[arrow] is None:
                 raise UnderdeterminedError("injectivity fact on an unknown source term")
             set_rank(arrow + 1, dims[arrow], f"fact injective@{arrow}")
-        elif kind == "surjective":
-            if dims[arrow + 1] is None:
-                raise UnderdeterminedError("surjectivity fact on an unknown target term")
-            set_rank(arrow + 1, dims[arrow + 1], f"fact surjective@{arrow}")
         else:
             raise ValueError(f"unknown fact kind {kind!r}")
 

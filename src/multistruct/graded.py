@@ -8,7 +8,8 @@ and must be homogeneous of degree target_twist_i - source_twist_j (the sign
 convention used throughout this module) or zero.
 
 The central object is the Koszul-style complex built from a section pair
-(a, b) of degrees r+2 and r+4 with no common zero:
+(a, b) of degrees r+2 and r+4 with no common zero (itself a slice rank,
+of the Sylvester map of a and b; see common_zero_check):
 
     0 -> S(-2r-12) --alpha--> S(-8)+S(-6)+S(-4) --beta--> S(r-4)+S(r-2) -> 0
 
@@ -48,7 +49,7 @@ from fractions import Fraction
 
 from . import EngineError, Value
 from ._kernels import bareiss_rank
-from .arith import MultiPoly, exponent, format_poly, univariate_resultant, var
+from .arith import MultiPoly, exponent, format_poly, var
 from .cohomology import Assumption, LinForm, h_p1
 
 DEFAULT_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
@@ -231,7 +232,7 @@ MODULUS = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
 RECONSTRUCTION_BOUND = math.isqrt(MODULUS // 2)
 
 
-def _eliminate_mod_p(columns: list[dict[int, int]], full: int, record: bool) -> tuple[dict, list]:
+def _eliminate_mod_p(columns: list[dict[int, int]], full: int) -> tuple[dict, list]:
     """Sparse elimination of the columns mod MODULUS, in their order.
 
     Each column is reduced against a pivot table keyed by leading (smallest)
@@ -239,15 +240,13 @@ def _eliminate_mod_p(columns: list[dict[int, int]], full: int, record: bool) -> 
     only once a later column hits it.  Returns the table, lead row ->
     (column index, lead, rest, multipliers), and the list of (column index,
     multipliers) of the columns that reduced to zero.  The multipliers are
-    the (lead row, factor) steps of the column's reduction, kept only when
-    record is set.  The pass stops once the table holds full pivots or,
-    unless record is set, once the rank mod p can no longer be full.
+    the (lead row, factor) steps of the column's reduction.  The pass stops
+    once the table holds full pivots.
     """
     p = MODULUS
     pivots: dict[int, tuple] = {}
     inverses: dict[int, int] = {}  # lead row -> inverse of its lead, once hit
     zeros = []
-    spare = len(columns) - full  # columns that may still reduce to zero
     for c, column in enumerate(columns):
         v = {r: y for r, x in column.items() if (y := x % p)}
         steps = []
@@ -261,8 +260,7 @@ def _eliminate_mod_p(columns: list[dict[int, int]], full: int, record: bool) -> 
             if inv is None:
                 inv = inverses[lead] = pow(pivot[1], -1, p)
             f = v.pop(lead) * inv % p
-            if record:
-                steps.append((lead, f))
+            steps.append((lead, f))
             for r, x in pivot[2]:
                 y = (v.get(r, 0) - f * x) % p
                 if y:
@@ -271,8 +269,6 @@ def _eliminate_mod_p(columns: list[dict[int, int]], full: int, record: bool) -> 
                     del v[r]
         else:  # the column reduced to zero
             zeros.append((c, steps))
-            if len(zeros) > spare and not record:
-                break
             continue
         if len(pivots) == full:
             break
@@ -338,20 +334,20 @@ def integer_rank(columns: list[dict[int, int]], n_rows: int) -> int:
     sparse elimination mod MODULUS gives the rank rho over F_p, which never
     exceeds the rank over Q (a minor nonzero mod p is a nonzero integer);
     rho = min(rows, cols) is the rank.  (3) A shorter rho is proved from
-    above: each column that reduced to zero gives a kernel vector, rebuilt
-    over Z by rational reconstruction and checked exactly.  These vectors
-    are independent (each is nonzero at its own column and zero at the
-    others), so the rank over Q is at most rho.  Only if a reconstruction
-    or a check fails is the rank computed by bareiss_rank on the dense
-    slice.  No step is random.
+    above: the same pass recorded the multipliers of each column that
+    reduced to zero, which give a kernel vector, rebuilt over Z by rational
+    reconstruction and checked exactly.  These vectors are independent
+    (each is nonzero at its own column and zero at the others), so the
+    rank over Q is at most rho.  Only if a reconstruction or a check fails
+    is the rank computed by bareiss_rank on the dense slice.  No step is
+    random.
     """
     full = min(n_rows, len(columns))
     if len({min(column) for column in columns if column}) == full:
         return full
-    pivots, _ = _eliminate_mod_p(columns, full, record=False)
+    pivots, zeros = _eliminate_mod_p(columns, full)
     if len(pivots) == full:
         return full
-    pivots, zeros = _eliminate_mod_p(columns, full, record=True)
     if all(_kernel_vector_checks(columns, c, steps, pivots) for c, steps in zeros):
         return len(pivots)
     rows = [[0] * len(columns) for _ in range(n_rows)]
@@ -373,8 +369,9 @@ def slice_rank(M: GradedMatrix, d: int) -> int:
 class SectionPair(Value):
     """Homogeneous sections a, b of degrees r+2 and r+4 on the line.
 
-    The no-common-zero condition is certified separately by
-    common_zero_check; degenerate pairs stay constructible so failure
+    Ferrand's doubling needs a and b without a common zero.  That is not
+    checked here but by common_zero_check, a slice rank of their Sylvester
+    map, so pairs with a common zero stay constructible and the failure
     paths can be exercised.
     """
 
@@ -478,19 +475,16 @@ def symbolic_complex_identities() -> bool:
 def common_zero_check(p: SectionPair) -> bool:
     """True iff a and b have no common zero on the projective line.
 
-    In the chart u = 1 a common zero is detected by the resultant of the
-    dehomogenizations; the remaining point [1:0] is a common zero exactly
-    when u divides both.  Both checks together are complete.
+    With m = r+2 and n = r+4, the Sylvester map (f, g) -> f*a + g*b from
+    forms of degree n-1 and m-1 to forms of degree m+n-1 is square, of
+    size m+n.  It is injective exactly when a and b share no factor, that
+    is no common zero on the line, [1:0] included.  It is the degree
+    m+n-1 slice of the row (a, b) from S(-m) + S(-n) to S, so one exact
+    slice rank decides it.
     """
-    u_divides_a = all(du > 0 for (_, du) in _su_terms(p.a)[0])
-    u_divides_b = all(du > 0 for (_, du) in _su_terms(p.b)[0])
-    if u_divides_a and u_divides_b:
-        return False
-    a_affine = p.a.substitute({"u": 1})
-    b_affine = p.b.substitute({"u": 1})
-    if a_affine.is_constant() or b_affine.is_constant():
-        return True  # a nonzero constant section vanishes nowhere in the chart
-    return univariate_resultant(a_affine, b_affine) != 0
+    m, n = p.r + 2, p.r + 4
+    sylvester = GradedMatrix((-m, -n), (0,), ((p.a, p.b),))
+    return slice_rank(sylvester, m + n - 1) == m + n
 
 
 def pointwise_exactness(

@@ -22,7 +22,6 @@ from multistruct.arith import (
     format_poly,
     pack,
     parse_poly,
-    univariate_resultant,
     unpack,
     var,
 )
@@ -145,22 +144,6 @@ class TestFormatParse:
         for bad in ("", "t +", "2 ** t", "q + 1", "t^(2)"):
             with pytest.raises(ValueError):
                 parse_poly(bad)
-
-
-class TestResultant:
-    def test_linear_pair(self):
-        x = var("x")
-        assert univariate_resultant(x, x - 1) == 1
-
-    def test_common_root_detected(self):
-        x = var("x")
-        f = (x - 2) * (x + 1)
-        g = (x - 2) * (x - 5)
-        assert univariate_resultant(f, g) == 0
-
-    def test_no_common_root(self):
-        x = var("x")
-        assert univariate_resultant(x * x + 1, x - 3) != 0
 
 
 # -- the stored form against a Fraction-dict reference ---------------------------

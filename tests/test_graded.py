@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from multistruct import graded
-from multistruct.arith import MultiPoly, var
+from multistruct.arith import MultiPoly, exponent, var
 from multistruct.cli import _second_pair, main
 from multistruct.graded import (
     DEFAULT_POINTS,
@@ -313,6 +313,59 @@ class TestSliceMatrix:
         slice_rank.cache_clear()
 
 
+# [1:0], [0:1] and four more points of the line, as (x, y) for [x:y]
+_ROOTS = ((1, 0), (0, 1), (Fraction(2, 3), 1), (Fraction(-5, 4), 1), (3, 1), (Fraction(1, 7), 1))
+
+
+def _linear_form(point: tuple[Fraction, Fraction]) -> MultiPoly:
+    """y*s - x*u, which vanishes at the point [x:y] of the line only."""
+    return point[1] * s - point[0] * u
+
+
+def _planted_pair(rng: random.Random, rv: int, common: tuple[Fraction, Fraction] | None) -> SectionPair:
+    """A pair whose sections share a zero exactly when a common root is given.
+
+    Each section is a random fraction times linear forms vanishing at its own
+    half of _ROOTS, times at most one irreducible quadratic (s^2 + u^2 for a,
+    s^2 + su + u^2 for b, with no common root); the common root, if any, is
+    planted in both.
+    """
+    roots = list(_ROOTS)
+    rng.shuffle(roots)
+    sections = []
+    sides = ((rv + 2, roots[:3], s * s + u * u), (rv + 4, roots[3:], s * s + s * u + u * u))
+    for degree, own, quadratic in sides:
+        section = MultiPoly.const(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)))
+        if common is not None:
+            section, degree = section * _linear_form(common), degree - 1
+        if degree >= 2 and rng.random() < 0.5:
+            section, degree = section * quadratic, degree - 2
+        for _ in range(degree):
+            section = section * _linear_form(rng.choice(own))
+        sections.append(section)
+    return SectionPair(rv, *sections)
+
+
+def _dense_sylvester(pair: SectionPair) -> list[list[int]]:
+    """The square Sylvester matrix of the cleared sections, built densely.
+
+    Column j of a's block holds s^j u^(n-1-j) * a and column j of b's block
+    s^j u^(m-1-j) * b, with m = r+2, n = r+4; row k is the coefficient of
+    s^k u^(m+n-1-k).  Clearing a section's denominator scales its columns,
+    which leaves the rank alone.
+    """
+    m, n = pair.r + 2, pair.r + 4
+    rows = [[0] * (m + n) for _ in range(m + n)]
+    col = 0
+    for section, shifts in ((pair.a, n), (pair.b, m)):
+        num, _ = section.numerators()
+        for j in range(shifts):
+            for key, c in num.items():
+                rows[exponent(key, "s") + j][col] = c
+            col += 1
+    return rows
+
+
 class TestSectionPairs:
     def test_default_pair(self):
         pair = default_pair(3)
@@ -347,6 +400,17 @@ class TestSectionPairs:
         assert not common_zero_check(
             SectionPair(0, (s - u) * s, (s - u) * u**3)
         )
+
+    def test_common_zero_check_matches_planted_roots_and_dense_sylvester(self):
+        # The truth is planted, and the dense Sylvester matrix is built
+        # without slice_matrix and ranked by Bareiss, not by integer_rank.
+        rng = random.Random(20261018)
+        for trial in range(162):
+            rv = trial % 9
+            common = _ROOTS[trial // 2 % len(_ROOTS)] if trial % 2 else None
+            pair = _planted_pair(rng, rv, common)
+            full = bareiss_rank(_dense_sylvester(pair)) == 2 * rv + 6
+            assert common_zero_check(pair) == (common is None) == full
 
 
 class TestComplex:

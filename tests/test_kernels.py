@@ -1,11 +1,9 @@
-"""The integer kernels: sparse polynomial products, Bareiss rank and determinant."""
+"""The integer kernels: sparse polynomial products and Bareiss rank."""
 
 from __future__ import annotations
 
 import itertools
 import random
-
-import pytest
 
 from multistruct import _kernels
 from multistruct.arith import VARIABLES, pack
@@ -34,22 +32,6 @@ class TestPureKernels:
         assert _kernels.bareiss_rank([[1, 2], [2, 4]]) == 1
         assert _kernels.bareiss_rank([[1, 2], [3, 4]]) == 2
         assert _kernels.bareiss_rank([[1, 2, 3], [4, 5, 6]]) == 2
-
-    def test_det_examples(self):
-        assert _kernels.bareiss_det([]) == 1
-        assert _kernels.bareiss_det([[5]]) == 5
-        assert _kernels.bareiss_det([[1, 2], [3, 4]]) == -2
-        assert _kernels.bareiss_det([[0, 1], [1, 0]]) == -1
-        assert _kernels.bareiss_det([[1, 2], [2, 4]]) == 0
-        with pytest.raises(ValueError):
-            _kernels.bareiss_det([[1, 2]])
-
-    def test_det_via_permutation_expansion(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            n = rng.randint(1, 4)
-            m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            assert _kernels.bareiss_det(m) == _permutation_det(m)
 
     def test_rank_via_minors(self):
         # The rank is the largest k with a nonzero k x k minor; products of
