@@ -13,8 +13,11 @@ metrics), one run at a time, at the ``run_seconds`` of the checkout's
 
 OUT.json holds, per workload, the median over seeds of every end-to-end and
 per-layer metric with each seed's value, and failed/attempted summed over
-the runs; the Tier-1 wall time and summary line; and the identity of the
-measured code: the checkout's HEAD sha, a flag for uncommitted changes to
+the runs; the Tier-1 wall time and summary line; whether
+``PYTHONDONTWRITEBYTECODE`` was set (if it was, every fresh process compiles
+the package, so ``setup_s`` includes the compile); the AST node count of each
+module under ``src/``, the volume that compile time follows; and the
+identity of the measured code: the checkout's HEAD sha, a flag for uncommitted changes to
 tracked files, and the git tree hash of each of ``CODE_PATHS`` as the
 working tree held it.  A later reader finds the measured code as the commit
 whose trees equal those (``git rev-parse COMMIT:src``), whether or not the
@@ -28,6 +31,7 @@ dirty tree.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -95,6 +99,14 @@ def tier1(checkout: Path) -> dict:
     return {"wall_s": round(wall, 3), "exit": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
+def ast_nodes(checkout: Path) -> dict:
+    """AST node count of each Python module under the checkout's ``src/``."""
+    return {
+        str(path.relative_to(checkout / "src")): sum(1 for _ in ast.walk(ast.parse(path.read_bytes())))
+        for path in sorted((checkout / "src").rglob("*.py"))
+    }
+
+
 def record(checkout: Path) -> dict:
     identity = git_state(checkout)
     seconds = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
@@ -117,6 +129,8 @@ def record(checkout: Path) -> dict:
         "seeds": list(SEEDS),
         "run_seconds": seconds,
         "python": sys.version.split()[0],
+        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "ast_nodes": ast_nodes(checkout),
         "workloads": workloads,
         "tier1": tier1(checkout),
     }

@@ -37,6 +37,7 @@ KERNELS = "src/multistruct/_kernels.py"
 SPLITTING = "tests/test_graded.py::TestSplitting"
 RANK = "tests/test_graded.py::TestIntegerRank"
 SECTIONS = "tests/test_graded.py::TestSectionPairs"
+STEP = "tests/test_graded.py::TestSliceStep"
 PLANTED = "test_common_zero_check_matches_planted_roots_and_dense_sylvester"
 ORACLES = "tests/test_cli.py::TestSpecializedOracles"
 
@@ -57,10 +58,10 @@ MUTANTS = (
         [f"{SPLITTING}::test_profile_off_the_split_model_rejected", f"{SPLITTING}::test_torsion_cokernel_rejected"],
     ),
     (
-        "slice_rank cache removed",
+        "slice_rank memo not read",
         GRADED,
-        "@functools.cache\ndef slice_rank(",
-        "def slice_rank(",
+        "    rank = ranks.get(d)\n",
+        "    rank = None\n",
         [
             "tests/test_graded.py::TestSliceMatrix::test_slice_rank_cached_by_value",
             f"{SPLITTING}::test_each_twist_computed_once",
@@ -135,10 +136,51 @@ MUTANTS = (
     (
         "ext-claim window check removed",
         CLI,
-        "    if min([args.r] if isinstance(args.r, int) else args.window) < 0:\n"
-        '        raise ValueError("the vanishing claim is stated for r >= 0")\n',
+        '    "ext-claim": "the vanishing claim is stated for r >= 0",\n',
         "",
         ["tests/test_cli.py::TestFaultInjection::test_bad_r_exits_2"],
+    ),
+    (
+        "per-target r checks dropped from main",
+        CLI,
+        "        for target in targets:\n            _check_r(target, args)\n",
+        "",
+        ["tests/test_cli.py::TestFaultInjection::test_bad_input_enters_no_runner"],
+    ),
+    (
+        "MULTISTRUCT_SEED read by int() alone",
+        CLI,
+        "    if text and not _SEED.fullmatch(text):",
+        "    if False:",
+        ["tests/test_cli.py::TestSeed::test_rejected_naming_the_variable"],
+    ),
+    (
+        "slice step reads B at ds == 1",
+        GRADED,
+        "{i: c for i, ds, c in column if ds == 0}",
+        "{i: c for i, ds, c in column if ds == 1}",
+        [f"{STEP}::test_stepped_ranks_match_bareiss", f"{RANK}::test_certificate_slices_match_bareiss"],
+    ),
+    (
+        "slice step counts absent source components",
+        GRADED,
+        "        if d + a >= 0\n    ]",
+        "    ]",
+        [f"{STEP}::test_absent_component_is_masked", f"{STEP}::test_stepped_ranks_match_bareiss"],
+    ),
+    (
+        "slice step bound off by one",
+        GRADED,
+        "below + _pure_u_rank(M, d) >= full:",
+        "below + _pure_u_rank(M, d) >= full - 1:",
+        [f"{STEP}::test_short_slices_are_never_stepped_to_full", f"{STEP}::test_stepped_ranks_match_bareiss"],
+    ),
+    (
+        "slice step taken from degree d-2",
+        GRADED,
+        "        below = ranks.get(d - 1)",
+        "        below = ranks.get(d - 2)",
+        [f"{RANK}::test_certificate_slices_match_bareiss"],
     ),
     (
         "Bareiss fallback after a failed kernel proof removed",

@@ -10,10 +10,12 @@ itself" (exit code 3).
 
 Exit codes: 0 all records match; 1 at least one documented discrepancy;
 2 invalid input (including --r or a --window bound beyond R_CAP, more
-than POINTS_CAP --points, and a --points coordinate past POINT_DIGITS_CAP
-digits); 3 internal inconsistency (an EngineError raised by a self-check:
-negative dimension, failed certificate, underdetermined sequence, ...) or
-any other unexpected exception.
+than POINTS_CAP --points, a --points coordinate past POINT_DIGITS_CAP
+digits, and a MULTISTRUCT_SEED other than [-]digits, at most
+SEED_DIGITS_CAP of them), found before any target runs; 3 internal
+inconsistency (an EngineError raised by a self-check: negative dimension,
+failed certificate, underdetermined sequence, ...) or any other
+unexpected exception.
 """
 
 from __future__ import annotations
@@ -182,8 +184,6 @@ def _at_r(form: LinForm, r) -> str:
 
 
 def run_double_conic(args) -> list[ReplicationRecord]:
-    if isinstance(args.r, int) and args.r < 1:
-        raise ValueError("the double-conic family needs r >= 1")
     records: list[ReplicationRecord] = []
     t, r = var("t"), var("r")
 
@@ -447,7 +447,7 @@ def run_wedge(args) -> list[ReplicationRecord]:
         ),
     ]
 
-    seed = int(os.environ.get("MULTISTRUCT_SEED", "0"))
+    seed = args.seed
     rng = random.Random(seed)
     agree = 0
     trials = 50
@@ -682,8 +682,6 @@ def run_graded(args) -> list[ReplicationRecord]:
     r_values = [args.r] if isinstance(args.r, int) else list(args.window)
     points = args.points
     for rv in r_values:
-        if rv < 0:
-            raise ValueError("graded complexes need r >= 0")
         for label, pair in (("monomial", default_pair(rv)), ("dense", _second_pair(rv))):
             injectivity_certificate(rv, pair, points)  # True or raises
             split = certified_split(pair, tuple(points))  # the certificate's cached result
@@ -707,8 +705,6 @@ def run_graded(args) -> list[ReplicationRecord]:
 
 
 def run_ext_claim(args) -> list[ReplicationRecord]:
-    if min([args.r] if isinstance(args.r, int) else args.window) < 0:
-        raise ValueError("the vanishing claim is stated for r >= 0")
     records: list[ReplicationRecord] = []
     if isinstance(args.r, int):
         vanished = ext_vanishing_claim(args.r)
@@ -777,6 +773,18 @@ POINT_DIGITS_CAP = 100
 POINTS_CAP = 64
 _COORDINATE = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
 
+# Most digits accepted in MULTISTRUCT_SEED, which must read [-]digits.
+SEED_DIGITS_CAP = 18
+_SEED = re.compile(r"-?[0-9]{1,%d}" % SEED_DIGITS_CAP)
+
+# The exit-2 message of each target that needs r >= 0, from --r and from
+# both --window bounds; double-conic also needs --r >= 1.
+_NONNEGATIVE_R = {
+    "double-conic": "r must be a nonnegative integer",
+    "graded": "graded complexes need r >= 0",
+    "ext-claim": "the vanishing claim is stated for r >= 0",
+}
+
 
 def _check_cap(flag: str, value: int) -> int:
     if abs(value) > R_CAP:
@@ -835,6 +843,26 @@ def _parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
     return points
 
 
+def _read_seed() -> int:
+    """MULTISTRUCT_SEED as an int; unset or empty means 0."""
+    text = os.environ.get("MULTISTRUCT_SEED", "")
+    if text and not _SEED.fullmatch(text):
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise ValueError(
+            f"MULTISTRUCT_SEED must read [-]digits with at most {SEED_DIGITS_CAP} digits, got {shown!r}"
+        )
+    return int(text or "0")
+
+
+def _check_r(target: str, args) -> None:
+    """Raise ValueError if the target rejects the --r or --window given."""
+    if target == "double-conic" and isinstance(args.r, int) and args.r < 1:
+        raise ValueError("the double-conic family needs r >= 1")
+    lowest = args.r if isinstance(args.r, int) else args.window[0]
+    if target in _NONNEGATIVE_R and lowest < 0:
+        raise ValueError(_NONNEGATIVE_R[target])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multistruct",
@@ -876,6 +904,10 @@ def main(argv: list[str] | None = None) -> int:
     targets = list(RUNNERS) if args.target == "all" else [args.target]
     records: list[ReplicationRecord] = []
     try:
+        # every input is checked before the first runner starts
+        args.seed = _read_seed()
+        for target in targets:
+            _check_r(target, args)
         for target in targets:
             records.extend(RUNNERS[target](args))
     except EngineError as exc:

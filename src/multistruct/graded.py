@@ -25,20 +25,26 @@ splitting type is read from the section count at one twist, and twisted by
 cohomology module consumes.  The chain runs once per (pair, sample points)
 in a process.
 
-Every slice rank is exact.  The entries' denominators are cleared by
-their lcm once per matrix, and each degree slice is built as sparse integer
-columns: a multiplication map has only a few nonzeros per column.  Its rank
-is proved by the first of three arguments that applies.  When the columns
-have min(rows, cols) distinct lead rows, the slice holds a triangular minor
-with nonzero integer diagonal, and no arithmetic is done.  Otherwise one
-sparse elimination modulo the prime 2^61 - 1 gives the rank rho mod p, a
-lower bound over Q, since a minor that is nonzero mod p is nonzero over Z;
-rho = min(rows, cols) is the rank.  A shorter rho is proved an upper bound
-too: each column that reduced to zero yields a kernel vector, rebuilt over
-Z by rational reconstruction and checked exactly.  Only if a rebuilt vector
-fails is the rank recomputed by fraction-free Bareiss elimination on the
-dense slice.  Slice ranks are cached per (matrix, degree), so the slice
-window and the splitting type share them.
+Every slice rank is exact, kept per (matrix, degree), and proved by the
+first of four arguments that applies.  The entries' denominators are
+cleared by their lcm once per matrix.  (1) When slice d-1 of the same
+matrix is already ranked, slice d is bounded without being built:
+multiplication by s embeds slice d-1 in slice d, and the columns it
+misses meet the s^0 rows through den*M at [0:1], so rank_d >=
+rank_(d-1) + rank(den*M at [0:1] on the components present); a bound
+that reaches min(rows, cols) is the rank (see slice_rank).  Otherwise the
+slice is built as sparse integer columns: a multiplication map has only a
+few nonzeros per column.  (2) When the columns have min(rows, cols)
+distinct lead rows, the slice holds a triangular minor with nonzero
+integer diagonal, and no arithmetic is done.  (3) Otherwise one sparse
+elimination modulo the prime 2^61 - 1 gives the rank rho mod p, a lower
+bound over Q, since a minor that is nonzero mod p is nonzero over Z; rho
+= min(rows, cols) is the rank.  (4) A shorter rho is proved an upper
+bound too: each column that reduced to zero yields a kernel vector,
+rebuilt over Z by rational reconstruction and checked exactly.  Only if
+a rebuilt vector fails is the rank recomputed by fraction-free Bareiss
+elimination on the dense slice.  The slice window, the splitting type and
+the step from one degree to the next share the kept ranks.
 """
 
 from __future__ import annotations
@@ -357,10 +363,50 @@ def integer_rank(columns: list[dict[int, int]], n_rows: int) -> int:
     return bareiss_rank(rows)
 
 
-@functools.cache
+# matrix -> {degree: rank of that slice}, the one memo of slice ranks
+_SLICE_RANKS: dict[GradedMatrix, dict[int, int]] = {}
+
+
 def slice_rank(M: GradedMatrix, d: int) -> int:
-    """Rank of the degree-d slice of M, cached per (matrix, degree)."""
-    return integer_rank(*slice_matrix(M, d))
+    """Rank of the degree-d slice of M, kept per (matrix, degree).
+
+    If slice d-1 is already ranked, the rank is first bounded from it.
+    Order rows and columns by whether their s-exponent is positive.  The
+    columns of slice d with positive s-exponent are s times the columns of
+    slice d-1, on the rows with positive s-exponent, and vanish on the s^0
+    rows; the u^(d+a) columns meet the s^0 rows through B_d, den*M at [0:1]
+    on the source components present in degree d.  So slice d is
+    [[slice_(d-1), X], [0, B_d]] and its rank is at least rank_(d-1) +
+    rank B_d over Q.  When that reaches min(rows, cols) it is the rank and
+    the slice is never built; otherwise integer_rank proves it.  No step is
+    random.
+    """
+    ranks = _SLICE_RANKS.setdefault(M, {})
+    rank = ranks.get(d)
+    if rank is None:
+        full = min(slice_dim(M.target, d), slice_dim(M.source, d))
+        below = ranks.get(d - 1)
+        if below is not None and below + _pure_u_rank(M, d) >= full:
+            rank = full
+        else:
+            rank = integer_rank(*slice_matrix(M, d))
+        ranks[d] = rank
+    return rank
+
+
+def _pure_u_rank(M: GradedMatrix, d: int) -> int:
+    """Rank of B_d: the ds == 0 entries of den*M, on the components present in degree d.
+
+    A source component is present when d + a >= 0.  Target components need
+    no mask: a nonzero entry has degree t_i - a_j >= 0, so a present source
+    component meets only present target components.
+    """
+    columns = [
+        {i: c for i, ds, c in column if ds == 0}
+        for a, column in zip(M.source, _integer_columns(M))
+        if d + a >= 0
+    ]
+    return integer_rank(columns, len(M.target))
 
 
 # -- section pairs and the alpha/beta complex --------------------------------

@@ -236,6 +236,87 @@ class TestFaultInjection:
     def test_bad_r_exits_2(self, capsys, argv):
         assert exit_code(capsys, *argv) == 2
 
+    @pytest.mark.parametrize(
+        "argv, seed, message",
+        [
+            # from the flags
+            (("all", "--r", "0"), None, "invalid input: the double-conic family needs r >= 1"),
+            (("all", "--window=-3..0"), None, "invalid input: r must be a nonnegative integer"),
+            (("double-conic", "--window=-1..2"), None, "invalid input: r must be a nonnegative integer"),
+            (("graded", "--r", "-3"), None, "invalid input: graded complexes need r >= 0"),
+            (("graded", "--window=-1..2"), None, "invalid input: graded complexes need r >= 0"),
+            (("ext-claim", "--window=-2..-1"), None, "invalid input: the vanishing claim is stated for r >= 0"),
+            (("ext-claim", "--r", "-1"), None, "invalid input: the vanishing claim is stated for r >= 0"),
+            # from the environment, for every target
+            (("all",), "abc", "invalid input: MULTISTRUCT_SEED must read [-]digits"),
+            (("graded",), " 7 ", "invalid input: MULTISTRUCT_SEED must read [-]digits"),
+            # from the points grammar
+            (("all", "--points", "1:0,0:1"), None, "error: need at least five sample points"),
+            (("graded", "--points", "1e5:1,0:1,1:1,1:2,2:1"), None, "--points coordinates must read p or p/q"),
+        ],
+    )
+    def test_bad_input_enters_no_runner(self, capsys, monkeypatch, argv, seed, message):
+        def entered(args):
+            raise AssertionError("a runner was entered")
+
+        for target in RUNNERS:
+            monkeypatch.setitem(RUNNERS, target, entered)
+        if seed is not None:
+            monkeypatch.setenv("MULTISTRUCT_SEED", seed)
+        try:
+            code = main(["replicate", *argv])
+        except SystemExit as exc:  # argparse rejects a malformed coordinate itself
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
+
+class TestSeed:
+    """MULTISTRUCT_SEED is read once, in main, before any runner."""
+
+    @pytest.mark.parametrize(
+        "text, seed",
+        [
+            ("0", 0),
+            ("844259548", 844259548),
+            ("-7", -7),
+            ("007", 7),
+            ("9" * 18, 10**18 - 1),
+            ("-" + "9" * 18, 1 - 10**18),
+            ("", 0),  # set but empty reads as unset
+        ],
+    )
+    def test_accepted(self, monkeypatch, text, seed):
+        monkeypatch.setenv("MULTISTRUCT_SEED", text)
+        assert cli._read_seed() == seed
+
+    def test_unset_and_empty_agree(self, capsys, monkeypatch, tmp_path):
+        reports = []
+        for text in (None, "", "0"):
+            if text is None:
+                monkeypatch.delenv("MULTISTRUCT_SEED", raising=False)
+            else:
+                monkeypatch.setenv("MULTISTRUCT_SEED", text)
+            path = tmp_path / f"wedge-{len(reports)}.json"
+            assert exit_code(capsys, "replicate", "wedge", "--json", str(path)) == EXPECTED_EXIT["wedge"]
+            records = json.loads(path.read_text())["records"]
+            reports.append([rec for rec in records if rec["claim_id"] == "wedge/split-agreement"])
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0][0]["notes"] == "pairwise-sum oracle, seed 0"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["abc", " 7 ", "7 ", "1_000", "+7", "1e3", "--1", "-", "9" * 19, "\u0663", "7\n"],
+    )
+    def test_rejected_naming_the_variable(self, capsys, monkeypatch, text):
+        monkeypatch.setenv("MULTISTRUCT_SEED", text)
+        with pytest.raises(ValueError, match="MULTISTRUCT_SEED"):
+            cli._read_seed()
+        code, out, err = run_cli(capsys, "replicate", "ext-claim")
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input: MULTISTRUCT_SEED must read [-]digits with at most 18 digits")
+
 
 class TestParameterCap:
     def test_cap_admits_the_defaults_and_benchmark(self):
@@ -599,7 +680,9 @@ class TestSpecializedOracles:
             return f(p, B)
 
         monkeypatch.setattr(cli, "specialize", recording)
-        records = RUNNERS[target](build_parser().parse_args(["replicate", target]))
+        args = build_parser().parse_args(["replicate", target])
+        args.seed = cli._read_seed()  # as main reads it before any runner
+        records = RUNNERS[target](args)
         return {rec.claim_id: rec for rec in records}, bundles
 
     # the default seed and the MULTISTRUCT_SEED values of the benchmark's seeds 101-103

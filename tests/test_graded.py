@@ -125,6 +125,30 @@ def _dense(columns: list[dict[int, int]], n_rows: int) -> list[list[int]]:
     return [[col.get(r, 0) for col in columns] for r in range(n_rows)]
 
 
+def _dense_slice(M: GradedMatrix, d: int) -> list[list[int]]:
+    """The degree-d slice of M cleared by one common denominator, built densely.
+
+    Rows and columns run over the monomials s^k u^(d+t-k) of each component,
+    component first and k descending, as in slice_matrix; every cell is read
+    here from the entries' own numerators, not from slice_matrix.
+    """
+    parts = [[e.numerators() for e in row] for row in M.entries]
+    den = math.lcm(*[e_den for row in parts for _, e_den in row])
+
+    def basis(twists):
+        return [(i, k) for i, t in enumerate(twists) for k in range(d + t, -1, -1)]
+
+    rows, cols = basis(M.target), basis(M.source)
+    index = {b: n for n, b in enumerate(rows)}
+    out = [[0] * len(cols) for _ in rows]
+    for c, (j, k) in enumerate(cols):
+        for i, row in enumerate(parts):
+            num, e_den = row[j]
+            for key, x in num.items():
+                out[index[i, k + exponent(key, "s")]][c] = x * (den // e_den)
+    return out
+
+
 class TestIntegerRank:
     P = MODULUS
 
@@ -228,24 +252,20 @@ class TestIntegerRank:
     def test_certificate_slices_match_bareiss(self, monkeypatch, rv):
         built = []
         original = graded.slice_matrix
-
-        def recording(M, d):
-            columns, n_rows = original(M, d)
-            built.append((columns, n_rows))
-            return columns, n_rows
-
-        monkeypatch.setattr(graded, "slice_matrix", recording)
-        slice_rank.cache_clear()
+        monkeypatch.setattr(graded, "slice_matrix", lambda M, d: built.append((M, d)) or original(M, d))
+        graded._SLICE_RANKS.clear()
         for pair in (default_pair(rv), _second_pair(rv)):
             cx = alphabeta_builder(pair)
-            slice_exactness_window(cx)
+            d0, _ = slice_exactness_window(cx)
+            # beta is built at the window's first degree and stepped to the other six
+            assert [d for M, d in built if M == cx.beta] == [d0]
             splitting_type(cx, 2 * rv - 6)
-        misses = slice_rank.cache_info().misses
-        slice_rank.cache_clear()
-        # every slice the certificate builds, one per cache miss, full rank or not
-        assert len(built) == misses > 0
-        for columns, n_rows in built:
-            assert integer_rank(columns, n_rows) == bareiss_rank(_dense(columns, n_rows))
+        ranked = [(M, d, rank) for M, ranks in graded._SLICE_RANKS.items() for d, rank in ranks.items()]
+        graded._SLICE_RANKS.clear()
+        # every slice the certificate ranks, stepped or built, full rank or not
+        assert len(ranked) > len(built) > 0
+        for M, d, rank in ranked:
+            assert rank == bareiss_rank(_dense_slice(M, d))
 
 
 def _fractional_pair(rv: int) -> SectionPair:
@@ -305,12 +325,98 @@ class TestSliceMatrix:
         built = []
         original = graded.slice_matrix
         monkeypatch.setattr(graded, "slice_matrix", lambda M, d: built.append(d) or original(M, d))
-        slice_rank.cache_clear()
+        graded._SLICE_RANKS.clear()
         assert slice_rank(first, 30) == slice_rank(second, 30)
-        info = slice_rank.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert built == [30]  # the equal rebuilt matrix hit the cache
-        slice_rank.cache_clear()
+        assert [(M, list(ranks)) for M, ranks in graded._SLICE_RANKS.items()] == [(first, [30])]
+        assert built == [30]  # the equal rebuilt matrix read the memo
+        graded._SLICE_RANKS.clear()
+
+
+def _sylvester(pair: SectionPair) -> GradedMatrix:
+    """The row (a, b) from S(-r-2) + S(-r-4) to S, as common_zero_check builds it."""
+    return GradedMatrix((-pair.r - 2, -pair.r - 4), (0,), ((pair.a, pair.b),))
+
+
+def _thin_product(rng: random.Random) -> GradedMatrix:
+    """P*Q through one component S(m): fiber rank at most 1, so most slices are short.
+
+    The source twists differ, so the source components enter the slices one
+    degree at a time.
+    """
+    source = tuple(sorted(rng.sample(range(-5, 1), 3)))
+    m = max(source) + rng.randint(0, 2)
+    target = (m + rng.randint(0, 2), m + rng.randint(0, 2))
+    q = [_random_section(rng, m - a) for a in source]
+    p = [_random_section(rng, t - m) for t in target]
+    return GradedMatrix(source, target, tuple(tuple(pi * qj for qj in q) for pi in p))
+
+
+# Columns S(0), S(0), S(-1) into S(0) + S(0).  In degree 0 the two constant
+# columns are equal, so the slice has rank 1 of 2, while the pure-u
+# coefficients of all three components, the absent S(-1) included, have rank 2.
+_ABSENT_COMPONENT = GradedMatrix(
+    (0, 0, -1), (0, 0), ((MultiPoly.const(1), MultiPoly.const(1), u), (MultiPoly.const(1), MultiPoly.const(1), s))
+)
+
+
+class TestSliceStep:
+    """slice_rank bounds slice d from slice d-1; every rank is checked against Bareiss."""
+
+    @pytest.fixture
+    def built(self, monkeypatch) -> list[int]:
+        """The degree of every slice slice_matrix builds, in order."""
+        built = []
+        original = graded.slice_matrix
+        monkeypatch.setattr(graded, "slice_matrix", lambda M, d: built.append(d) or original(M, d))
+        return built
+
+    @staticmethod
+    def _sweep(M: GradedMatrix, top: int, built: list) -> list[tuple[int, int, int, bool]]:
+        """(d, rank, full, stepped) for d from below the first nonempty slice to top."""
+        graded._SLICE_RANKS.clear()
+        rows = []
+        for d in range(-max(M.source + M.target) - 1, top + 1):
+            before = len(built)
+            rank = slice_rank(M, d)
+            assert rank == bareiss_rank(_dense_slice(M, d)), (M.source, M.target, d)
+            full = min(slice_dim(M.source, d), slice_dim(M.target, d))
+            rows.append((d, rank, full, len(built) == before))
+        graded._SLICE_RANKS.clear()
+        return rows
+
+    @pytest.mark.parametrize("rv", range(0, 2))
+    def test_stepped_ranks_match_bareiss(self, built, rv):
+        rng = random.Random(20261019 + rv)
+        stepped = sum(row[3] for _ in range(4) for row in self._sweep(_thin_product(rng), 12, built))
+        pairs = [default_pair(rv), _second_pair(rv), _fractional_pair(rv), _random_pair(rng, rv)]
+        pairs.append(_planted_pair(rng, rv, _ROOTS[rv]))  # a common zero at [1:0], then [0:1]
+        for pair in pairs:
+            cx = alphabeta_builder(pair)
+            # alpha and beta past the window d0..d0+6, where d0 = 3r + 18; the dual
+            # to 2r + 12; the Sylvester row past m + n - 1, where a common zero shows
+            tops = (3 * rv + 25, 3 * rv + 25, 2 * rv + 12, 2 * rv + 8)
+            for M, top in zip((cx.alpha, cx.beta, transpose_dual(cx.alpha), _sylvester(pair)), tops):
+                stepped += sum(row[3] for row in self._sweep(M, top, built))
+        assert 0 < stepped and 0 < len(built)
+
+    def test_absent_component_is_masked(self, built):
+        assert self._sweep(_ABSENT_COMPONENT, 1, built) == [
+            (-1, 0, 0, False),
+            (0, 1, 2, False),  # the bound 0 + 1 falls short, so the slice is built
+            (1, 3, 4, False),
+        ]
+
+    def test_short_slices_are_never_stepped_to_full(self, built):
+        # a and b share the simple zero [1:1]; from degree m+n-1 on the Sylvester
+        # slices are one short of full, and the beta slices two short
+        pair = SectionPair(1, (s - u) * s * s, (s - u) * u**4)
+        assert not common_zero_check(pair)
+        for M in (_sylvester(pair), alphabeta_builder(pair).beta):
+            rows = self._sweep(M, 30, built)
+            short = [(d, rank, full, stepped) for d, rank, full, stepped in rows if rank < full]
+            assert len(short) > 15 and short[-1][0] == 30
+            assert not any(stepped for *_, stepped in short)
+            assert short[-1][2] - short[-1][1] == (1 if M.target == (0,) else 2)
 
 
 # [1:0], [0:1] and four more points of the line, as (x, y) for [x:y]
@@ -603,7 +709,7 @@ class TestSplitting:
         original, original_slice = graded.cokernel_h0, graded.slice_matrix
         monkeypatch.setattr(graded, "cokernel_h0", lambda cx, d: seen.append(d) or original(cx, d))
         monkeypatch.setattr(graded, "slice_matrix", lambda M, d: built.append((M, d)) or original_slice(M, d))
-        slice_rank.cache_clear()
+        graded._SLICE_RANKS.clear()
         cx = alphabeta_builder(_second_pair(8))
         assert splitting_type(cx, 10) == (4, 6)
         # the twist d* that gives y, then the five twists of the split-model check
