@@ -16,7 +16,9 @@ per-layer metric with each seed's value, and failed/attempted summed over
 the runs; the Tier-1 wall time and summary line; whether
 ``PYTHONDONTWRITEBYTECODE`` was set (if it was, every fresh process compiles
 the package, so ``setup_s`` includes the compile); the AST node count of each
-module under ``src/``, the volume that compile time follows; and the
+module under ``src/``, the volume that compile time follows, and its compile
+time in milliseconds, the best of ``COMPILE_REPEATS`` ``compile()`` calls in
+this process; and the
 identity of the measured code: the checkout's HEAD sha, a flag for uncommitted changes to
 tracked files, and the git tree hash of each of ``CODE_PATHS`` as the
 working tree held it.  A later reader finds the measured code as the commit
@@ -43,6 +45,7 @@ from time import perf_counter
 WORKLOADS = ("audit-all", "algebra", "graded-large-r")
 SEEDS = (101, 102, 103)
 CODE_PATHS = ("src", "replbench", "tests")
+COMPILE_REPEATS = 5
 
 
 def git_state(checkout: Path) -> dict:
@@ -99,12 +102,28 @@ def tier1(checkout: Path) -> dict:
     return {"wall_s": round(wall, 3), "exit": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
+def sources(checkout: Path) -> dict[str, bytes]:
+    """The source of each Python module under the checkout's ``src/``, by relative path."""
+    src = checkout / "src"
+    return {str(path.relative_to(src)): path.read_bytes() for path in sorted(src.rglob("*.py"))}
+
+
 def ast_nodes(checkout: Path) -> dict:
     """AST node count of each Python module under the checkout's ``src/``."""
-    return {
-        str(path.relative_to(checkout / "src")): sum(1 for _ in ast.walk(ast.parse(path.read_bytes())))
-        for path in sorted((checkout / "src").rglob("*.py"))
-    }
+    return {name: sum(1 for _ in ast.walk(ast.parse(source))) for name, source in sources(checkout).items()}
+
+
+def compile_ms(checkout: Path) -> dict:
+    """Best of ``COMPILE_REPEATS`` ``compile()`` times of each module under ``src/``, in ms."""
+    best = {}
+    for name, source in sources(checkout).items():
+        times = []
+        for _ in range(COMPILE_REPEATS):
+            t0 = perf_counter()
+            compile(source, name, "exec", dont_inherit=True)
+            times.append(perf_counter() - t0)
+        best[name] = round(min(times) * 1000, 3)
+    return best
 
 
 def record(checkout: Path) -> dict:
@@ -131,6 +150,7 @@ def record(checkout: Path) -> dict:
         "python": sys.version.split()[0],
         "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "ast_nodes": ast_nodes(checkout),
+        "compile_ms": compile_ms(checkout),
         "workloads": workloads,
         "tier1": tier1(checkout),
     }

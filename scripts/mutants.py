@@ -34,12 +34,15 @@ CHOW = "src/multistruct/chow.py"
 ARITH = "src/multistruct/arith.py"
 INTEGRALITY = "src/multistruct/integrality.py"
 KERNELS = "src/multistruct/_kernels.py"
+COHOMOLOGY = "src/multistruct/cohomology.py"
 SPLITTING = "tests/test_graded.py::TestSplitting"
 RANK = "tests/test_graded.py::TestIntegerRank"
 SECTIONS = "tests/test_graded.py::TestSectionPairs"
 STEP = "tests/test_graded.py::TestSliceStep"
 PLANTED = "test_common_zero_check_matches_planted_roots_and_dense_sylvester"
 ORACLES = "tests/test_cli.py::TestSpecializedOracles"
+SIGNS = "tests/test_cohomology.py::TestOneSignProcedure"
+P1 = "tests/test_cohomology.py::TestLineBundleCohomology"
 
 # (name, file, snippet, replacement, test node ids that must catch it)
 MUTANTS = (
@@ -284,6 +287,46 @@ MUTANTS = (
         '            if not m or any(len(g or "") > POINT_DIGITS_CAP for g in m.groups()):',
         "            if not m:",
         ["tests/test_cli.py::TestPointsBound::test_other_coordinates_exit_2_at_once"],
+    ),
+    (
+        "h_p1 without the fixed-r specialization",
+        COHOMOLOGY,
+        "    d = assumption.specialize(d)\n    if assumption.nonneg(d + 1):",
+        "    if assumption.nonneg(d + 1):",
+        [
+            f"{P1}::test_fixed_values_are_constants",
+            f"{SIGNS}::test_symbolic_cohomology_evaluates_to_the_fixed_and_brute_force_values",
+        ],
+    ),
+    (
+        "nonneg reads only the constant coefficient",
+        COHOMOLOGY,
+        "        return all(c >= 0 for c in p.numerators()[0].values())",
+        "        return p.numerators()[0].get(0, 0) >= 0",
+        [
+            f"{SIGNS}::test_linear_forms_match_the_half_line_criterion",
+            "tests/test_cohomology.py::TestAssumption::test_decidability",
+        ],
+    ),
+    (
+        "nonneg loosened to >= -1",
+        COHOMOLOGY,
+        "c >= 0 for c in p.numerators()",
+        "c >= -1 for c in p.numerators()",
+        [
+            f"{SIGNS}::test_linear_forms_match_the_half_line_criterion",
+            "tests/test_cohomology.py::TestAssumption::test_check_nonneg",
+        ],
+    ),
+    (
+        "double-conic tangent dimension read from h^0 of the main sequence",
+        CLI,
+        "    tangent = main_pair.h1\n",
+        "    tangent = main_pair.h0\n",
+        [
+            "tests/test_cli.py::TestRecords::test_fixed_r_mode",
+            "tests/test_cli.py::TestRecords::test_fixed_r_records_evaluate_the_symbolic_forms",
+        ],
     ),
 )
 

@@ -10,9 +10,9 @@ itself" (exit code 3).
 
 Exit codes: 0 all records match; 1 at least one documented discrepancy;
 2 invalid input (including --r or a --window bound beyond R_CAP, more
-than POINTS_CAP --points, a --points coordinate past POINT_DIGITS_CAP
-digits, and a MULTISTRUCT_SEED other than [-]digits, at most
-SEED_DIGITS_CAP of them), found before any target runs; 3 internal
+than POINTS_CAP or fewer than five --points, a --points coordinate past
+POINT_DIGITS_CAP digits, and a MULTISTRUCT_SEED other than [-]digits, at
+most SEED_DIGITS_CAP of them), found before any target runs; 3 internal
 inconsistency (an EngineError raised by a self-check: negative dimension,
 failed certificate, underdetermined sequence, ...) or any other
 unexpected exception.
@@ -41,14 +41,12 @@ from .chow import (
 )
 from .cohomology import (
     Assumption,
-    ExactSeqSpec,
-    LinForm,
     double_conic_side_terms,
     ext_vanishing_claim,
     family_dimension,
+    format_dim,
     h_p1,
     pullback_degree,
-    solve_exact_sequence,
     tangent_dimension_double_conic,
 )
 from .graded import (
@@ -175,9 +173,9 @@ def _residue_table(verdict) -> str:
     )
 
 
-def _at_r(form: LinForm, r) -> str:
+def _at_r(form: MultiPoly, r) -> str:
     """The form's value at an integer --r, or the form itself under --r sym."""
-    return str(form.at(r)) if isinstance(r, int) else str(form)
+    return format_dim(form.substitute({"r": r}) if isinstance(r, int) else form)
 
 
 # -- double conic --------------------------------------------------------------
@@ -217,11 +215,12 @@ def run_double_conic(args) -> list[ReplicationRecord]:
         assumption = Assumption(r_min=1)
 
     sides = double_conic_side_terms()
+    zero = MultiPoly.zero()
     side_expect = {
-        "aux1_left": (LinForm(1, -1), LinForm(0, 0)),
-        "aux1_right": (LinForm(0, 0), LinForm(2, 7)),
-        "aux2_left": (LinForm(2, -1), LinForm(0, 0)),
-        "aux2_right": (LinForm(0, 0), LinForm(1, 7)),
+        "aux1_left": (r - 1, zero),
+        "aux1_right": (zero, 2 * r + 7),
+        "aux2_left": (2 * r - 1, zero),
+        "aux2_right": (zero, r + 7),
     }
     for key, bundle in sides.items():
         pair = h_p1(pullback_degree(bundle), assumption)
@@ -230,38 +229,33 @@ def run_double_conic(args) -> list[ReplicationRecord]:
             _record(
                 f"double-conic/h[{bundle}]",
                 f"({_at_r(h0, args.r)}, {_at_r(h1, args.r)})",
-                f"({pair.h0}, {pair.h1})",
+                f"({format_dim(pair.h0)}, {format_dim(pair.h1)})",
                 notes="side term of the auxiliary sequences, tensored by the dualizing sheaf",
             )
         )
 
-    aux1 = solve_exact_sequence(
-        ExactSeqSpec((sides["aux1_left"], None, sides["aux1_right"])), assumption
-    )
-    aux2 = solve_exact_sequence(
-        ExactSeqSpec((sides["aux2_left"], None, sides["aux2_right"])), assumption
-    )
+    aux1, aux2, main_pair = tangent_dimension_double_conic(assumption, True)
     for name, pair, (h0, h1) in (
-        ("middle-aux1", aux1, (LinForm(1, -1), LinForm(2, 7))),
-        ("middle-aux2", aux2, (LinForm(2, -1), LinForm(1, 7))),
+        ("middle-aux1", aux1, (r - 1, 2 * r + 7)),
+        ("middle-aux2", aux2, (2 * r - 1, r + 7)),
     ):
         records.append(
             _record(
                 f"double-conic/h[{name}]",
                 f"({_at_r(h0, args.r)}, {_at_r(h1, args.r)})",
-                f"({pair.h0}, {pair.h1})",
+                f"({format_dim(pair.h0)}, {format_dim(pair.h1)})",
                 notes="middle term solved from the six-term sequence",
             )
         )
 
-    tangent = tangent_dimension_double_conic(assumption, True)
+    tangent = main_pair.h1
     family = family_dimension(assumption)
-    want_tangent = _at_r(LinForm(2, 15), args.r)
+    want_tangent = _at_r(2 * r + 15, args.r)
     records.append(
         _record(
             "double-conic/tangent-dimension",
             want_tangent,
-            str(tangent),
+            format_dim(tangent),
             notes="solved with the connecting-map injectivity certificate",
         )
     )
@@ -269,7 +263,7 @@ def run_double_conic(args) -> list[ReplicationRecord]:
         _record(
             "double-conic/family-dimension",
             want_tangent,
-            str(family),
+            format_dim(family),
             notes=f"8 + (2r+7); equals the tangent dimension: {tangent == family}",
         )
     )
@@ -897,15 +891,14 @@ def main(argv: list[str] | None = None) -> int:
     args.templates = ["paper", "derived"] if args.template == "both" else [args.template]
     if args.points is None:
         args.points = list(DEFAULT_POINTS)
-    elif len(args.points) < 5:
-        print("error: need at least five sample points", file=sys.stderr)
-        return 2
 
     targets = list(RUNNERS) if args.target == "all" else [args.target]
     records: list[ReplicationRecord] = []
     try:
         # every input is checked before the first runner starts
         args.seed = _read_seed()
+        if len(args.points) < 5:
+            raise ValueError("need at least five sample points")
         for target in targets:
             _check_r(target, args)
         for target in targets:

@@ -1,10 +1,10 @@
 """Parametric line-bundle cohomology and exact-sequence dimension solving.
 
-Dimensions on P^1 are integer linear forms a*r + b, valid only under an
-explicit Assumption (r >= r_min, or r fixed); any sign query the assumption
-cannot settle raises UndecidableSignError rather than branching silently.
-On P^2 the dimensions are quadratic, so those come back as exact MultiPoly
-values instead of linear forms.
+Every dimension is a MultiPoly in r: linear on P^1, quadratic on P^2.  It
+is valid only under an explicit Assumption (r >= r_min, or r fixed), and
+any sign query the assumption cannot settle raises UndecidableSignError
+rather than branching silently.  format_dim prints a dimension compactly,
+as the records show it: 2r+15, r-1, -r, 7.
 
 Line bundles on the conic C are tagged by a pair (k, m) standing for
 L^k (m), i.e. the k-th power of the doubling bundle twisted by O_C(m);
@@ -22,11 +22,10 @@ a certificate (the graded module produces it).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Literal, Sequence
 
 from . import EngineError, Value
-from .arith import MultiPoly, var
+from .arith import MultiPoly, format_poly, var
 
 
 class UndecidableSignError(EngineError):
@@ -41,72 +40,12 @@ class UnderdeterminedError(EngineError):
     """The declared facts do not pin down the unknown term."""
 
 
-# -- linear forms and assumptions -------------------------------------------
+# -- dimensions and assumptions ----------------------------------------------
 
 
-class LinForm(Value):
-    """The integer linear form a*r + b."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        self.a = a
-        self.b = b
-
-    @classmethod
-    def const(cls, value: int) -> "LinForm":
-        return cls(0, value)
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "LinForm":
-        used = p.variables_used()
-        if any(name != "r" for name in used):
-            raise ValueError(f"not a linear form in r: {p}")
-        if p.degree("r") > 1:
-            raise ValueError(f"degree in r exceeds 1: {p}")
-        a = p.coeff_of("r", 1).as_fraction() if p.degree("r") == 1 else Fraction(0)
-        b = p.coeff_of("r", 0).as_fraction()
-        if a.denominator != 1 or b.denominator != 1:
-            raise ValueError(f"non-integer linear form: {p}")
-        return cls(int(a), int(b))
-
-    def to_poly(self) -> MultiPoly:
-        return self.a * var("r") + MultiPoly.const(self.b)
-
-    def __add__(self, other: "LinForm | int") -> "LinForm":
-        if isinstance(other, int):
-            return LinForm(self.a, self.b + other)
-        return LinForm(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "LinForm | int") -> "LinForm":
-        if isinstance(other, int):
-            return LinForm(self.a, self.b - other)
-        return LinForm(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "LinForm":
-        return LinForm(-self.a, -self.b)
-
-    def __mul__(self, scalar: int) -> "LinForm":
-        return LinForm(self.a * scalar, self.b * scalar)
-
-    __rmul__ = __mul__
-
-    def at(self, r_value: int) -> int:
-        return self.a * r_value + self.b
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __str__(self) -> str:
-        if self.a == 0:
-            return str(self.b)
-        r_part = "r" if self.a == 1 else ("-r" if self.a == -1 else f"{self.a}r")
-        if self.b == 0:
-            return r_part
-        return f"{r_part}{self.b:+d}"
-
-
-ZERO_FORM = LinForm(0, 0)
+def format_dim(p: MultiPoly) -> str:
+    """A dimension in r as the records print it: 2r+15, r-1, -r, 7."""
+    return format_poly(p).replace("*", "").replace(" ", "")
 
 
 class Assumption:
@@ -123,37 +62,36 @@ class Assumption:
     def describe(self) -> str:
         return f"r = {self.fixed}" if self.fixed is not None else f"r >= {self.r_min}"
 
-    def always_ge(self, form: LinForm, bound: int) -> bool:
-        """True when a*r + b >= bound for every admissible r (provably)."""
-        if self.fixed is not None:
-            return form.at(self.fixed) >= bound
-        if form.a >= 0:
-            return form.at(self.r_min) >= bound
-        return False
+    def specialize(self, p: MultiPoly) -> MultiPoly:
+        """p at r = fixed; p itself under r >= r_min."""
+        if self.fixed is None or p.is_constant():
+            return p
+        return p.substitute({"r": self.fixed})
 
-    def always_le(self, form: LinForm, bound: int) -> bool:
-        if self.fixed is not None:
-            return form.at(self.fixed) <= bound
-        if form.a <= 0:
-            return form.at(self.r_min) <= bound
-        return False
+    def nonneg(self, p: MultiPoly) -> bool:
+        """True when p >= 0 provably on the admissible range.
+
+        Substitutes r = fixed, or r = r_min + x, and asks for nonnegative
+        coefficients: sound, and complete for linear forms.  A constant is
+        its own coefficient, so it is read as it stands.
+        """
+        if not p.is_constant():
+            at = self.fixed if self.fixed is not None else var("x") + self.r_min
+            p = p.substitute({"r": at})
+        return all(c >= 0 for c in p.numerators()[0].values())
 
     def check_nonneg(self, p: MultiPoly, context: str) -> None:
         """Certify p >= 0 on the admissible range or raise.
 
         A provable violation raises InconsistentSequenceError; inability to
-        certify raises UndecidableSignError.  The certificate substitutes
-        r = r_min + x and demands nonnegative coefficients, which is sound
-        (and complete for linear forms, the common case here).
+        certify raises UndecidableSignError.
         """
+        if self.nonneg(p):
+            return
         if self.fixed is not None:
-            value = p.substitute({"r": self.fixed})
-            if value.as_fraction() < 0:
-                raise InconsistentSequenceError(f"negative dimension in {context}: {value}")
-            return
-        shifted = p.substitute({"r": var("x") + self.r_min})
-        if all(c >= 0 for _, c in shifted.items()):
-            return
+            raise InconsistentSequenceError(
+                f"negative dimension in {context}: {self.specialize(p)}"
+            )
         at_min = p.substitute({"r": self.r_min}).as_fraction()
         if at_min < 0:
             raise InconsistentSequenceError(
@@ -187,9 +125,9 @@ L_BUNDLE = ConicBundle(1, 0)
 OMEGA_Y_ON_C = ConicBundle(-1, -1)  # omega_Y restricted to C: omega_C tensor L^(-1)
 
 
-def pullback_degree(c: ConicBundle) -> LinForm:
+def pullback_degree(c: ConicBundle) -> MultiPoly:
     """Degree on P^1 of the pullback; O_C(1) pulls back to degree 2."""
-    return LinForm(c.k, 2 * c.m)
+    return c.k * var("r") + 2 * c.m
 
 
 class CohomPair(Value):
@@ -197,54 +135,50 @@ class CohomPair(Value):
 
     __slots__ = ("h0", "h1")
 
-    def __init__(self, h0: LinForm, h1: LinForm):
+    def __init__(self, h0: MultiPoly, h1: MultiPoly):
         self.h0 = h0
         self.h1 = h1
 
 
-def h_p1(d: LinForm, assumption: Assumption) -> CohomPair:
+def h_p1(d: MultiPoly, assumption: Assumption) -> CohomPair:
     """Cohomology of O_P1(d): h^0 = max(d+1, 0), h^1 = max(-d-1, 0).
 
     The linear forms d+1 and -d-1 both vanish at d = -1, so each is exact
     on a closed half-line: (d+1, 0) whenever d >= -1 throughout the
     admissible range, (0, -d-1) whenever d <= -1 throughout.  Degrees whose
     position relative to -1 is undecidable under the assumption raise
-    UndecidableSignError.  Under a fixed assumption the result is a pair of
-    constants: a symbolic form produced by a case split at one value of r
-    would not be valid elsewhere.
+    UndecidableSignError.  Under a fixed assumption d is evaluated first,
+    so the result is a pair of constants: a symbolic form produced by a
+    case split at one value of r would not be valid elsewhere.
     """
-    if assumption.fixed is not None:
-        value = d.at(assumption.fixed)
-        if value >= -1:
-            return CohomPair(LinForm.const(value + 1), ZERO_FORM)
-        return CohomPair(ZERO_FORM, LinForm.const(-value - 1))
-    if assumption.always_ge(d, -1):
-        return CohomPair(d + 1, ZERO_FORM)
-    if assumption.always_le(d, -1):
-        return CohomPair(ZERO_FORM, -d - 1)
-    raise UndecidableSignError(f"sign of degree {d} undecidable under {assumption.describe()}")
+    d = assumption.specialize(d)
+    if assumption.nonneg(d + 1):
+        return CohomPair(d + 1, MultiPoly.zero())
+    if assumption.nonneg(-d - 1):
+        return CohomPair(MultiPoly.zero(), -d - 1)
+    raise UndecidableSignError(
+        f"sign of degree {format_dim(d)} undecidable under {assumption.describe()}"
+    )
 
 
-def h_p2(d: LinForm, assumption: Assumption) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+def h_p2(d: MultiPoly, assumption: Assumption) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """Cohomology of O_P2(d): h^0 = C(d+2,2), h^1 = 0 always, h^2 = C(-d-1,2).
 
     Both counts equal the same quadratic (d+2)(d+1)/2, which vanishes at
     d = -1 and d = -2; so it is the exact h^0 whenever d >= -2 throughout
     the admissible range and the exact h^2 whenever d <= -1 throughout.
+    Under a fixed assumption d is evaluated first, as in h_p1.
     """
+    d = assumption.specialize(d)
     zero = MultiPoly.zero()
-    if assumption.fixed is not None:
-        value = d.at(assumption.fixed)
-        count = MultiPoly.const(Fraction((value + 2) * (value + 1), 2))
-        if value >= -2:
-            return count, zero, zero
+    count = ((d + 2) * (d + 1)).scalar_div(2)
+    if assumption.nonneg(d + 2):
+        return count, zero, zero
+    if assumption.nonneg(-d - 1):
         return zero, zero, count
-    quad = (d.to_poly() + 2) * (d.to_poly() + 1)
-    if assumption.always_ge(d, -2):
-        return quad.scalar_div(2), zero, zero
-    if assumption.always_le(d, -1):
-        return zero, zero, quad.scalar_div(2)
-    raise UndecidableSignError(f"sign of degree {d} undecidable under {assumption.describe()}")
+    raise UndecidableSignError(
+        f"sign of degree {format_dim(d)} undecidable under {assumption.describe()}"
+    )
 
 
 # -- exact-sequence solving --------------------------------------------------
@@ -374,11 +308,9 @@ def solve_exact_sequence(spec: ExactSeqSpec, assumption: Assumption) -> CohomPai
             if p is None:
                 dims.append(None)
             else:
-                dims.append((p.h0 if level == 0 else p.h1).to_poly())
+                dims.append(p.h0 if level == 0 else p.h1)
     solved = _solve_chain(dims, spec.map_facts, assumption)
-    h0 = LinForm.from_poly(solved[unknown_index])
-    h1 = LinForm.from_poly(solved[unknown_index + width])
-    return CohomPair(h0, h1)
+    return CohomPair(solved[unknown_index], solved[unknown_index + width])
 
 
 # -- the composite double-conic computation ----------------------------------
@@ -394,19 +326,19 @@ def normal_sheaf_sequences() -> dict[str, object]:
       det of I_C I_Y/I_C^3 = L^(-2)(-9)            (from det O_C(-2)+O_C(-3)+O_C(-4))
       middle quotient:    O_C(-3)
     """
-    conormal_det = LinForm(0, -6)  # pullback degree of det(O_C(-1) + O_C(-2))
+    conormal_det = MultiPoly.const(-6)  # pullback degree of det(O_C(-1) + O_C(-2))
     iy_ic2 = conormal_det - pullback_degree(L_BUNDLE)
     expected_iy = ConicBundle(-1, -3)
     if iy_ic2 != pullback_degree(expected_iy):
         raise InconsistentSequenceError("conormal determinant deduction failed")
-    cubic_det = LinForm(0, -18)  # pullback degree of det(O_C(-2) + O_C(-3) + O_C(-4))
+    cubic_det = MultiPoly.const(-18)  # pullback degree of det(O_C(-2) + O_C(-3) + O_C(-4))
     det_icy = cubic_det - pullback_degree(ConicBundle(2, 0))
     expected_det = ConicBundle(-2, -9)
     if det_icy != pullback_degree(expected_det):
         raise InconsistentSequenceError("cubic determinant deduction failed")
     sub_piece = ConicBundle(-2, -6)  # (I_Y/I_C^2) squared
     quotient_m = det_icy - pullback_degree(sub_piece)
-    if quotient_m != LinForm(0, -6):
+    if quotient_m != -6:
         raise InconsistentSequenceError("middle quotient deduction failed")
     quotient = ConicBundle(0, -3)
     return {
@@ -431,11 +363,13 @@ def double_conic_side_terms() -> dict[str, ConicBundle]:
 
 def tangent_dimension_double_conic(
     assumption: Assumption, injectivity_certificate: bool
-) -> LinForm:
+) -> tuple[CohomPair, CohomPair, CohomPair]:
     """h^0 of the normal sheaf of a double conic, via three chained sequences.
 
+    Returns the solved pairs (aux1, aux2, main) of the two auxiliary
+    sequences and the main one; the tangent dimension is main.h1.
     Requires the connecting-map injectivity certificate produced by the
-    graded module; without it the middle sequence is underdetermined.
+    graded module; without it the main sequence is underdetermined.
     """
     if not injectivity_certificate:
         raise EngineError("missing injectivity certificate; cannot solve the middle sequence")
@@ -449,14 +383,15 @@ def tangent_dimension_double_conic(
     main = solve_exact_sequence(
         ExactSeqSpec((aux2, None, aux1), (("injective", 2),)), assumption
     )
-    return main.h1
+    return aux1, aux2, main
 
 
-def family_dimension(assumption: Assumption) -> LinForm:
+def family_dimension(assumption: Assumption) -> MultiPoly:
     """Dimension of the family of double conics: 8 for the conic plus the
     section pair (a, b) modulo scale."""
-    h_a = h_p1(LinForm(1, 2), assumption).h0  # sections of O(r+2)
-    h_b = h_p1(LinForm(1, 4), assumption).h0  # sections of O(r+4)
+    r = var("r")
+    h_a = h_p1(r + 2, assumption).h0  # sections of O(r+2)
+    h_b = h_p1(r + 4, assumption).h0  # sections of O(r+4)
     return h_a + h_b + 7  # 8 + (h_a + h_b - 1)
 
 
@@ -469,8 +404,9 @@ def ext_vanishing_claim(r_value: int | None = None) -> bool:
     fixed value is given.
     """
     assumption = Assumption(fixed=r_value) if r_value is not None else Assumption(r_min=0)
-    a_dims = h_p2(LinForm(1, 0), assumption)
-    b_raw = h_p2(LinForm(2, 1), assumption)
+    r = var("r")
+    a_dims = h_p2(r, assumption)
+    b_raw = h_p2(2 * r + 1, assumption)
     b_dims = tuple(3 * d for d in b_raw)
     dims: list[MultiPoly | None] = [
         a_dims[0], b_dims[0], None,

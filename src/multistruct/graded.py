@@ -56,7 +56,7 @@ from fractions import Fraction
 from . import EngineError, Value
 from ._kernels import bareiss_rank
 from .arith import MultiPoly, exponent, format_poly, var
-from .cohomology import Assumption, LinForm, h_p1
+from .cohomology import Assumption, h_p1
 
 DEFAULT_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
     (Fraction(1), Fraction(0)),
@@ -682,7 +682,7 @@ def certified_split(pair: SectionPair, points: tuple[tuple[Fraction, Fraction], 
     split = splitting_type(cx, 2 * r - 6)
     assumption = Assumption(fixed=r)
     for a in sorted(a + (-r - 2) for a in split):
-        sections = h_p1(LinForm(0, a), assumption).h0
+        sections = h_p1(MultiPoly.const(a), assumption).h0
         if not sections.is_zero():
             raise GradedCertificateError(
                 f"twisted summand O({a}) has sections; kernel map not injective"

@@ -32,11 +32,10 @@ from multistruct.cli import main
 from multistruct.cohomology import (
     Assumption,
     CohomPair,
-    LinForm,
-    ZERO_FORM,
     double_conic_side_terms,
     ext_vanishing_claim,
     family_dimension,
+    format_dim,
     h_p1,
     pullback_degree,
     tangent_dimension_double_conic,
@@ -116,17 +115,17 @@ def test_criterion_01_hilbert_of_double_conic():
 def test_criterion_02_tangent_dimension():
     certificates = {rv: injectivity_certificate(rv) for rv in range(0, 7)}
     assumption = Assumption(r_min=1)
-    tangent = tangent_dimension_double_conic(assumption, all(certificates.values()))
+    tangent = tangent_dimension_double_conic(assumption, all(certificates.values()))[2].h1
     family = family_dimension(assumption)
     ok = (
         all(certificates.values())
-        and tangent == LinForm(2, 15)
+        and tangent == 2 * r + 15
         and family == tangent
     )
     check(
         2,
         ok,
-        f"tangent dimension {tangent} under r >= 1, family {family}, "
+        f"tangent dimension {format_dim(tangent)} under r >= 1, family {format_dim(family)}, "
         f"certificates for r = 0..6 all produced",
     )
 
@@ -147,13 +146,14 @@ def test_criterion_03_twelve_displayed_dimensions():
     pairs["middle2"] = solve_exact_sequence(
         ExactSeqSpec((sides["aux2_left"], None, sides["aux2_right"])), assumption
     )
+    zero = MultiPoly.zero()
     expected = {
-        "aux1_left": CohomPair(LinForm(1, -1), ZERO_FORM),
-        "aux1_right": CohomPair(ZERO_FORM, LinForm(2, 7)),
-        "aux2_left": CohomPair(LinForm(2, -1), ZERO_FORM),
-        "aux2_right": CohomPair(ZERO_FORM, LinForm(1, 7)),
-        "middle1": CohomPair(LinForm(1, -1), LinForm(2, 7)),
-        "middle2": CohomPair(LinForm(2, -1), LinForm(1, 7)),
+        "aux1_left": CohomPair(r - 1, zero),
+        "aux1_right": CohomPair(zero, 2 * r + 7),
+        "aux2_left": CohomPair(2 * r - 1, zero),
+        "aux2_right": CohomPair(zero, r + 7),
+        "middle1": CohomPair(r - 1, 2 * r + 7),
+        "middle2": CohomPair(2 * r - 1, r + 7),
     }
     mismatches = [key for key in expected if pairs[key] != expected[key]]
     ok = not mismatches

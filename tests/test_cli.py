@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from multistruct import chow, cli, integrality, structures
+from multistruct import chow, cli, cohomology, integrality, structures
 from multistruct.arith import MultiPoly, parse_poly, var
 from multistruct.chow import BundleClass
 from multistruct.cli import (
@@ -30,7 +30,6 @@ from multistruct.cli import (
     main,
     report_json,
 )
-from multistruct.cohomology import LinForm
 from multistruct.graded import GradedCertificateError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -251,7 +250,7 @@ class TestFaultInjection:
             (("all",), "abc", "invalid input: MULTISTRUCT_SEED must read [-]digits"),
             (("graded",), " 7 ", "invalid input: MULTISTRUCT_SEED must read [-]digits"),
             # from the points grammar
-            (("all", "--points", "1:0,0:1"), None, "error: need at least five sample points"),
+            (("all", "--points", "1:0,0:1"), None, "invalid input: need at least five sample points"),
             (("graded", "--points", "1e5:1,0:1,1:1,1:2,2:1"), None, "--points coordinates must read p or p/q"),
         ],
     )
@@ -490,7 +489,7 @@ class TestRecords:
         def at(text: str, rv: int) -> str:
             forms = text.strip("()").split(", ")
             polys = [parse_poly(re.sub(r"(\d)r", r"\1*r", f)) for f in forms]
-            values = [str(LinForm.from_poly(p).at(rv)) for p in polys]
+            values = [str(p.substitute({"r": rv}).as_fraction()) for p in polys]
             return f"({', '.join(values)})" if text.startswith("(") else values[0]
 
         for rv in range(1, 7):
@@ -638,6 +637,19 @@ class TestSolvedOnce:
             assert main(["replicate", "all"]) == 1
         assert structures.solve_chern_from_hilbert.cache_info().misses == 4
         assert integrality.schwarzenberger_verdict.cache_info().misses == 5
+
+    @pytest.mark.parametrize("r", ["sym", "3"])
+    def test_double_conic_solves_each_sequence_once(self, monkeypatch, r):
+        solved = []
+
+        def counted(spec, assumption, solve=cohomology.solve_exact_sequence):
+            solved.append(spec)
+            return solve(spec, assumption)
+
+        monkeypatch.setattr(cohomology, "solve_exact_sequence", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["replicate", "double-conic", "--r", r]) == 1
+        assert len(solved) == 3  # the two auxiliary sequences, then the main one
 
 
 _PIPELINE = ("wedge_powers", "koszul_euler", "euler_characteristic")

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
 from multistruct import EngineError
-from multistruct.arith import MultiPoly, var
+from multistruct.arith import MultiPoly, parse_poly, var
 from multistruct.cohomology import (
     Assumption,
     CohomPair,
@@ -13,14 +16,13 @@ from multistruct.cohomology import (
     ExactSeqSpec,
     InconsistentSequenceError,
     L_BUNDLE,
-    LinForm,
     OMEGA_Y_ON_C,
     UndecidableSignError,
     UnderdeterminedError,
-    ZERO_FORM,
     double_conic_side_terms,
     ext_vanishing_claim,
     family_dimension,
+    format_dim,
     h_p1,
     h_p2,
     normal_sheaf_sequences,
@@ -30,43 +32,35 @@ from multistruct.cohomology import (
 )
 
 r = var("r")
+ZERO = MultiPoly.zero()
 GENERIC = Assumption(r_min=1)
 
 
-class TestLinForm:
+class TestDimensions:
     def test_round_trip(self):
-        form = LinForm.from_poly(2 * r + 15)
-        assert form == LinForm(2, 15)
-        assert form.to_poly() == 2 * r + 15
-        assert form.at(3) == 21
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            LinForm.from_poly(r * r)
-        with pytest.raises(ValueError):
-            LinForm.from_poly(var("t"))
-        with pytest.raises(ValueError):
-            LinForm.from_poly(r.scalar_div(2))
+        form = 2 * r + 15
+        assert parse_poly(re.sub(r"(\d)r", r"\1*r", format_dim(form))) == form
+        assert form.substitute({"r": 3}) == 21
 
     def test_display(self):
-        assert str(LinForm(2, 15)) == "2r+15"
-        assert str(LinForm(1, -1)) == "r-1"
-        assert str(LinForm(-1, 0)) == "-r"
-        assert str(LinForm(0, 7)) == "7"
-        assert str(ZERO_FORM) == "0"
+        assert format_dim(2 * r + 15) == "2r+15"
+        assert format_dim(r - 1) == "r-1"
+        assert format_dim(-r) == "-r"
+        assert format_dim(MultiPoly.const(7)) == "7"
+        assert format_dim(ZERO) == "0"
 
     def test_arithmetic(self):
-        assert LinForm(1, 2) + LinForm(2, 3) == LinForm(3, 5)
-        assert LinForm(1, 2) - 1 == LinForm(1, 1)
-        assert -LinForm(1, -2) == LinForm(-1, 2)
-        assert 3 * LinForm(1, 1) == LinForm(3, 3)
+        assert (r + 2) + (2 * r + 3) == 3 * r + 5
+        assert (r + 2) - 1 == r + 1
+        assert -(r - 2) == -r + 2
+        assert 3 * (r + 1) == 3 * r + 3
 
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: LinForm(2, -1),
+            lambda: 2 * r - 1,
             lambda: ConicBundle(-1, -3),
-            lambda: CohomPair(LinForm(1, -1), ZERO_FORM),
+            lambda: CohomPair(r - 1, ZERO),
         ],
     )
     def test_compared_and_hashed_by_value(self, build):
@@ -76,10 +70,10 @@ class TestLinForm:
         assert {first: 1}[second] == 1
 
     def test_same_fields_of_another_type_differ(self):
-        assert LinForm(0, 1) != ConicBundle(0, 1)
-        assert ConicBundle(0, 1) != LinForm(0, 1)
-        assert LinForm(0, 1) != (0, 1)
-        assert len({LinForm(0, 1), ConicBundle(0, 1)}) == 2
+        assert CohomPair(0, 1) != ConicBundle(0, 1)
+        assert ConicBundle(0, 1) != CohomPair(0, 1)
+        assert CohomPair(0, 1) != (0, 1)
+        assert len({CohomPair(0, 1), ConicBundle(0, 1)}) == 2
 
 
 class TestAssumption:
@@ -91,9 +85,9 @@ class TestAssumption:
 
     def test_decidability(self):
         a = Assumption(r_min=2)
-        assert a.always_ge(LinForm(1, -2), 0)
-        assert not a.always_ge(LinForm(-1, 5), 0)
-        assert a.always_le(LinForm(-1, -1), -3)
+        assert a.nonneg(r - 2)
+        assert not a.nonneg(-r + 5)
+        assert a.nonneg(-3 - (-r - 1))  # -r-1 <= -3
 
     def test_check_nonneg(self):
         a = Assumption(r_min=1)
@@ -107,48 +101,48 @@ class TestAssumption:
 class TestLineBundleCohomology:
     def test_generic_regions(self):
         a = Assumption(r_min=1)
-        assert h_p1(LinForm(1, 0), a) == CohomPair(LinForm(1, 1), ZERO_FORM)
-        assert h_p1(LinForm(-1, -8), a) == CohomPair(ZERO_FORM, LinForm(1, 7))
+        assert h_p1(r, a) == CohomPair(r + 1, ZERO)
+        assert h_p1(-r - 8, a) == CohomPair(ZERO, r + 7)
 
     def test_boundary_inclusive_forms(self):
         # d = r-2 touches -1 at r=1; h^0 = d+1 is still exact there
         a = Assumption(r_min=1)
-        assert h_p1(LinForm(1, -2), a) == CohomPair(LinForm(1, -1), ZERO_FORM)
+        assert h_p1(r - 2, a) == CohomPair(r - 1, ZERO)
         # and on the dual side d = -r-1 touches -1 at r=0
         b = Assumption(r_min=0)
-        assert h_p1(LinForm(-1, -1), b) == CohomPair(ZERO_FORM, LinForm(1, 0))
+        assert h_p1(-r - 1, b) == CohomPair(ZERO, r)
 
     def test_undecidable_raises(self):
         with pytest.raises(UndecidableSignError):
-            h_p1(LinForm(1, -5), Assumption(r_min=0))
+            h_p1(r - 5, Assumption(r_min=0))
         with pytest.raises(UndecidableSignError):
-            h_p1(LinForm(-1, 5), Assumption(r_min=0))
+            h_p1(-r + 5, Assumption(r_min=0))
 
     def test_fixed_values_are_constants(self):
-        pair = h_p1(LinForm(1, -2), Assumption(fixed=1))
-        assert pair == CohomPair(ZERO_FORM, ZERO_FORM)
-        pair = h_p1(LinForm(1, -2), Assumption(fixed=4))
-        assert pair == CohomPair(LinForm.const(3), ZERO_FORM)
-        pair = h_p1(LinForm(-2, 0), Assumption(fixed=3))
-        assert pair == CohomPair(ZERO_FORM, LinForm.const(5))
+        pair = h_p1(r - 2, Assumption(fixed=1))
+        assert pair == CohomPair(ZERO, ZERO)
+        pair = h_p1(r - 2, Assumption(fixed=4))
+        assert pair == CohomPair(MultiPoly.const(3), ZERO)
+        pair = h_p1(-2 * r, Assumption(fixed=3))
+        assert pair == CohomPair(ZERO, MultiPoly.const(5))
 
     def test_matches_brute_force(self):
         for d in range(-8, 9):
-            pair = h_p1(LinForm(0, d), Assumption(fixed=0))
-            assert pair.h0.b == max(d + 1, 0)
-            assert pair.h1.b == max(-d - 1, 0)
+            pair = h_p1(MultiPoly.const(d), Assumption(fixed=0))
+            assert pair.h0 == max(d + 1, 0)
+            assert pair.h1 == max(-d - 1, 0)
 
     def test_plane_cohomology(self):
         zero = MultiPoly.zero()
         a = Assumption(r_min=0)
-        h0, h1, h2 = h_p2(LinForm(1, 0), a)
+        h0, h1, h2 = h_p2(r, a)
         assert h0 == ((r + 2) * (r + 1)).scalar_div(2)
         assert h1 == zero and h2 == zero
-        h0, h1, h2 = h_p2(LinForm(-1, -3), a)
+        h0, h1, h2 = h_p2(-r - 3, a)
         assert h0 == zero and h1 == zero
         assert h2 == ((r + 2) * (r + 1)).scalar_div(2)
         for d in range(-6, 7):
-            h0, h1, h2 = h_p2(LinForm(0, d), Assumption(fixed=0))
+            h0, h1, h2 = h_p2(MultiPoly.const(d), Assumption(fixed=0))
             want0 = (d + 2) * (d + 1) // 2 if d >= 0 else 0
             want2 = (d + 2) * (d + 1) // 2 if d <= -3 else 0
             assert h0 == want0 and h1 == 0 and h2 == want2
@@ -156,9 +150,9 @@ class TestLineBundleCohomology:
 
 class TestConicBundles:
     def test_pullback_degree(self):
-        assert pullback_degree(ConicBundle(1, 0)) == LinForm(1, 0)
-        assert pullback_degree(ConicBundle(0, 1)) == LinForm(0, 2)
-        assert pullback_degree(L_BUNDLE.tensor(OMEGA_Y_ON_C)) == LinForm(0, -2)
+        assert pullback_degree(ConicBundle(1, 0)) == r
+        assert pullback_degree(ConicBundle(0, 1)) == MultiPoly.const(2)
+        assert pullback_degree(L_BUNDLE.tensor(OMEGA_Y_ON_C)) == MultiPoly.const(-2)
 
     def test_normal_sheaf_identifications(self):
         pieces = normal_sheaf_sequences()
@@ -187,18 +181,18 @@ class TestExactSequences:
         middle = solve_exact_sequence(
             ExactSeqSpec((sides["aux1_left"], None, sides["aux1_right"])), GENERIC
         )
-        assert middle == CohomPair(LinForm(1, -1), LinForm(2, 7))
+        assert middle == CohomPair(r - 1, 2 * r + 7)
         middle = solve_exact_sequence(
             ExactSeqSpec((sides["aux2_left"], None, sides["aux2_right"])), GENERIC
         )
-        assert middle == CohomPair(LinForm(2, -1), LinForm(1, 7))
+        assert middle == CohomPair(2 * r - 1, r + 7)
 
     def test_displayed_side_dimensions(self):
         expected = {
-            "aux1_left": CohomPair(LinForm(1, -1), ZERO_FORM),
-            "aux1_right": CohomPair(ZERO_FORM, LinForm(2, 7)),
-            "aux2_left": CohomPair(LinForm(2, -1), ZERO_FORM),
-            "aux2_right": CohomPair(ZERO_FORM, LinForm(1, 7)),
+            "aux1_left": CohomPair(r - 1, ZERO),
+            "aux1_right": CohomPair(ZERO, 2 * r + 7),
+            "aux2_left": CohomPair(2 * r - 1, ZERO),
+            "aux2_right": CohomPair(ZERO, r + 7),
         }
         sides = double_conic_side_terms()
         for key, want in expected.items():
@@ -217,8 +211,8 @@ class TestExactSequences:
 
     def test_inconsistent_fact_detected(self):
         # a zero middle with nonzero sides has no exact completion
-        left = CohomPair(LinForm.const(2), ZERO_FORM)
-        right = CohomPair(ZERO_FORM, ZERO_FORM)
+        left = CohomPair(MultiPoly.const(2), ZERO)
+        right = CohomPair(ZERO, ZERO)
         with pytest.raises(InconsistentSequenceError):
             solve_exact_sequence(
                 ExactSeqSpec((left, None, right), (("zero", 0),)),
@@ -227,7 +221,11 @@ class TestExactSequences:
 
 class TestTangentComputation:
     def test_symbolic_tangent_dimension(self):
-        assert tangent_dimension_double_conic(GENERIC, True) == LinForm(2, 15)
+        aux1, aux2, main = tangent_dimension_double_conic(GENERIC, True)
+        assert main.h1 == 2 * r + 15
+        # the auxiliary pairs are the middle terms the main sequence was built from
+        assert aux1 == CohomPair(r - 1, 2 * r + 7)
+        assert aux2 == CohomPair(2 * r - 1, r + 7)
 
     def test_requires_certificate(self):
         with pytest.raises(EngineError):
@@ -235,13 +233,13 @@ class TestTangentComputation:
 
     def test_fixed_values(self):
         for rv in (1, 2, 3, 10):
-            got = tangent_dimension_double_conic(Assumption(fixed=rv), True)
-            assert got == LinForm.const(2 * rv + 15)
+            got = tangent_dimension_double_conic(Assumption(fixed=rv), True)[2].h1
+            assert got == MultiPoly.const(2 * rv + 15)
 
     def test_family_dimension_matches(self):
-        assert family_dimension(GENERIC) == LinForm(2, 15)
+        assert family_dimension(GENERIC) == 2 * r + 15
         for rv in (1, 2, 5):
-            assert family_dimension(Assumption(fixed=rv)) == LinForm.const(2 * rv + 15)
+            assert family_dimension(Assumption(fixed=rv)) == MultiPoly.const(2 * rv + 15)
 
 
 class TestExtVanishing:
@@ -251,3 +249,76 @@ class TestExtVanishing:
     def test_small_values(self):
         for rv in range(0, 9):
             assert ext_vanishing_claim(rv) is True
+
+
+class TestOneSignProcedure:
+    """Assumption.nonneg is the one sign procedure; seeded checks against references."""
+
+    @staticmethod
+    def _quadratic(rng: random.Random) -> tuple[int, int, int]:
+        return rng.randint(-6, 6), rng.randint(-12, 12), rng.randint(-20, 20)
+
+    def test_linear_forms_match_the_half_line_criterion(self):
+        rng = random.Random(1801)
+        for _ in range(500):
+            a, b, r_min = rng.randint(-5, 5), rng.randint(-20, 20), rng.randint(0, 3)
+            # a*r + b >= 0 on r >= r_min exactly when it does not fall and starts >= 0
+            want = a >= 0 and a * r_min + b >= 0
+            assert Assumption(r_min=r_min).nonneg(a * r + b) is want
+
+    def test_quadratics_are_certified_soundly(self):
+        rng = random.Random(1802)
+        certified = refused = 0
+        for _ in range(500):
+            c2, c1, c0 = self._quadratic(rng)
+            r_min = rng.randint(0, 3)
+            if Assumption(r_min=r_min).nonneg(c2 * r * r + c1 * r + c0):
+                certified += 1
+                assert all(c2 * v * v + c1 * v + c0 >= 0 for v in range(r_min, r_min + 41))
+            else:
+                refused += 1
+        assert certified and refused
+
+    def test_fixed_reads_the_sign_at_the_value(self):
+        rng = random.Random(1803)
+        for _ in range(500):
+            c2, c1, c0 = self._quadratic(rng)
+            fixed = rng.randint(-5, 10)
+            want = c2 * fixed * fixed + c1 * fixed + c0 >= 0
+            assert Assumption(fixed=fixed).nonneg(c2 * r * r + c1 * r + c0) is want
+
+    def test_constants_are_read_without_substitution(self, monkeypatch):
+        def refused(self, bindings):
+            raise AssertionError("substitute called on a constant")
+
+        monkeypatch.setattr(MultiPoly, "substitute", refused)
+        for assumption in (Assumption(r_min=2), Assumption(fixed=3)):
+            assert assumption.nonneg(MultiPoly.const(0))
+            assert not assumption.nonneg(MultiPoly.const(-1))
+            assert assumption.specialize(MultiPoly.const(4)) == 4
+            assert h_p1(MultiPoly.const(-3), assumption) == CohomPair(ZERO, MultiPoly.const(2))
+
+    def test_symbolic_cohomology_evaluates_to_the_fixed_and_brute_force_values(self):
+        rng = random.Random(1804)
+        decided = {h_p1: 0, h_p2: 0}
+        for _ in range(120):
+            a, b, r_min = rng.randint(-3, 3), rng.randint(-10, 10), rng.randint(0, 3)
+            for h in (h_p1, h_p2):
+                try:
+                    symbolic = h(a * r + b, Assumption(r_min=r_min))
+                except UndecidableSignError:
+                    continue
+                decided[h] += 1
+                for v in range(r_min, r_min + 15):
+                    at_v = Assumption(fixed=v)
+                    d = a * v + b
+                    fixed = h(a * r + b, at_v)
+                    if h is h_p1:
+                        evaluated = CohomPair(at_v.specialize(symbolic.h0), at_v.specialize(symbolic.h1))
+                        assert evaluated == fixed
+                        assert (fixed.h0, fixed.h1) == (max(d + 1, 0), max(-d - 1, 0))
+                    else:
+                        assert tuple(at_v.specialize(x) for x in symbolic) == fixed
+                        count = (d + 2) * (d + 1) // 2
+                        assert fixed == (count if d >= 0 else 0, 0, count if d <= -3 else 0)
+        assert all(decided.values())
