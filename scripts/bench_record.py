@@ -18,8 +18,9 @@ the runs; the Tier-1 wall time and summary line; whether
 the package, so ``setup_s`` includes the compile); the AST node count of each
 module under ``src/``, the volume that compile time follows, and its compile
 time in milliseconds, the best of ``COMPILE_REPEATS`` ``compile()`` calls in
-this process; and the
-identity of the measured code: the checkout's HEAD sha, a flag for uncommitted changes to
+this process; the package modules that a fresh ``import multistruct.cli``
+loads, the part of ``src/`` that every benchmark process compiles, with their
+AST node sum; and the identity of the measured code: the checkout's HEAD sha, a flag for uncommitted changes to
 tracked files, and the git tree hash of each of ``CODE_PATHS`` as the
 working tree held it.  A later reader finds the measured code as the commit
 whose trees equal those (``git rev-parse COMMIT:src``), whether or not the
@@ -113,6 +114,19 @@ def ast_nodes(checkout: Path) -> dict:
     return {name: sum(1 for _ in ast.walk(ast.parse(source))) for name, source in sources(checkout).items()}
 
 
+def startup_modules(checkout: Path, nodes: dict) -> dict:
+    """The ``src/`` modules a fresh ``import multistruct.cli`` loads, and their AST node sum."""
+    src = checkout / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, multistruct.cli\nfor m in list(sys.modules.values()): print(getattr(m, '__file__', None))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    paths = (Path(line) for line in proc.stdout.splitlines())
+    files = sorted(str(path.relative_to(src)) for path in paths if path.is_relative_to(src))
+    return {"modules": files, "ast_nodes": sum(nodes[name] for name in files)}
+
+
 def compile_ms(checkout: Path) -> dict:
     """Best of ``COMPILE_REPEATS`` ``compile()`` times of each module under ``src/``, in ms."""
     best = {}
@@ -128,6 +142,7 @@ def compile_ms(checkout: Path) -> dict:
 
 def record(checkout: Path) -> dict:
     identity = git_state(checkout)
+    nodes = ast_nodes(checkout)
     seconds = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
     workloads = {}
     for workload in WORKLOADS:
@@ -149,7 +164,8 @@ def record(checkout: Path) -> dict:
         "run_seconds": seconds,
         "python": sys.version.split()[0],
         "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-        "ast_nodes": ast_nodes(checkout),
+        "ast_nodes": nodes,
+        "startup_modules": startup_modules(checkout, nodes),
         "compile_ms": compile_ms(checkout),
         "workloads": workloads,
         "tier1": tier1(checkout),

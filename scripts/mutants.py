@@ -328,6 +328,30 @@ MUTANTS = (
             "tests/test_cli.py::TestRecords::test_fixed_r_records_evaluate_the_symbolic_forms",
         ],
     ),
+    (
+        "r values taken from the window under --r",
+        CLI,
+        "    args.r_values = (args.r,) if isinstance(args.r, int) else tuple(args.window)\n",
+        "    args.r_values = tuple(args.window)\n",
+        [
+            "tests/test_cli.py::TestRecords::test_fixed_r_replaces_the_window",
+            "tests/test_cli.py::TestFaultInjection::test_bad_r_exits_2",
+        ],
+    ),
+    (
+        "koszul t^2 record reads the t coefficient",
+        CLI,
+        '("t2-coefficient", 2, ',
+        '("t2-coefficient", 1, ',
+        ["tests/test_cli.py::TestJsonReport::test_example_report_regenerates"],
+    ),
+    (
+        "certificate takes no points as the default points",
+        GRADED,
+        "    sample = DEFAULT_POINTS if points is None else tuple(points)\n",
+        "    sample = tuple(points) if points else DEFAULT_POINTS\n",
+        ["tests/test_graded.py::TestCertificate::test_no_points_is_not_the_default"],
+    ),
 )
 
 TIMEOUT_S = 600

@@ -2,6 +2,7 @@
 
 Modules:
   arith        exact rationals and sparse multivariate polynomials
+  grammar      the report's polynomial text form, read back (not loaded by cli)
   chow         truncated Chow-ring computations on projective space
   structures   Hilbert polynomials of layered structures, Chern solving
   cohomology   parametric line-bundle cohomology and exact-sequence solving

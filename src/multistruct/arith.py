@@ -21,26 +21,19 @@ the degree field included, stays below EXPONENT_LIMIT = 2^15: pack rejects
 larger exponents with ValueError and a product whose total degree would
 reach the limit raises EngineError, so two fields never add into a carry.
 Exponent tuples appear only at the edges: the constructor packs them and
-items() and sorted_terms() unpack them.  Integer consumers of numerators()
-read one field of a key with exponent().
+sorted_terms() unpacks them.  Integer consumers of numerators() read one
+field of a key with exponent().
 All values are immutable after construction and safe to share.
 
-Text form (round-trips exactly through parse_poly/format_poly):
-
-  poly     :=  ['-'] term (('+'|'-') term)*
-  term     :=  factor ('*' factor)*
-  factor   :=  rational | integer | variable ['^' integer]
-  rational :=  '(' integer '/' integer ')'
-
-e.g. ``(1/2)*t^2 + (3/2)*t + 1`` or ``2*r^2 - 3*s*u^4``.
+format_poly prints the text form of the reports, e.g.
+``(1/2)*t^2 + (3/2)*t + 1``; multistruct.grammar.parse_poly reads it back.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 from . import EngineError, _kernels
 
@@ -102,7 +95,7 @@ class MultiPoly:
     hashing compare ints, and products go to the integer kernel as stored.
 
     Construct via the factory functions ``const`` and ``var`` or the
-    classmethods below; ``parse_poly`` reads the report text back.
+    classmethods below; ``grammar.parse_poly`` reads the report text back.
     Arithmetic never mutates operands.
     """
 
@@ -158,10 +151,6 @@ class MultiPoly:
     def numerators(self) -> tuple[dict[int, int], int]:
         """The stored form ({packed key: numerator}, denominator); the dict is read-only."""
         return self._num, self._den
-
-    def items(self) -> Iterable[tuple[Exponent, Fraction]]:
-        den = self._den
-        return [(unpack(key), Fraction(c, den)) for key, c in self._num.items()]
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in the canonical graded-lex order, highest first."""
@@ -416,113 +405,3 @@ def format_poly(p: MultiPoly) -> str:
         else:
             pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
     return "".join(pieces)
-
-
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([()+\-*/^]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"unexpected character at position {pos}: {text[pos]!r}")
-        if m.group(1) is not None:
-            tokens.append(("num", m.group(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.take()
-        if tok != ("op", op):
-            raise ValueError(f"expected {op!r}, got {tok[1]!r}")
-
-    def parse(self) -> MultiPoly:
-        poly = self.parse_term(self.parse_sign())
-        while True:
-            tok = self.peek()
-            if tok is None:
-                return poly
-            if tok == ("op", "+"):
-                self.take()
-                poly = poly + self.parse_term(1)
-            elif tok == ("op", "-"):
-                self.take()
-                poly = poly + self.parse_term(-1)
-            else:
-                raise ValueError(f"expected '+' or '-', got {tok[1]!r}")
-
-    def parse_sign(self) -> int:
-        sign = 1
-        while self.peek() in (("op", "+"), ("op", "-")):
-            if self.take() == ("op", "-"):
-                sign = -sign
-        return sign
-
-    def parse_term(self, sign: int) -> MultiPoly:
-        poly = MultiPoly.const(sign) * self.parse_factor()
-        while self.peek() == ("op", "*"):
-            self.take()
-            poly = poly * self.parse_factor()
-        return poly
-
-    def parse_factor(self) -> MultiPoly:
-        tok = self.take()
-        if tok[0] == "num":
-            return MultiPoly.const(int(tok[1]))
-        if tok == ("op", "("):
-            num = self.take()
-            if num[0] != "num":
-                raise ValueError("expected an integer inside a rational literal")
-            self.expect_op("/")
-            den = self.take()
-            if den[0] != "num":
-                raise ValueError("expected an integer denominator")
-            self.expect_op(")")
-            if int(den[1]) == 0:
-                raise ValueError("zero denominator in rational literal")
-            return MultiPoly.const(Fraction(int(num[1]), int(den[1])))
-        if tok[0] == "name":
-            base = MultiPoly.var(tok[1])
-            if self.peek() == ("op", "^"):
-                self.take()
-                power = self.take()
-                if power[0] != "num":
-                    raise ValueError("expected an integer exponent after '^'")
-                return base ** int(power[1])
-            return base
-        raise ValueError(f"unexpected token {tok[1]!r}")
-
-
-def parse_poly(text: str) -> MultiPoly:
-    """Parse the canonical text form back into a MultiPoly."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty polynomial text")
-    parser = _Parser(tokens)
-    poly = parser.parse()
-    if parser.peek() is not None:
-        raise ValueError("trailing input after polynomial")
-    return poly
-

@@ -69,6 +69,7 @@ from .structures import (
     hilbert_double_plane,
     hilbert_of_layers,
     hilbert_triple_plane,
+    paper_chi_formula,
     solve_chern_from_hilbert,
 )
 
@@ -197,8 +198,7 @@ def run_double_conic(args) -> list[ReplicationRecord]:
 
     # injectivity_certificate returns True or raises GradedCertificateError,
     # so past this loop every r value is certified.
-    r_values = [args.r] if isinstance(args.r, int) else list(args.window)
-    for rv in r_values:
+    for rv in args.r_values:
         injectivity_certificate(rv)
         records.append(
             _record(
@@ -209,10 +209,7 @@ def run_double_conic(args) -> list[ReplicationRecord]:
             )
         )
 
-    if isinstance(args.r, int):
-        assumption = Assumption(fixed=args.r)
-    else:
-        assumption = Assumption(r_min=1)
+    assumption = Assumption(r_min=1) if args.r == "sym" else Assumption(fixed=args.r)
 
     sides = double_conic_side_terms()
     zero = MultiPoly.zero()
@@ -481,29 +478,24 @@ def run_wedge(args) -> list[ReplicationRecord]:
 def run_koszul(args) -> list[ReplicationRecord]:
     c1, c2, c3 = var("c1"), var("c2"), var("c3")
     symbolic = koszul_euler(BundleClass(3, (c1, c2, c3), 5))
-    published_constant = ((c2 - 2 * c1 * c1 - 18 * c1 - 51) * c3).scalar_div(2)
+    published = paper_chi_formula(c1, c2, c3)
     records = [
         _record(
-            "koszul/t2-coefficient",
-            format_poly((-c3).scalar_div(2)),
-            format_poly(symbolic.coeff_of("t", 2)),
-            notes="quadratic coefficient of the alternating Koszul characteristic",
-        ),
-        _record(
-            "koszul/t1-coefficient",
-            format_poly((-(c1 + 6) * c3).scalar_div(2)),
-            format_poly(symbolic.coeff_of("t", 1)),
-        ),
-        _record(
-            "koszul/constant-term",
-            format_poly(published_constant),
-            format_poly(symbolic.coeff_of("t", 0)),
-            match=symbolic.coeff_of("t", 0) == published_constant,
-            notes=(
+            f"koszul/{claim}",
+            format_poly(published.coeff_of("t", k)),
+            format_poly(symbolic.coeff_of("t", k)),
+            notes=notes,
+        )
+        for claim, k, notes in (
+            ("t2-coefficient", 2, "quadratic coefficient of the alternating Koszul characteristic"),
+            ("t1-coefficient", 1, ""),
+            (
+                "constant-term",
+                0,
                 "published denominator 2; independent derivation gives 12, confirmed by "
-                "the complete-intersection oracle on all ten degree triples"
+                "the complete-intersection oracle on all ten degree triples",
             ),
-        ),
+        )
     ]
 
     ci = specialize(symbolic, split_bundle([-1, -1, -2], 5))
@@ -673,9 +665,8 @@ def run_graded(args) -> list[ReplicationRecord]:
             notes="with the 2x2 minors of beta equal to -2b^2, 4ab, -2a^2",
         )
     ]
-    r_values = [args.r] if isinstance(args.r, int) else list(args.window)
     points = args.points
-    for rv in r_values:
+    for rv in args.r_values:
         for label, pair in (("monomial", default_pair(rv)), ("dense", _second_pair(rv))):
             injectivity_certificate(rv, pair, points)  # True or raises
             split = certified_split(pair, tuple(points))  # the certificate's cached result
@@ -700,17 +691,8 @@ def run_graded(args) -> list[ReplicationRecord]:
 
 def run_ext_claim(args) -> list[ReplicationRecord]:
     records: list[ReplicationRecord] = []
-    if isinstance(args.r, int):
-        vanished = ext_vanishing_claim(args.r)
-        records.append(
-            _record(
-                f"ext-claim/vanishing[r={args.r}]",
-                "0",
-                "0" if vanished else "nonzero",
-                notes="first cohomology of the twisted dual kernel bundle on the plane",
-            )
-        )
-    else:
+    notes = "first cohomology of the twisted dual kernel bundle on the plane"
+    if args.r == "sym":
         vanished = ext_vanishing_claim()
         records.append(
             _record(
@@ -720,15 +702,12 @@ def run_ext_claim(args) -> list[ReplicationRecord]:
                 notes="solved symbolically for every r >= 0 from the nine-term chain",
             )
         )
-        for rv in args.window:
-            ok = ext_vanishing_claim(rv)
-            records.append(
-                _record(
-                    f"ext-claim/vanishing[r={rv}]",
-                    "0",
-                    "0" if ok else "nonzero",
-                )
-            )
+        notes = ""
+    for rv in args.r_values:
+        vanished = ext_vanishing_claim(rv)
+        records.append(
+            _record(f"ext-claim/vanishing[r={rv}]", "0", "0" if vanished else "nonzero", notes=notes)
+        )
     return records
 
 
@@ -850,9 +829,9 @@ def _read_seed() -> int:
 
 def _check_r(target: str, args) -> None:
     """Raise ValueError if the target rejects the --r or --window given."""
-    if target == "double-conic" and isinstance(args.r, int) and args.r < 1:
+    lowest = args.r_values[0]
+    if target == "double-conic" and args.r != "sym" and lowest < 1:
         raise ValueError("the double-conic family needs r >= 1")
-    lowest = args.r if isinstance(args.r, int) else args.window[0]
     if target in _NONNEGATIVE_R and lowest < 0:
         raise ValueError(_NONNEGATIVE_R[target])
 
@@ -889,6 +868,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.templates = ["paper", "derived"] if args.template == "both" else [args.template]
+    args.r_values = (args.r,) if isinstance(args.r, int) else tuple(args.window)
     if args.points is None:
         args.points = list(DEFAULT_POINTS)
 

@@ -14,15 +14,15 @@ k*r + 2m.
 The long-exact-sequence solver does pure rank bookkeeping: for an exact
 chain 0 -> V_0 -> ... -> V_(L-1) -> 0 with arrow ranks rho_i it propagates
   dim V_i = rho_(i-1) + rho_i
-together with declared arrow facts (injective / zero) until
-the single unknown term is pinned down.  Facts are always explicit inputs;
+together with declared injectivity facts about its arrows until the
+single unknown term is pinned down.  Facts are always explicit inputs;
 injectivity of a connecting map is never inferred here, it must arrive as
 a certificate (the graded module produces it).
 """
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Sequence
 
 from . import EngineError, Value
 from .arith import MultiPoly, format_poly, var
@@ -183,23 +183,20 @@ def h_p2(d: MultiPoly, assumption: Assumption) -> tuple[MultiPoly, MultiPoly, Mu
 
 # -- exact-sequence solving --------------------------------------------------
 
-FactKind = Literal["injective", "zero"]
-
-
 class ExactSeqSpec:
     """A short exact sequence of sheaves on the conic, for the LES solver.
 
     terms: exactly three entries, each a ConicBundle (cohomology computed
     via h_p1 of the pullback degree), an explicit CohomPair, or None for
     the single unknown.  map_facts: declared (kind, arrow) facts about
-    arrows of the induced six-term cohomology sequence, kind "injective"
-    or "zero", arrow indexed 0..4 in order H0A->H0B, H0B->H0C, H0C->H1A
+    arrows of the induced six-term cohomology sequence, kind "injective",
+    arrow indexed 0..4 in order H0A->H0B, H0B->H0C, H0C->H1A
     (connecting), H1A->H1B, H1B->H1C.
     """
 
     __slots__ = ("terms", "map_facts")
 
-    def __init__(self, terms: tuple, map_facts: tuple[tuple[FactKind, int], ...] = ()):
+    def __init__(self, terms: tuple, map_facts: tuple[tuple[str, int], ...] = ()):
         if len(terms) != 3:
             raise ValueError(f"a short exact sequence has exactly three terms, got {len(terms)}")
         unknowns = sum(1 for term in terms if term is None)
@@ -211,7 +208,7 @@ class ExactSeqSpec:
 
 def _solve_chain(
     dims: list[MultiPoly | None],
-    facts: Sequence[tuple[FactKind, int]],
+    facts: Sequence[tuple[str, int]],
     assumption: Assumption,
 ) -> list[MultiPoly]:
     """Fill in the unknown entries of an exact chain 0 -> V_0 -> ... -> 0.
@@ -236,14 +233,11 @@ def _solve_chain(
     for kind, arrow in facts:
         if not 0 <= arrow <= L - 2:
             raise ValueError(f"arrow index {arrow} out of range")
-        if kind == "zero":
-            set_rank(arrow + 1, MultiPoly.zero(), f"fact zero@{arrow}")
-        elif kind == "injective":
-            if dims[arrow] is None:
-                raise UnderdeterminedError("injectivity fact on an unknown source term")
-            set_rank(arrow + 1, dims[arrow], f"fact injective@{arrow}")
-        else:
+        if kind != "injective":
             raise ValueError(f"unknown fact kind {kind!r}")
+        if dims[arrow] is None:
+            raise UnderdeterminedError("injectivity fact on an unknown source term")
+        set_rank(arrow + 1, dims[arrow], f"fact injective@{arrow}")
 
     changed = True
     while changed:

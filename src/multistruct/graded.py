@@ -650,7 +650,7 @@ def injectivity_certificate(
         raise ValueError("r must be a nonnegative integer")
     if pair is not None and pair.r != r:
         raise ValueError("section pair was built for a different r")
-    sample = tuple(points) if points else DEFAULT_POINTS
+    sample = DEFAULT_POINTS if points is None else tuple(points)
     if len(sample) < 5:
         raise ValueError("need at least five sample points")
     certified_split(pair if pair is not None else default_pair(r), sample)

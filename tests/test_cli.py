@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from multistruct import chow, cli, cohomology, integrality, structures
-from multistruct.arith import MultiPoly, parse_poly, var
+from multistruct.arith import MultiPoly, var
 from multistruct.chow import BundleClass
 from multistruct.cli import (
     POINT_DIGITS_CAP,
@@ -31,6 +31,7 @@ from multistruct.cli import (
     report_json,
 )
 from multistruct.graded import GradedCertificateError
+from multistruct.grammar import parse_poly
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_REPORT = ROOT / "docs" / "example-report.json"
@@ -504,6 +505,14 @@ class TestRecords:
         assert "vanishing[r=2]" in out
         assert "vanishing[r=3]" not in out
 
+    @pytest.mark.parametrize("target", ["double-conic", "graded", "ext-claim"])
+    def test_fixed_r_replaces_the_window(self, capsys, target):
+        # --r runs that one value; without it the window's values run
+        _, out, _ = run_cli(capsys, "replicate", target, "--r", "3", "--window", "1..2")
+        assert set(re.findall(r"\[r=(\d+)", out)) == {"3"}
+        _, out, _ = run_cli(capsys, "replicate", target, "--window", "1..2")
+        assert set(re.findall(r"\[r=(\d+)", out)) == {"1", "2"}
+
 
 def assert_report_schema(doc: dict) -> None:
     """The four top-level keys, the summary keys and the record keys, in order."""
@@ -575,9 +584,10 @@ class TestJsonReport:
         assert doc["summary"] == {"total": 2, "matched": 1, "discrepancies": 1}
 
 
-# Loaded only to build classes (dataclasses pulls in inspect, ast and dis) or
-# to write a report; a process that writes none should not pay for them.
-STARTUP_EXCLUDED = ("dataclasses", "inspect", "ast", "dis", "json", "datetime")
+# Loaded only to build classes (dataclasses pulls in inspect, ast and dis), to
+# write a report or to read report text back; a process that does none of
+# these should not pay for them.
+STARTUP_EXCLUDED = ("dataclasses", "inspect", "ast", "dis", "json", "datetime", "multistruct.grammar")
 
 
 def _fresh_process(code: str, *argv: str) -> subprocess.CompletedProcess:

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from multistruct import EngineError
-from multistruct.arith import MultiPoly, parse_poly, var
+from multistruct.arith import MultiPoly, var
 from multistruct.cohomology import (
     Assumption,
     CohomPair,
@@ -30,6 +30,7 @@ from multistruct.cohomology import (
     solve_exact_sequence,
     tangent_dimension_double_conic,
 )
+from multistruct.grammar import parse_poly
 
 r = var("r")
 ZERO = MultiPoly.zero()
@@ -210,12 +211,12 @@ class TestExactSequences:
             solve_exact_sequence(ExactSeqSpec((aux2, None, aux1)), GENERIC)
 
     def test_inconsistent_fact_detected(self):
-        # a zero middle with nonzero sides has no exact completion
-        left = CohomPair(MultiPoly.const(2), ZERO)
-        right = CohomPair(ZERO, ZERO)
-        with pytest.raises(InconsistentSequenceError):
+        # an injective connecting map from h^0 = 2 into h^1 = 0 has no exact completion
+        left = CohomPair(ZERO, ZERO)
+        right = CohomPair(MultiPoly.const(2), ZERO)
+        with pytest.raises(InconsistentSequenceError, match="conflicting ranks at arrow 2"):
             solve_exact_sequence(
-                ExactSeqSpec((left, None, right), (("zero", 0),)),
+                ExactSeqSpec((left, None, right), (("injective", 2),)),
                 Assumption(fixed=1),
             )
 

@@ -20,7 +20,7 @@ PACKAGE = ROOT / "src" / "multistruct"
 BENCHMARK = ROOT / "replbench"
 
 ALLOWED = {
-    "arith.parse_poly": "reads the report grammar back; the format_poly round-trip test "
+    "grammar.parse_poly": "reads the report grammar back; the format_poly round-trip test "
     "compares against it",
 }
 

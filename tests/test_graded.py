@@ -759,6 +759,13 @@ class TestCertificate:
         with pytest.raises(ValueError):
             injectivity_certificate(0, points=[(Fraction(1), Fraction(0))])
 
+    @pytest.mark.parametrize("empty", [[], ()], ids=["list", "tuple"])
+    def test_no_points_is_not_the_default(self, monkeypatch, empty):
+        # only None means DEFAULT_POINTS; an empty sample has fewer than five points
+        monkeypatch.setattr(graded, "common_zero_check", lambda p: pytest.fail("engine work ran"))
+        with pytest.raises(ValueError, match="need at least five sample points"):
+            injectivity_certificate(2, None, empty)
+
     def test_random_pairs(self):
         produced = 0
         for pair in _seeded_random_pairs():

@@ -39,7 +39,7 @@ class TestLowestTerms:
             p = random_poly(rng, names=("r",), max_degree=4)
             num, den = lowest_terms(p)
             assert num.scalar_div(den) == p
-            assert all(c.denominator == 1 for _, c in num.items())
+            assert all(c.denominator == 1 for _, c in num.sorted_terms())
 
     def test_is_the_stored_form(self):
         rng = random.Random(9)
