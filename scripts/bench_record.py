@@ -18,13 +18,14 @@ the runs; the Tier-1 wall time and summary line; whether
 the package, so ``setup_s`` includes the compile); the AST node count of each
 module under ``src/``, the volume that compile time follows, and its compile
 time in milliseconds, the best of ``COMPILE_REPEATS`` ``compile()`` calls in
-this process; the package modules that a fresh ``import multistruct.cli``
-loads, the part of ``src/`` that every benchmark process compiles, with their
-AST node sum; and the identity of the measured code: the checkout's HEAD sha, a flag for uncommitted changes to
-tracked files, and the git tree hash of each of ``CODE_PATHS`` as the
-working tree held it.  A later reader finds the measured code as the commit
-whose trees equal those (``git rev-parse COMMIT:src``), whether or not the
-checkout was clean.  Record from a clean clone of a commit, so that the sha
+this process; the modules under ``src/`` that a fresh ``import
+multistruct.cli`` loads, the part that every benchmark process compiles,
+with their AST node sum; and the identity of the measured code: the
+checkout's HEAD sha, a flag for uncommitted changes to tracked files, and
+the git tree hash of each of ``CODE_PATHS`` as the working tree held it.
+A later reader finds the measured code as the commit whose trees equal
+those (``git rev-parse COMMIT:src``), whether or not the checkout was
+clean.  Record from a clean clone of a commit, so that the sha
 names it too.  The script reads the benchmark's result lines only; it
 changes nothing in the checkout except what the benchmark and the tests
 themselves leave behind, and the objects ``git stash create`` writes for a

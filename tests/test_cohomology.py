@@ -220,6 +220,13 @@ class TestExactSequences:
                 Assumption(fixed=1),
             )
 
+    def test_only_injectivity_facts_on_the_five_arrows(self):
+        terms = (CohomPair(ZERO, ZERO), None, CohomPair(ZERO, ZERO))
+        for facts in ((("zero", 0),), (("surjective", 1),), (("injective", 5),)):
+            with pytest.raises(ValueError):
+                solve_exact_sequence(ExactSeqSpec(terms, facts), Assumption(fixed=1))
+
+
 class TestTangentComputation:
     def test_symbolic_tangent_dimension(self):
         aux1, aux2, main = tangent_dimension_double_conic(GENERIC, True)
