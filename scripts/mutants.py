@@ -352,6 +352,37 @@ MUTANTS = (
         "    sample = tuple(points) if points else DEFAULT_POINTS\n",
         ["tests/test_graded.py::TestCertificate::test_no_points_is_not_the_default"],
     ),
+    (
+        "Chern verdict always solved under the paper template",
+        CLI,
+        "    triple = solve_chern_from_hilbert(hilbert, template)\n",
+        '    triple = solve_chern_from_hilbert(hilbert, "paper")\n',
+        ["tests/test_cli.py::TestRecords::test_congruence_template_verdicts"],
+    ),
+    (
+        "explicit record match ignored",
+        CLI,
+        "paper_value == computed_value if match is None else match",
+        "paper_value == computed_value if match is None else True",
+        [
+            "tests/test_cli.py::TestJsonReport::test_report_json_counts",
+            "tests/test_cli.py::TestExitCodes::test_all_aggregates",
+        ],
+    ),
+    (
+        "double-conic expected values not specialized at a fixed r",
+        CLI,
+        'f"({format_dim(assumption.specialize(h0))}, {format_dim(assumption.specialize(h1))})"',
+        'f"({format_dim(h0)}, {format_dim(h1)})"',
+        ["tests/test_cli.py::TestRecords::test_fixed_r_records_evaluate_the_symbolic_forms"],
+    ),
+    (
+        "echoed input not cut",
+        CLI,
+        '    return text if len(text) <= 40 else text[:40] + "..."\n',
+        "    return text\n",
+        ["tests/test_cli.py::TestEchoedInput::test_long_value_gives_a_short_error_line"],
+    ),
 )
 
 TIMEOUT_S = 600

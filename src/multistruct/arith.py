@@ -94,8 +94,8 @@ class MultiPoly:
     every numerator is 1; the zero polynomial has ``_den == 1``).  The form is unique, so equality and
     hashing compare ints, and products go to the integer kernel as stored.
 
-    Construct via the factory functions ``const`` and ``var`` or the
-    classmethods below; ``grammar.parse_poly`` reads the report text back.
+    Construct via the factory function ``var`` or the classmethods
+    below; ``grammar.parse_poly`` reads the report text back.
     Arithmetic never mutates operands.
     """
 
@@ -139,12 +139,6 @@ class MultiPoly:
     def const(cls, value: Scalar) -> "MultiPoly":
         c = _as_fraction(value)
         return cls._reduced({0: c.numerator} if c else {}, c.denominator)
-
-    @classmethod
-    def var(cls, name: str) -> "MultiPoly":
-        if name not in _SHIFT:
-            raise ValueError(f"unknown variable {name!r}; known: {', '.join(VARIABLES)}")
-        return cls._reduced({_DEGREE_ONE | 1 << _SHIFT[name]: 1}, 1)
 
     # -- inspection --------------------------------------------------------
 
@@ -347,19 +341,17 @@ def as_poly(value: "MultiPoly | Scalar") -> MultiPoly:
     return value if isinstance(value, MultiPoly) else MultiPoly.const(value)
 
 
-def const(value: Scalar) -> MultiPoly:
-    return MultiPoly.const(value)
-
-
 def var(name: str) -> MultiPoly:
-    return MultiPoly.var(name)
+    if name not in _SHIFT:
+        raise ValueError(f"unknown variable {name!r}; known: {', '.join(VARIABLES)}")
+    return MultiPoly._reduced({_DEGREE_ONE | 1 << _SHIFT[name]: 1}, 1)
 
 
 def binomial_poly(n: int) -> MultiPoly:
     """The integer-valued basis polynomial C(t+n, n) = (t+n)...(t+1)/n!."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("binomial_poly needs n >= 0")
-    t = MultiPoly.var("t")
+    t = var("t")
     prod = MultiPoly.const(1)
     for j in range(1, n + 1):
         prod = prod * (t + j)

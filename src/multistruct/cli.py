@@ -80,7 +80,7 @@ class ReplicationRecord:
     template names the chi template that produced the chain ("paper",
     "derived", or "n/a" when no template is involved); paper_value is "n/a"
     for engine-only consistency checks, whose match flag then reports
-    internal success.
+    internal success.  match defaults to paper_value == computed_value.
     """
 
     __slots__ = ("claim_id", "paper_value", "computed_value", "template", "match", "notes")
@@ -90,26 +90,19 @@ class ReplicationRecord:
         claim_id: str,
         paper_value: str,
         computed_value: str,
-        template: str,
-        match: bool,
-        notes: str,
+        template: str = "n/a",
+        match: bool | None = None,
+        notes: str = "",
     ):
         self.claim_id = claim_id
         self.paper_value = paper_value
         self.computed_value = computed_value
         self.template = template
-        self.match = match
+        self.match = paper_value == computed_value if match is None else match
         self.notes = notes
 
     def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "paper_value": self.paper_value,
-            "computed_value": self.computed_value,
-            "template": self.template,
-            "match": self.match,
-            "notes": self.notes,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def report_json(records: list[ReplicationRecord]) -> dict:
@@ -135,19 +128,6 @@ def _fmt_triple(triple: tuple[MultiPoly, MultiPoly, MultiPoly]) -> str:
     )
 
 
-def _record(
-    claim_id: str,
-    paper_value: str,
-    computed_value: str,
-    template: str = "n/a",
-    notes: str = "",
-    match: bool | None = None,
-) -> ReplicationRecord:
-    if match is None:
-        match = paper_value == computed_value
-    return ReplicationRecord(claim_id, paper_value, computed_value, template, match, notes)
-
-
 def _template_record(
     claim_id: str,
     template: str,
@@ -155,7 +135,6 @@ def _template_record(
     computed_value: str,
     notes: str,
     derived_notes: str,
-    match: bool | None = None,
 ) -> ReplicationRecord:
     """A record of a template-dependent chain.
 
@@ -164,19 +143,23 @@ def _template_record(
     matches and carries derived_notes.
     """
     if template == "paper":
-        return _record(claim_id, paper_value, computed_value, "paper", notes, match)
-    return _record(claim_id, "n/a", computed_value, "derived", derived_notes, match=True)
+        return ReplicationRecord(claim_id, paper_value, computed_value, "paper", notes=notes)
+    return ReplicationRecord(claim_id, "n/a", computed_value, "derived", True, derived_notes)
+
+
+def _chern_verdict(hilbert: MultiPoly, template: str):
+    """The Chern triple solved from a Hilbert polynomial, and its integrality verdict."""
+    triple = solve_chern_from_hilbert(hilbert, template)
+    return triple, schwarzenberger_verdict(BundleClass(3, triple, 5))
+
+
+def _braces(values) -> str:
+    """A residue set as the records print it: {0, 2}."""
+    return "{" + ", ".join(map(str, sorted(values))) + "}"
 
 
 def _residue_table(verdict) -> str:
-    return "; ".join(
-        f"mod {q}: {{{', '.join(map(str, residues))}}}" for q, residues in verdict.admissible_residues
-    )
-
-
-def _at_r(form: MultiPoly, r) -> str:
-    """The form's value at an integer --r, or the form itself under --r sym."""
-    return format_dim(form.substitute({"r": r}) if isinstance(r, int) else form)
+    return "; ".join(f"mod {q}: {_braces(residues)}" for q, residues in verdict.admissible_residues)
 
 
 # -- double conic --------------------------------------------------------------
@@ -188,7 +171,7 @@ def run_double_conic(args) -> list[ReplicationRecord]:
 
     hilbert = hilbert_of_layers(double_conic_structure())
     records.append(
-        _record(
+        ReplicationRecord(
             "double-conic/hilbert",
             format_poly(4 * t + r + 2),
             format_poly(hilbert),
@@ -201,7 +184,7 @@ def run_double_conic(args) -> list[ReplicationRecord]:
     for rv in args.r_values:
         injectivity_certificate(rv)
         records.append(
-            _record(
+            ReplicationRecord(
                 f"double-conic/injectivity-certificate[r={rv}]",
                 "injective",
                 "injective",
@@ -211,45 +194,36 @@ def run_double_conic(args) -> list[ReplicationRecord]:
 
     assumption = Assumption(r_min=1) if args.r == "sym" else Assumption(fixed=args.r)
 
-    sides = double_conic_side_terms()
-    zero = MultiPoly.zero()
-    side_expect = {
-        "aux1_left": (r - 1, zero),
-        "aux1_right": (zero, 2 * r + 7),
-        "aux2_left": (2 * r - 1, zero),
-        "aux2_right": (zero, r + 7),
-    }
-    for key, bundle in sides.items():
-        pair = h_p1(pullback_degree(bundle), assumption)
-        h0, h1 = side_expect[key]
-        records.append(
-            _record(
-                f"double-conic/h[{bundle}]",
-                f"({_at_r(h0, args.r)}, {_at_r(h1, args.r)})",
-                f"({format_dim(pair.h0)}, {format_dim(pair.h1)})",
-                notes="side term of the auxiliary sequences, tensored by the dualizing sheaf",
-            )
-        )
-
+    aux1_left, aux1_right, aux2_left, aux2_right = (
+        (str(bundle), h_p1(pullback_degree(bundle), assumption))
+        for bundle in double_conic_side_terms().values()
+    )
     aux1, aux2, main_pair = tangent_dimension_double_conic(assumption, True)
-    for name, pair, (h0, h1) in (
-        ("middle-aux1", aux1, (r - 1, 2 * r + 7)),
-        ("middle-aux2", aux2, (2 * r - 1, r + 7)),
+    zero = MultiPoly.zero()
+    side = "side term of the auxiliary sequences, tensored by the dualizing sheaf"
+    middle = "middle term solved from the six-term sequence"
+    for (name, pair), (h0, h1), notes in (
+        (aux1_left, (r - 1, zero), side),
+        (aux1_right, (zero, 2 * r + 7), side),
+        (aux2_left, (2 * r - 1, zero), side),
+        (aux2_right, (zero, r + 7), side),
+        (("middle-aux1", aux1), (r - 1, 2 * r + 7), middle),
+        (("middle-aux2", aux2), (2 * r - 1, r + 7), middle),
     ):
         records.append(
-            _record(
+            ReplicationRecord(
                 f"double-conic/h[{name}]",
-                f"({_at_r(h0, args.r)}, {_at_r(h1, args.r)})",
+                f"({format_dim(assumption.specialize(h0))}, {format_dim(assumption.specialize(h1))})",
                 f"({format_dim(pair.h0)}, {format_dim(pair.h1)})",
-                notes="middle term solved from the six-term sequence",
+                notes=notes,
             )
         )
 
     tangent = main_pair.h1
     family = family_dimension(assumption)
-    want_tangent = _at_r(2 * r + 15, args.r)
+    want_tangent = format_dim(assumption.specialize(2 * r + 15))
     records.append(
-        _record(
+        ReplicationRecord(
             "double-conic/tangent-dimension",
             want_tangent,
             format_dim(tangent),
@@ -257,7 +231,7 @@ def run_double_conic(args) -> list[ReplicationRecord]:
         )
     )
     records.append(
-        _record(
+        ReplicationRecord(
             "double-conic/family-dimension",
             want_tangent,
             format_dim(family),
@@ -265,7 +239,7 @@ def run_double_conic(args) -> list[ReplicationRecord]:
         )
     )
     records.append(
-        _record(
+        ReplicationRecord(
             "double-conic/family-section-degrees",
             "degrees r+4 and r+3",
             "degrees r+2 and r+4",
@@ -292,7 +266,7 @@ def _plane_records(
     templates: list[str],
 ) -> list[ReplicationRecord]:
     records = [
-        _record(
+        ReplicationRecord(
             f"{prefix}/hilbert",
             format_poly(hilbert_expected),
             format_poly(hilbert),
@@ -300,7 +274,7 @@ def _plane_records(
         )
     ]
     for template in templates:
-        triple = solve_chern_from_hilbert(hilbert, template)
+        triple, verdict = _chern_verdict(hilbert, template)
         records.append(
             _template_record(
                 f"{prefix}/chern",
@@ -312,7 +286,6 @@ def _plane_records(
                 "template (constant denominator 12), reproduction check passed",
             )
         )
-        verdict = schwarzenberger_verdict(BundleClass(3, triple, 5))
         substitution = (
             f"r = {verdict.substitution[0]}*R + {verdict.substitution[1]}"
             if verdict.substitution
@@ -379,10 +352,10 @@ def run_triple_plane(args) -> list[ReplicationRecord]:
         args.templates,
     )
     if "paper" in args.templates:
-        triple = solve_chern_from_hilbert(hilbert_triple_plane(), "paper")
+        triple, verdict = _chern_verdict(hilbert_triple_plane(), "paper")
         substituted = tuple(c.substitute({"r": 3 * R}) for c in triple)
         records.append(
-            _record(
+            ReplicationRecord(
                 "triple-plane/substituted-chern",
                 _fmt_triple((6 * R - 3, 57 * R * R + 27 * R + 13, MultiPoly.const(-3))),
                 _fmt_triple(substituted),
@@ -390,16 +363,14 @@ def run_triple_plane(args) -> list[ReplicationRecord]:
                 notes="after the forced reparametrization r = 3R",
             )
         )
-        verdict = schwarzenberger_verdict(BundleClass(3, triple, 5))
         computed = verdict.expansion.coefficient(1)
         printed = _printed_triple_plane_coefficient()
         records.append(
-            _record(
+            ReplicationRecord(
                 "triple-plane/C(t+1,1)-coefficient",
                 format_poly(printed),
                 format_poly(computed),
                 template="paper",
-                match=printed == computed,
                 notes=(
                     "computed coefficient is the negative of the published one (same global "
                     "sign slip as the displayed quintic expansion); never-integral verdict "
@@ -418,7 +389,7 @@ def run_wedge(args) -> list[ReplicationRecord]:
     symbolic = BundleClass(3, (c1, c2, c3), 5)
     lambda2, lambda3 = wedge_powers(symbolic)
     records = [
-        _record(
+        ReplicationRecord(
             "wedge/lambda2-c1",
             format_poly(3 * c1),
             format_poly(lambda2.chern[0]),
@@ -428,9 +399,13 @@ def run_wedge(args) -> list[ReplicationRecord]:
                 "(rank-1) c1 = 2c1 for rank 3; verified against 50 random split bundles"
             ),
         ),
-        _record("wedge/lambda2-c2", format_poly(c1 * c1 + c2), format_poly(lambda2.chern[1])),
-        _record("wedge/lambda2-c3", format_poly(c1 * c2 - c3), format_poly(lambda2.chern[2])),
-        _record(
+        ReplicationRecord(
+            "wedge/lambda2-c2", format_poly(c1 * c1 + c2), format_poly(lambda2.chern[1])
+        ),
+        ReplicationRecord(
+            "wedge/lambda2-c3", format_poly(c1 * c2 - c3), format_poly(lambda2.chern[2])
+        ),
+        ReplicationRecord(
             "wedge/lambda3-c1",
             format_poly(c1),
             format_poly(lambda3.chern[0]),
@@ -451,7 +426,7 @@ def run_wedge(args) -> list[ReplicationRecord]:
         if w2 == split_bundle(pairwise, 5).chern and w3 == sum(twists):
             agree += 1
     records.append(
-        _record(
+        ReplicationRecord(
             "wedge/split-agreement",
             "n/a",
             f"{agree}/{trials} random split bundles agree",
@@ -461,7 +436,7 @@ def run_wedge(args) -> list[ReplicationRecord]:
     )
     oracle = splitting_oracle(3)
     records.append(
-        _record(
+        ReplicationRecord(
             "wedge/splitting-oracle",
             "n/a",
             "; ".join(f"{k}: {v}" for k, v in sorted(oracle.items())),
@@ -480,7 +455,7 @@ def run_koszul(args) -> list[ReplicationRecord]:
     symbolic = koszul_euler(BundleClass(3, (c1, c2, c3), 5))
     published = paper_chi_formula(c1, c2, c3)
     records = [
-        _record(
+        ReplicationRecord(
             f"koszul/{claim}",
             format_poly(published.coeff_of("t", k)),
             format_poly(symbolic.coeff_of("t", k)),
@@ -501,7 +476,7 @@ def run_koszul(args) -> list[ReplicationRecord]:
     ci = specialize(symbolic, split_bundle([-1, -1, -2], 5))
     t = var("t")
     records.append(
-        _record(
+        ReplicationRecord(
             "koszul/ci[1,1,2]",
             format_poly((t + 1) * (t + 1)),
             format_poly(ci),
@@ -521,7 +496,7 @@ def run_koszul(args) -> list[ReplicationRecord]:
         == koszul_complete_intersection(degrees)
     )
     records.append(
-        _record(
+        ReplicationRecord(
             "koszul/ci-oracle",
             "n/a",
             f"{good}/{len(triples)} degree triples agree",
@@ -574,12 +549,11 @@ def run_expansion(args) -> list[ReplicationRecord]:
                     format_poly(computed),
                     notes,
                     "no published counterpart under the derived template",
-                    match=computed == printed[i],
                 )
             )
         reassembled = from_binomial_basis(expansion)
         records.append(
-            _record(
+            ReplicationRecord(
                 "expansion/reassembly",
                 "n/a",
                 "exact" if reassembled == chi else "failed",
@@ -604,10 +578,10 @@ def run_congruence(args) -> list[ReplicationRecord]:
     quartic_set = congruence_residues(quartic, 3)
     both = cubic_set & quartic_set
     records.append(
-        _record(
+        ReplicationRecord(
             "congruence/double-plane-mod3",
             "empty (impossible)",
-            "empty" if not both else f"{{{', '.join(map(str, sorted(both)))}}}",
+            "empty" if not both else _braces(both),
             template="paper",
             match=not both,
             notes=(
@@ -618,10 +592,10 @@ def run_congruence(args) -> list[ReplicationRecord]:
     )
     r_set = congruence_residues(quintic_R, 3)
     records.append(
-        _record(
+        ReplicationRecord(
             "congruence/triple-plane-mod3",
             "empty (never integral)",
-            "empty" if not r_set else f"{{{', '.join(map(str, sorted(r_set)))}}}",
+            "empty" if not r_set else _braces(r_set),
             template="paper",
             match=not r_set,
             notes="the C(t+1,1) coefficient after r = 3R; negation-invariant",
@@ -632,8 +606,7 @@ def run_congruence(args) -> list[ReplicationRecord]:
             ("double-plane", hilbert_double_plane()),
             ("triple-plane", hilbert_triple_plane()),
         ):
-            triple = solve_chern_from_hilbert(hilbert, template)
-            verdict = schwarzenberger_verdict(BundleClass(3, triple, 5))
+            _, verdict = _chern_verdict(hilbert, template)
             table = _residue_table(verdict)
             records.append(
                 _template_record(
@@ -658,7 +631,7 @@ def _second_pair(rv: int) -> SectionPair:
 
 def run_graded(args) -> list[ReplicationRecord]:
     records = [
-        _record(
+        ReplicationRecord(
             "graded/symbolic-identities",
             "beta . alpha = 0",
             "beta . alpha = 0" if symbolic_complex_identities() else "failed",
@@ -672,7 +645,7 @@ def run_graded(args) -> list[ReplicationRecord]:
             split = certified_split(pair, tuple(points))  # the certificate's cached result
             twisted = tuple(sorted(a - rv - 2 for a in split))
             records.append(
-                _record(
+                ReplicationRecord(
                     f"graded/splitting[r={rv},{label}]",
                     f"({rv - 4}, {rv - 2})",
                     f"({split[0]}, {split[1]})",
@@ -695,7 +668,7 @@ def run_ext_claim(args) -> list[ReplicationRecord]:
     if args.r == "sym":
         vanished = ext_vanishing_claim()
         records.append(
-            _record(
+            ReplicationRecord(
                 "ext-claim/vanishing[symbolic]",
                 "0",
                 "0" if vanished else "nonzero",
@@ -706,7 +679,9 @@ def run_ext_claim(args) -> list[ReplicationRecord]:
     for rv in args.r_values:
         vanished = ext_vanishing_claim(rv)
         records.append(
-            _record(f"ext-claim/vanishing[r={rv}]", "0", "0" if vanished else "nonzero", notes=notes)
+            ReplicationRecord(
+                f"ext-claim/vanishing[r={rv}]", "0", "0" if vanished else "nonzero", notes=notes
+            )
         )
     return records
 
@@ -759,9 +734,16 @@ _NONNEGATIVE_R = {
 }
 
 
+def _shown(text: str) -> str:
+    """Rejected input as an error message quotes it: cut after 40 characters."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _check_cap(flag: str, value: int) -> int:
     if abs(value) > R_CAP:
-        raise argparse.ArgumentTypeError(f"{flag} values must lie in -{R_CAP}..{R_CAP}, got {value}")
+        raise argparse.ArgumentTypeError(
+            f"{flag} values must lie in -{R_CAP}..{R_CAP}, got {_shown(str(value))}"
+        )
     return value
 
 
@@ -771,18 +753,22 @@ def _parse_r(text: str):
     try:
         value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"--r expects an integer or 'sym', got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"--r expects an integer or 'sym', got {_shown(text)!r}"
+        ) from exc
     return _check_cap("--r", value)
 
 
 def _parse_window(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise argparse.ArgumentTypeError(f"--window expects a..b, got {text!r}")
+        raise argparse.ArgumentTypeError(f"--window expects a..b, got {_shown(text)!r}")
     try:
         start, stop = int(lo), int(hi)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"--window expects integer bounds, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"--window expects integer bounds, got {_shown(text)!r}"
+        ) from exc
     if stop < start:
         raise argparse.ArgumentTypeError("--window bounds must be ascending")
     return range(_check_cap("--window", start), _check_cap("--window", stop) + 1)
@@ -797,19 +783,18 @@ def _parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
         chunk = chunk.strip()
         s_txt, sep, u_txt = chunk.partition(":")
         if not sep:
-            raise argparse.ArgumentTypeError(f"--points expects s:u pairs, got {chunk!r}")
+            raise argparse.ArgumentTypeError(f"--points expects s:u pairs, got {_shown(chunk)!r}")
         for txt in (s_txt, u_txt):
             m = _COORDINATE.fullmatch(txt)
             if not m or any(len(g or "") > POINT_DIGITS_CAP for g in m.groups()):
-                shown = txt if len(txt) <= 40 else txt[:40] + "..."
                 raise argparse.ArgumentTypeError(
                     f"--points coordinates must read p or p/q with at most "
-                    f"{POINT_DIGITS_CAP} digits each, got {shown!r}"
+                    f"{POINT_DIGITS_CAP} digits each, got {_shown(txt)!r}"
                 )
         try:
             point = (Fraction(s_txt), Fraction(u_txt))
         except ZeroDivisionError as exc:
-            raise argparse.ArgumentTypeError(f"bad point {chunk!r}") from exc
+            raise argparse.ArgumentTypeError(f"bad point {_shown(chunk)!r}") from exc
         if point == (0, 0):
             raise argparse.ArgumentTypeError("[0:0] is not a projective point")
         points.append(point)
@@ -820,9 +805,9 @@ def _read_seed() -> int:
     """MULTISTRUCT_SEED as an int; unset or empty means 0."""
     text = os.environ.get("MULTISTRUCT_SEED", "")
     if text and not _SEED.fullmatch(text):
-        shown = text if len(text) <= 40 else text[:40] + "..."
         raise ValueError(
-            f"MULTISTRUCT_SEED must read [-]digits with at most {SEED_DIGITS_CAP} digits, got {shown!r}"
+            f"MULTISTRUCT_SEED must read [-]digits with at most {SEED_DIGITS_CAP} digits, "
+            f"got {_shown(text)!r}"
         )
     return int(text or "0")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .arith import MultiPoly
+from .arith import MultiPoly, var
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([()+\-*/^]))")
 
@@ -106,7 +106,7 @@ class _Parser:
                 raise ValueError("zero denominator in rational literal")
             return MultiPoly.const(Fraction(int(num[1]), int(den[1])))
         if tok[0] == "name":
-            base = MultiPoly.var(tok[1])
+            base = var(tok[1])
             if self.peek() == ("op", "^"):
                 self.take()
                 power = self.take()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from multistruct.arith import MultiPoly, VARIABLES
+from multistruct.arith import MultiPoly, VARIABLES, var
 
 CRITERIA: dict[int, tuple[bool, str]] = {}
 
@@ -36,7 +36,7 @@ def random_poly(
         coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
         term = MultiPoly.const(coeff)
         for name in names:
-            term = term * MultiPoly.var(name) ** rng.randint(0, max_degree)
+            term = term * var(name) ** rng.randint(0, max_degree)
         total = total + term
     return total
 

@@ -17,7 +17,6 @@ from multistruct.arith import (
     MultiPoly,
     as_poly,
     binomial_poly,
-    const,
     exponent,
     format_poly,
     pack,
@@ -33,9 +32,9 @@ r = var("r")
 class TestConstruction:
     def test_zero_and_const(self):
         assert MultiPoly.zero().is_zero()
-        assert const(0).is_zero()
-        assert const(5).as_fraction() == 5
-        assert const(Fraction(2, 3)).as_fraction() == Fraction(2, 3)
+        assert MultiPoly.const(0).is_zero()
+        assert MultiPoly.const(5).as_fraction() == 5
+        assert MultiPoly.const(Fraction(2, 3)).as_fraction() == Fraction(2, 3)
 
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError):
@@ -47,13 +46,14 @@ class TestConstruction:
         assert 1 - t == -(t - 1)
 
     def test_equality_against_scalars(self):
-        assert const(7) == 7
-        assert const(Fraction(1, 2)) == Fraction(1, 2)
+        assert MultiPoly.const(7) == 7
+        assert MultiPoly.const(Fraction(1, 2)) == Fraction(1, 2)
         assert t != 1
 
     def test_as_poly(self):
         assert as_poly(t) is t
-        assert as_poly(3) == const(3) and as_poly(Fraction(-1, 4)) == const(Fraction(-1, 4))
+        assert as_poly(3) == MultiPoly.const(3)
+        assert as_poly(Fraction(-1, 4)) == MultiPoly.const(Fraction(-1, 4))
         for other in ("1", 1.5, None):
             with pytest.raises(TypeError):
                 as_poly(other)
@@ -85,7 +85,7 @@ class TestArithmetic:
 
     def test_variables_used(self):
         assert (t * r + 1).variables_used() == ("t", "r")
-        assert const(3).variables_used() == ()
+        assert MultiPoly.const(3).variables_used() == ()
 
 
 class TestSubstitution:
@@ -255,10 +255,10 @@ class TestStoredForm:
         [
             (t.scalar_div(2) * 2, t),
             (t * Fraction(1, 3) + t * Fraction(1, 6), t.scalar_div(2)),
-            (const(Fraction(3, 6)), const(1).scalar_div(2)),
+            (MultiPoly.const(Fraction(3, 6)), MultiPoly.const(1).scalar_div(2)),
             ((t + 1) ** 2 - 2 * t, t * t + 1),
             (t.scalar_div(4) * (4 * r), t * r),
-            ((t - r).coeff_of("t", 1), const(1)),
+            ((t - r).coeff_of("t", 1), MultiPoly.const(1)),
             (t - t, MultiPoly.zero()),
             (MultiPoly({_exp(t=1): Fraction(2, 4)}), MultiPoly({_exp(t=1): 1}).scalar_div(2)),
         ],

@@ -361,6 +361,34 @@ class TestParameterCap:
         assert lines[-1] == "summary: 3 records, 3 matched, 0 discrepancies"
 
 
+class TestEchoedInput:
+    """An error message quotes at most 40 characters of a rejected value."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--r", "9" * 1000),
+            ("--r", "x" * 1000),
+            ("--window", "9" * 1000),
+            ("--window", "0.." + "9" * 997),
+            ("--window", "0..x" + "9" * 996),
+            ("--points", "9" * 1000),
+            ("--points", "x" * 998 + ":1"),
+            ("--points", ",".join(["9" * 100 + "/" + "0" * 100 + ":1"] * 4) + ",1:1" * 47),
+        ],
+        ids=["r-cap", "r-text", "window-sep", "window-cap", "window-int", "points-pair",
+             "points-coordinate", "points-zero-denominator"],
+    )
+    def test_long_value_gives_a_short_error_line(self, capsys, flag, value):
+        assert len(value) >= 1000
+        with pytest.raises(SystemExit) as exc:
+            main(["replicate", "graded", f"{flag}={value}"])
+        assert exc.value.code == 2
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith(f"multistruct replicate: error: argument {flag}: ")
+        assert len(line.encode()) < 200
+
+
 def _benchmark_points(seed: int) -> str:
     spec = importlib.util.spec_from_file_location("replbench_run", ROOT / "replbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
