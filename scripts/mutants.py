@@ -284,8 +284,8 @@ MUTANTS = (
     (
         "--points digit cap dropped",
         CLI,
-        '            if not m or any(len(g or "") > POINT_DIGITS_CAP for g in m.groups()):',
-        "            if not m:",
+        '    if not m or any(len(g or "") > POINT_DIGITS_CAP for g in m.groups()):',
+        "    if not m:",
         ["tests/test_cli.py::TestPointsBound::test_other_coordinates_exit_2_at_once"],
     ),
     (
@@ -381,7 +381,24 @@ MUTANTS = (
         CLI,
         '    return text if len(text) <= 40 else text[:40] + "..."\n',
         "    return text\n",
-        ["tests/test_cli.py::TestEchoedInput::test_long_value_gives_a_short_error_line"],
+        [
+            "tests/test_cli.py::TestEchoedInput::test_long_value_gives_a_short_error_line",
+            "tests/test_cli.py::TestEchoedInput::test_long_target_gives_a_short_error_line",
+        ],
+    ),
+    (
+        "scalar_div without the sign normalization",
+        ARITH,
+        "        if n < 0:\n            n, d = -n, -d\n",
+        "",
+        ["tests/test_arith.py::TestIntPairs::test_scalar_operations_match_fraction_arithmetic"],
+    ),
+    (
+        "--points representative without the lcm scaling",
+        CLI,
+        "        s, u = s_num * (scale // s_den), u_num * (scale // u_den)\n",
+        "        s, u = s_num, u_num\n",
+        ["tests/test_cli.py::TestPointsBound::test_printed_fractions_are_accepted"],
     ),
 )
 

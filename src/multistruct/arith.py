@@ -3,8 +3,11 @@
 A polynomial is stored as integer numerators over one common denominator:
 a dict mapping packed exponent keys to nonzero ints, plus a positive int,
 in lowest terms (the gcd of the denominator and every numerator is 1, and
-the zero polynomial has denominator 1).  Coefficients are read back as
-Fractions.  Every polynomial lives in one fixed variable universe:
+the zero polynomial has denominator 1).  A rational scalar is read as the
+int pair (numerator, denominator) of any value that has them, so an int or
+a fractions.Fraction; a float has neither and raises TypeError.  No
+arithmetic here builds a Fraction.  Every polynomial lives in one fixed
+variable universe:
 
   VARIABLES = (t, r, R, c1, c2, c3, h, s, u, a1, a2, a3, x, y)
 
@@ -21,7 +24,7 @@ the degree field included, stays below EXPONENT_LIMIT = 2^15: pack rejects
 larger exponents with ValueError and a product whose total degree would
 reach the limit raises EngineError, so two fields never add into a carry.
 Exponent tuples appear only at the edges: the constructor packs them and
-sorted_terms() unpacks them.  Integer consumers of numerators() read one
+format_poly unpacks them.  Integer consumers of numerators() read one
 field of a key with exponent().
 All values are immutable after construction and safe to share.
 
@@ -32,13 +35,18 @@ format_poly prints the text form of the reports, e.g.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Mapping, Tuple, Union
+from typing import Mapping, Protocol, Tuple
 
 from . import EngineError, _kernels
 
 Exponent = Tuple[int, ...]
-Scalar = Union[int, Fraction]
+
+
+class Scalar(Protocol):
+    """An exact rational: an int, a fractions.Fraction, or any value with these."""
+
+    numerator: int
+    denominator: int
 
 VARIABLES = ("t", "r", "R", "c1", "c2", "c3", "h", "s", "u", "a1", "a2", "a3", "x", "y")
 NVARS = len(VARIABLES)
@@ -77,12 +85,23 @@ def exponent(key: int, name: str) -> int:
     return key >> _SHIFT[name] & _MASK
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+def _rational(value) -> tuple[int, int] | None:
+    """(numerator, denominator > 0) of an exact rational scalar, or None."""
+    if type(value) is int:
+        return value, 1
+    n = getattr(value, "numerator", None)
+    d = getattr(value, "denominator", None)
+    if not isinstance(n, int) or not isinstance(d, int) or not d:
+        return None
+    return (n, d) if d > 0 else (-n, -d)
+
+
+def _pair(value: Scalar) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an exact rational scalar; TypeError otherwise."""
+    pair = _rational(value)
+    if pair is None:
+        raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+    return pair
 
 
 class MultiPoly:
@@ -102,17 +121,19 @@ class MultiPoly:
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Exponent, Scalar] | None = None):
-        fracs: dict = {}
+        pairs: dict = {}
         if terms:
             for exp, coeff in terms.items():
                 key = pack(exp)
-                c = _as_fraction(coeff)
-                if c:
-                    fracs[key] = c
-        # The lcm of reduced denominators leaves no common factor with the numerators.
-        den = math.lcm(*[c.denominator for c in fracs.values()])
-        self._num = {key: c.numerator * (den // c.denominator) for key, c in fracs.items()}
-        self._den = den
+                n, d = _pair(coeff)
+                if n:
+                    pairs[key] = n, d
+        den = math.lcm(*[d for _, d in pairs.values()])
+        num = {key: n * (den // d) for key, (n, d) in pairs.items()}
+        # A pair need not be in lowest terms, so a common factor may remain.
+        g = math.gcd(den, *num.values())
+        self._num = {key: c // g for key, c in num.items()} if g != 1 else num
+        self._den = den // g
 
     @classmethod
     def _reduced(cls, num: dict, den: int) -> "MultiPoly":
@@ -137,8 +158,8 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> "MultiPoly":
-        c = _as_fraction(value)
-        return cls._reduced({0: c.numerator} if c else {}, c.denominator)
+        n, d = _pair(value)
+        return cls._reduced({0: n} if n else {}, d)
 
     # -- inspection --------------------------------------------------------
 
@@ -146,24 +167,17 @@ class MultiPoly:
         """The stored form ({packed key: numerator}, denominator); the dict is read-only."""
         return self._num, self._den
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        """Terms in the canonical graded-lex order, highest first."""
-        num, den = self._num, self._den
-        return [(unpack(key), Fraction(num[key], den)) for key in sorted(num, reverse=True)]
-
     def is_zero(self) -> bool:
         return not self._num
 
     def is_constant(self) -> bool:
         return not self._num or (len(self._num) == 1 and 0 in self._num)
 
-    def as_fraction(self) -> Fraction:
-        """The value of a constant polynomial; error when non-constant."""
-        if not self._num:
-            return Fraction(0)
+    def constant_pair(self) -> tuple[int, int]:
+        """(numerator, denominator) of a constant polynomial; error when non-constant."""
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self._num[0], self._den)
+        return self._num.get(0, 0), self._den
 
     def degree(self, name: str | None = None) -> int:
         """Total degree, or the degree in one variable; zero poly has -1."""
@@ -232,16 +246,14 @@ class MultiPoly:
         return other + (-self)
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            if not other:
+        if not isinstance(other, MultiPoly):
+            pair = _rational(other)
+            if pair is None:
+                return NotImplemented
+            n, d = pair
+            if not n:
                 return MultiPoly()
-            n = other.numerator
-            return MultiPoly._reduced(
-                {exp: v * n for exp, v in self._num.items()}, self._den * other.denominator
-            )
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+            return MultiPoly._reduced({exp: v * n for exp, v in self._num.items()}, self._den * d)
         if not self._num or not other._num:
             return MultiPoly()
         # Every stored field is below EXPONENT_LIMIT, so the two top keys add
@@ -270,10 +282,12 @@ class MultiPoly:
 
     def scalar_div(self, value: Scalar) -> "MultiPoly":
         """Exact division by a nonzero scalar; never builds rational functions."""
-        c = _as_fraction(value)
-        if not c:
+        n, d = _pair(value)
+        if not n:
             raise ZeroDivisionError("scalar division by zero")
-        return self * (Fraction(1) / c)
+        if n < 0:
+            n, d = -n, -d
+        return MultiPoly._reduced({exp: v * d for exp, v in self._num.items()}, self._den * n)
 
     # -- substitution ------------------------------------------------------
 
@@ -312,11 +326,13 @@ class MultiPoly:
     # -- equality and display ---------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.as_fraction() == other
         if isinstance(other, MultiPoly):
             return self._den == other._den and self._num == other._num
-        return NotImplemented
+        pair = _rational(other)
+        if pair is None:
+            return NotImplemented
+        n, d = pair
+        return self.is_constant() and self._num.get(0, 0) * d == n * self._den
 
     def __hash__(self) -> int:
         return hash((self._den, frozenset(self._num.items())))
@@ -331,9 +347,11 @@ class MultiPoly:
 def _coerce(value) -> "MultiPoly":
     if isinstance(value, MultiPoly):
         return value
-    if isinstance(value, (int, Fraction)):
-        return MultiPoly.const(value)
-    return NotImplemented
+    pair = _rational(value)
+    if pair is None:
+        return NotImplemented
+    n, d = pair
+    return MultiPoly._reduced({0: n} if n else {}, d)
 
 
 def as_poly(value: "MultiPoly | Scalar") -> MultiPoly:
@@ -361,12 +379,6 @@ def binomial_poly(n: int) -> MultiPoly:
 # -- serialization ----------------------------------------------------------
 
 
-def _format_magnitude(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"({c.numerator}/{c.denominator})"
-
-
 def _format_monomial(exp: Exponent) -> str:
     parts = []
     for i, e in enumerate(exp):
@@ -379,21 +391,24 @@ def _format_monomial(exp: Exponent) -> str:
 
 def format_poly(p: MultiPoly) -> str:
     """Canonical text form; graded-lex term order, highest terms first."""
-    terms = p.sorted_terms()
-    if not terms:
+    num, den = p.numerators()
+    if not num:
         return "0"
     pieces = []
-    for k, (exp, coeff) in enumerate(terms):
-        mag = abs(coeff)
-        mono = _format_monomial(exp)
+    for key in sorted(num, reverse=True):
+        c = num[key]
+        g = math.gcd(c, den)
+        mag, d = abs(c) // g, den // g
+        magnitude = str(mag) if d == 1 else f"({mag}/{d})"
+        mono = _format_monomial(unpack(key))
         if not mono:
-            body = _format_magnitude(mag)
-        elif mag == 1:
+            body = magnitude
+        elif mag == 1 and d == 1:
             body = mono
         else:
-            body = f"{_format_magnitude(mag)}*{mono}"
-        if k == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            body = f"{magnitude}*{mono}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
         else:
-            pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
+            pieces.append(f" + {body}" if c > 0 else f" - {body}")
     return "".join(pieces)

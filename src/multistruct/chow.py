@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from . import EngineError, Value
@@ -176,18 +175,17 @@ def todd_class(n: int) -> MultiPoly:
     """
     if not 1 <= n <= MAX_AMBIENT:
         raise ValueError(f"ambient dimension must be in 1..{MAX_AMBIENT}")
-    # f = (1 - exp(-h))/h has h^k coefficient (-1)^k / (k+1)!
-    f = [Fraction(-1) ** k / math.factorial(k + 1) for k in range(n + 1)]
-    # invert: g with f*g = 1 mod h^(n+1)
-    g = [Fraction(0)] * (n + 1)
-    g[0] = 1 / f[0]
+    # f = (1 - exp(-h))/h has h^k coefficient (-1)^k / (k+1)! = f[k] / D,
+    # D = (n+1)!, with f[0] = D.
+    D = math.factorial(n + 1)
+    f = [(-1) ** k * (D // math.factorial(k + 1)) for k in range(n + 1)]
+    # invert: g with f*g = 1 mod h^(n+1); g_k = G[k] / D^k, from
+    # g_k = -sum_{i=1..k} f_i g_(k-i) since f_0 = 1
+    G = [1] * (n + 1)
     for k in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += f[i] * g[k - i]
-        g[k] = -acc / f[0]
+        G[k] = -sum(f[i] * G[k - i] * D ** (i - 1) for i in range(1, k + 1))
     h = var("h")
-    base = sum(g[k] * h**k for k in range(n + 1))
+    base = sum((h**k * G[k]).scalar_div(D**k) for k in range(n + 1))
     td = MultiPoly.const(1)
     for _ in range(n + 1):
         td = truncate(td * base, n)

@@ -21,11 +21,11 @@ unexpected exception.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import re
 import sys
-from fractions import Fraction
 
 from . import EngineError, __version__
 from .arith import MultiPoly, format_poly, var
@@ -709,9 +709,9 @@ R_CAP = 32
 
 # Most digits accepted in the numerator or the denominator of a --points
 # coordinate, which must read [-]p or [-]p/q as str(Fraction) prints it.
-# The text is checked before any Fraction is built: Fraction would also read
-# an exponent form such as 1e100000, an integer of 100,001 digits that every
-# fiber evaluation of the certificate chain would then carry.
+# No other form is read: an exponent form such as 1e100000 would be an
+# integer of 100,001 digits that every fiber evaluation of the certificate
+# chain would then carry.
 POINT_DIGITS_CAP = 100
 
 # Most --points accepted.  Every certificate chain screens every point, so
@@ -737,6 +737,17 @@ _NONNEGATIVE_R = {
 def _shown(text: str) -> str:
     """Rejected input as an error message quotes it: cut after 40 characters."""
     return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _one_of(choices: tuple[str, ...]):
+    """An argparse type reading one of choices; a rejected value is quoted cut."""
+
+    def read(text: str) -> str:
+        if text not in choices:
+            raise argparse.ArgumentTypeError(f"invalid choice: {_shown(text)!r}")
+        return text
+
+    return read
 
 
 def _check_cap(flag: str, value: int) -> int:
@@ -774,7 +785,20 @@ def _parse_window(text: str) -> range:
     return range(_check_cap("--window", start), _check_cap("--window", stop) + 1)
 
 
-def _parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
+def _coordinate(text: str) -> tuple[int, int]:
+    """(numerator, denominator) of a --points coordinate [-]p or [-]p/q."""
+    m = _COORDINATE.fullmatch(text)
+    if not m or any(len(g or "") > POINT_DIGITS_CAP for g in m.groups()):
+        raise argparse.ArgumentTypeError(
+            f"--points coordinates must read p or p/q with at most "
+            f"{POINT_DIGITS_CAP} digits each, got {_shown(text)!r}"
+        )
+    p, q = m.groups()
+    return -int(p) if text[0] == "-" else int(p), int(q or 1)
+
+
+def _parse_points(text: str) -> list[tuple[int, int]]:
+    """Each s:u as the primitive integer representative of the point [s:u]."""
     count = text.count(",") + 1
     if count > POINTS_CAP:
         raise argparse.ArgumentTypeError(f"--points takes at most {POINTS_CAP} points, got {count}")
@@ -784,20 +808,15 @@ def _parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
         s_txt, sep, u_txt = chunk.partition(":")
         if not sep:
             raise argparse.ArgumentTypeError(f"--points expects s:u pairs, got {_shown(chunk)!r}")
-        for txt in (s_txt, u_txt):
-            m = _COORDINATE.fullmatch(txt)
-            if not m or any(len(g or "") > POINT_DIGITS_CAP for g in m.groups()):
-                raise argparse.ArgumentTypeError(
-                    f"--points coordinates must read p or p/q with at most "
-                    f"{POINT_DIGITS_CAP} digits each, got {_shown(txt)!r}"
-                )
-        try:
-            point = (Fraction(s_txt), Fraction(u_txt))
-        except ZeroDivisionError as exc:
-            raise argparse.ArgumentTypeError(f"bad point {_shown(chunk)!r}") from exc
-        if point == (0, 0):
+        (s_num, s_den), (u_num, u_den) = _coordinate(s_txt), _coordinate(u_txt)
+        if not s_den or not u_den:
+            raise argparse.ArgumentTypeError(f"bad point {_shown(chunk)!r}")
+        scale = math.lcm(s_den, u_den)
+        s, u = s_num * (scale // s_den), u_num * (scale // u_den)
+        g = math.gcd(s, u)
+        if not g:
             raise argparse.ArgumentTypeError("[0:0] is not a projective point")
-        points.append(point)
+        points.append((s // g, u // g))
     return points
 
 
@@ -828,17 +847,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     rep = sub.add_parser("replicate", help="re-run a computation chain and compare")
-    rep.add_argument("target", choices=(*RUNNERS, "all"))
+    # the usage line lists the choices; the type quotes a rejected value cut to 40 characters
+    targets, templates = (*RUNNERS, "all"), ("paper", "derived", "both")
+    rep.add_argument("target", type=_one_of(targets), choices=targets)
     rep.add_argument(
         "--r", type=_parse_r, default="sym", help=f"integer value in -{R_CAP}..{R_CAP}, or 'sym'"
     )
     rep.add_argument(
         "--template",
-        choices=("paper", "derived", "both"),
+        type=_one_of(templates),
+        choices=templates,
         default="both",
         help="which chi template drives the template-dependent chains",
     )
-    rep.add_argument("--points", type=_parse_points, default=None, help="s:u pairs, comma separated")
+    rep.add_argument(
+        "--points",
+        type=_parse_points,
+        default=None,
+        help="s:u pairs, comma separated, each coordinate p or p/q; "
+        "each pair is read as the coprime integers of the point [s:u]",
+    )
     rep.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
     rep.add_argument(
         "--window",

@@ -92,8 +92,9 @@ class Assumption:
             raise InconsistentSequenceError(
                 f"negative dimension in {context}: {self.specialize(p)}"
             )
-        at_min = p.substitute({"r": self.r_min}).as_fraction()
-        if at_min < 0:
+        n, d = p.substitute({"r": self.r_min}).constant_pair()
+        if n < 0:
+            at_min = n if d == 1 else f"{n}/{d}"  # as str(Fraction) prints it
             raise InconsistentSequenceError(
                 f"negative dimension in {context} at r = {self.r_min}: {at_min}"
             )

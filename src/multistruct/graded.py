@@ -51,20 +51,17 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from . import EngineError, Value
 from ._kernels import bareiss_rank
-from .arith import MultiPoly, exponent, format_poly, var
+from .arith import MultiPoly, Scalar, exponent, format_poly, var
 from .cohomology import Assumption, h_p1
 
-DEFAULT_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
-    (Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(1)),
-    (Fraction(1), Fraction(1)),
-    (Fraction(1), Fraction(-1)),
-    (Fraction(2), Fraction(3)),
-)
+# A point [s:u] of the projective line, as two exact rationals: ints (an
+# integer representative) or Fractions.
+Point = tuple[Scalar, Scalar]
+
+DEFAULT_POINTS: tuple[Point, ...] = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 3))
 
 
 class GradedCertificateError(EngineError):
@@ -133,7 +130,7 @@ class GradedMatrix(Value):
         self.target = target
         self.entries = entries
 
-    def evaluate(self, point: tuple[Fraction, Fraction]) -> list[list[int]]:
+    def evaluate(self, point: Point) -> list[list[int]]:
         """den*M at an integer representative of [s:u] = point, exactly.
 
         den is the lcm that _integer_columns clears, and the representative
@@ -142,8 +139,10 @@ class GradedMatrix(Value):
         the target and source twists: both factors rescale only rows and
         columns, so every rank and zero test reads as at the point itself.
         """
-        scale = math.lcm(point[0].denominator, point[1].denominator)
-        s_val, u_val = int(point[0] * scale), int(point[1] * scale)
+        s, u = point
+        scale = math.lcm(s.denominator, u.denominator)
+        s_val = s.numerator * (scale // s.denominator)
+        u_val = u.numerator * (scale // u.denominator)
         rows = [[0] * len(self.source) for _ in self.target]
         for j, (a, column) in enumerate(zip(self.source, _integer_columns(self))):
             for i, ds, c in column:
@@ -220,7 +219,7 @@ def slice_matrix(M: GradedMatrix, d: int) -> tuple[list[dict[int, int]], int]:
     return columns, n_rows
 
 
-def matrix_rank(rows: list[list[Fraction]]) -> int:
+def matrix_rank(rows: list[list[Scalar]]) -> int:
     """Exact rank of a rational matrix: cleared to integers, then Bareiss.
 
     Used for the small integer fiber matrices of the pointwise screen, where
@@ -534,8 +533,8 @@ def common_zero_check(p: SectionPair) -> bool:
 
 
 def pointwise_exactness(
-    cx: ComplexSpec, points: list[tuple[Fraction, Fraction]]
-) -> tuple[bool, tuple[Fraction, Fraction] | None]:
+    cx: ComplexSpec, points: list[Point]
+) -> tuple[bool, Point | None]:
     """Fiberwise screen: at each point alpha != 0, rank beta = 2, beta.alpha = 0.
 
     For a 1-3-2 complex these three conditions are fiberwise exactness.
@@ -637,7 +636,7 @@ def splitting_type(cx: ComplexSpec, candidate_sum_degree: int) -> tuple[int, int
 def injectivity_certificate(
     r: int,
     pair: SectionPair | None = None,
-    points: list[tuple[Fraction, Fraction]] | None = None,
+    points: list[Point] | None = None,
 ) -> bool:
     """Full certification chain for the connecting-map injectivity.
 
@@ -658,7 +657,7 @@ def injectivity_certificate(
 
 
 @functools.cache
-def certified_split(pair: SectionPair, points: tuple[tuple[Fraction, Fraction], ...]) -> tuple[int, int]:
+def certified_split(pair: SectionPair, points: tuple[Point, ...]) -> tuple[int, int]:
     """The certified splitting type of the pair's cokernel bundle.
 
     Steps: common-zero check, symbolic identities, complex construction,

@@ -16,7 +16,6 @@ command line never imports this module; it is for tests and library users.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .arith import MultiPoly, var
 
@@ -104,7 +103,7 @@ class _Parser:
             self.expect_op(")")
             if int(den[1]) == 0:
                 raise ValueError("zero denominator in rational literal")
-            return MultiPoly.const(Fraction(int(num[1]), int(den[1])))
+            return MultiPoly.const(int(num[1])).scalar_div(int(den[1]))
         if tok[0] == "name":
             base = var(tok[1])
             if self.peek() == ("op", "^"):

@@ -21,7 +21,6 @@ downstream value is computed under both and reported side by side.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import Literal
 
 from . import EngineError, chow
@@ -132,17 +131,17 @@ def solve_chern_from_hilbert(
     lead = target.coeff_of("t", 2)
     if not lead.is_constant():
         raise ValueError("t^2 coefficient must be constant to pin c3")
-    c3 = -2 * lead.as_fraction()
-    if c3 == 0:
+    c3_poly = -2 * lead
+    if c3_poly.is_zero():
         if target.coeff_of("t", 1).is_zero() and target.coeff_of("t", 0).is_zero():
             raise ValueError("degenerate zero target")
         raise ValueError("inconsistent system: zero t^2 coefficient with lower terms")
+    n3, d3 = c3_poly.constant_pair()  # c3 = n3 / d3
     # t coefficient: -(c1 + 6) c3 / 2
-    c1 = target.coeff_of("t", 1) * (Fraction(-2) / c3) - 6
+    c1 = (target.coeff_of("t", 1) * (-2 * d3)).scalar_div(n3) - 6
     # constant: (c2 - 2 c1^2 - 18 c1 - 51) c3 / den with den = 2 (paper) or 12 (derived)
     den = 2 if template == "paper" else 12
-    c2 = target.coeff_of("t", 0) * (Fraction(den) / c3) + 2 * c1 * c1 + 18 * c1 + 51
-    c3_poly = MultiPoly.const(c3)
+    c2 = (target.coeff_of("t", 0) * (den * d3)).scalar_div(n3) + 2 * c1 * c1 + 18 * c1 + 51
     check = chi_template(template, c1, c2, c3_poly)
     if check != target:
         raise EngineError("solved classes do not reproduce the target")

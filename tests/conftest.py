@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from multistruct.arith import MultiPoly, VARIABLES, var
+from multistruct.arith import MultiPoly, VARIABLES, unpack, var
 
 CRITERIA: dict[int, tuple[bool, str]] = {}
 
@@ -22,6 +22,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         ok, detail = CRITERIA[number]
         status = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {number}: {status} - {detail}")
+
+
+def sorted_terms(p: MultiPoly) -> list[tuple[tuple[int, ...], Fraction]]:
+    """The terms of p as (exponent tuple, Fraction), in graded-lex order, highest first."""
+    num, den = p.numerators()
+    return [(unpack(key), Fraction(num[key], den)) for key in sorted(num, reverse=True)]
+
+
+def as_fraction(p: MultiPoly) -> Fraction:
+    """The value of a constant polynomial as a Fraction; ValueError when non-constant."""
+    return Fraction(*p.constant_pair())
 
 
 def random_poly(

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly
+from conftest import as_fraction, random_poly, sorted_terms
 from multistruct import EngineError
 from multistruct.arith import (
     EXPONENT_LIMIT,
@@ -33,8 +33,8 @@ class TestConstruction:
     def test_zero_and_const(self):
         assert MultiPoly.zero().is_zero()
         assert MultiPoly.const(0).is_zero()
-        assert MultiPoly.const(5).as_fraction() == 5
-        assert MultiPoly.const(Fraction(2, 3)).as_fraction() == Fraction(2, 3)
+        assert as_fraction(MultiPoly.const(5)) == 5
+        assert as_fraction(MultiPoly.const(Fraction(2, 3))) == Fraction(2, 3)
 
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError):
@@ -123,7 +123,7 @@ class TestPolynomialsInT:
         for n in range(4):
             p = binomial_poly(n)
             for value in range(-6, 7):
-                got = p.substitute({"t": value}).as_fraction()
+                got = as_fraction(p.substitute({"t": value}))
                 assert got.denominator == 1
 
 
@@ -195,7 +195,7 @@ def _ref_substitute(a: dict, name: str, value: dict) -> dict:
 
 
 def _as_ref(p: MultiPoly) -> dict:
-    return dict(p.sorted_terms())
+    return dict(sorted_terms(p))
 
 
 def _assert_lowest_terms(p: MultiPoly) -> None:
@@ -243,12 +243,12 @@ class TestStoredForm:
     def test_items_are_fractions(self):
         p = parse_poly("(1/2)*t^2 + (3/2)*t + 1")
         assert p.numerators() == ({pack(_exp(t=2)): 1, pack(_exp(t=1)): 3, pack(_exp()): 2}, 2)
-        assert dict(p.sorted_terms()) == {
+        assert dict(sorted_terms(p)) == {
             _exp(t=2): Fraction(1, 2),
             _exp(t=1): Fraction(3, 2),
             _exp(): Fraction(1),
         }
-        assert all(type(c) is Fraction for _, c in p.sorted_terms())
+        assert all(type(c) is Fraction for _, c in sorted_terms(p))
 
     @pytest.mark.parametrize(
         "left, right",
@@ -273,6 +273,101 @@ class TestStoredForm:
     def test_zero_has_denominator_one(self):
         for zero in (MultiPoly.zero(), t.scalar_div(3) - t.scalar_div(3), 0 * t.scalar_div(7)):
             assert zero.numerators() == ({}, 1)
+
+
+# -- the int-pair scalar path against Fraction arithmetic -------------------------
+
+
+class _BarePair:
+    """A rational as a bare numerator/denominator pair, not normalized."""
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+
+def _scalars(rng: random.Random) -> list:
+    """Ints and Fractions with random signs, zero, and reducible pairs."""
+    out = [0, Fraction(0), 1, -1, Fraction(6, 4), Fraction(-6, 4), Fraction(-10, 15), -12]
+    for _ in range(12):
+        n = rng.choice((-1, 1)) * rng.randint(0, 40)
+        out += [n, Fraction(n, rng.randint(1, 12)), Fraction(n * 6, 4)]
+    return out
+
+
+def _format_reference(p: MultiPoly) -> str:
+    """The report text of p, printed term by term from Fraction coefficients."""
+    pieces = []
+    for exp, coeff in sorted_terms(p):
+        mag = abs(coeff)
+        magnitude = str(mag) if mag.denominator == 1 else f"({mag})"
+        mono = "*".join(
+            name if e == 1 else f"{name}^{e}" for name, e in zip(VARIABLES, exp) if e
+        )
+        body = mono if mono and mag == 1 else f"{magnitude}*{mono}" if mono else magnitude
+        sign = ("" if coeff > 0 else "-") if not pieces else (" + " if coeff > 0 else " - ")
+        pieces.append(sign + body)
+    return "".join(pieces) or "0"
+
+
+class TestIntPairs:
+    """const, scalar_div, scalar * and == read each scalar as an int pair."""
+
+    def test_scalar_operations_match_fraction_arithmetic(self):
+        rng = random.Random(2121)
+        zero = _exp()
+        for _ in range(60):
+            p = random_poly(rng, names=("t", "r", "c1"), max_degree=3)
+            terms = sorted_terms(p)
+            for c in _scalars(rng):
+                q = Fraction(c)
+                const = MultiPoly.const(c)
+                products = (p * c, c * p)
+                results = [const, *products]
+                assert sorted_terms(const) == ([(zero, q)] if q else [])
+                for product in products:
+                    assert sorted_terms(product) == [(e, v * q) for e, v in terms if v * q]
+                if q:
+                    quotient = p.scalar_div(c)
+                    results.append(quotient)
+                    assert sorted_terms(quotient) == [(e, v / q) for e, v in terms]
+                else:
+                    with pytest.raises(ZeroDivisionError):
+                        p.scalar_div(c)
+                for result in results:
+                    _assert_lowest_terms(result)
+                assert const == c and not const == c + Fraction(1, 3)
+                assert (p == c) == (dict(terms) == ({zero: q} if q else {}))
+                assert (const + p == c + p) and (p - c == p + (-const))
+
+    def test_bare_pairs_are_normalized(self):
+        for n, d in ((3, -6), (-4, -8), (0, -5), (12, 4), (7, 1)):
+            want = Fraction(n, d)
+            for got in (MultiPoly.const(_BarePair(n, d)), t * _BarePair(n, d), MultiPoly({_exp(): _BarePair(n, d)})):
+                _assert_lowest_terms(got)
+                assert sorted_terms(got) == ([(unpack(max(got.numerators()[0])), want)] if n else [])
+            if n:
+                quotient = t.scalar_div(_BarePair(n, d))
+                _assert_lowest_terms(quotient)
+                assert sorted_terms(quotient) == [(_exp(t=1), 1 / want)]
+            assert MultiPoly.const(want) == _BarePair(n, d)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "1", None, complex(1, 0), _BarePair(1, 0), _BarePair(1.0, 2)])
+    def test_non_rationals_raise_type_error(self, bad):
+        # no float is read as a rational, not even an integral one
+        for op in (MultiPoly.const, t.scalar_div, lambda c: t * c, lambda c: c * t, lambda c: t + c, as_poly):
+            with pytest.raises(TypeError):
+                op(bad)
+        with pytest.raises(TypeError):
+            MultiPoly({_exp(): bad})
+        assert MultiPoly.const(2) != bad and not MultiPoly.const(2) == bad
+
+    def test_format_matches_the_fraction_reference(self):
+        rng = random.Random(2122)
+        cases = [MultiPoly.zero(), -t + Fraction(1, 2), t.scalar_div(-6), MultiPoly.const(Fraction(-6, 4))]
+        cases += [random_poly(rng, names=("t", "r", "s"), max_degree=4) for _ in range(300)]
+        for p in cases:
+            assert format_poly(p) == _format_reference(p)
 
 
 # -- packed exponent keys against the tuple reference -----------------------------
@@ -316,7 +411,7 @@ class TestPackedKeys:
             assert p.degree() == max(sum(e) for e in ref)
             used = tuple(n for i, n in enumerate(VARIABLES) if any(e[i] for e in ref))
             assert p.variables_used() == used
-            assert p.sorted_terms() == sorted(ref.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+            assert sorted_terms(p) == sorted(ref.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
             for i, name in enumerate(VARIABLES):
                 assert p.degree(name) == max(e[i] for e in ref)
                 power = rng.randint(0, 2)

@@ -7,16 +7,19 @@ import importlib.util
 import inspect
 import io
 import json
+import math
 import os
 import random
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import as_fraction
 from multistruct import chow, cli, cohomology, integrality, structures
 from multistruct.arith import MultiPoly, var
 from multistruct.chow import BundleClass
@@ -375,9 +378,10 @@ class TestEchoedInput:
             ("--points", "9" * 1000),
             ("--points", "x" * 998 + ":1"),
             ("--points", ",".join(["9" * 100 + "/" + "0" * 100 + ":1"] * 4) + ",1:1" * 47),
+            ("--template", "x" * 1000),
         ],
         ids=["r-cap", "r-text", "window-sep", "window-cap", "window-int", "points-pair",
-             "points-coordinate", "points-zero-denominator"],
+             "points-coordinate", "points-zero-denominator", "template-choice"],
     )
     def test_long_value_gives_a_short_error_line(self, capsys, flag, value):
         assert len(value) >= 1000
@@ -386,6 +390,14 @@ class TestEchoedInput:
         assert exc.value.code == 2
         line = capsys.readouterr().err.splitlines()[-1]
         assert line.startswith(f"multistruct replicate: error: argument {flag}: ")
+        assert len(line.encode()) < 200
+
+    def test_long_target_gives_a_short_error_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["replicate", "x" * 1000])
+        assert exc.value.code == 2
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith("multistruct replicate: error: argument target: invalid choice: ")
         assert len(line.encode()) < 200
 
 
@@ -407,8 +419,14 @@ class TestPointsBound:
         ],
     )
     def test_printed_fractions_are_accepted(self, points):
+        # each s:u is read as the coprime integers of the point [s:u], signs kept
         parsed = build_parser().parse_args(["replicate", "graded", f"--points={points}"]).points
-        assert ",".join(f"{s}:{u}" for s, u in parsed) == points
+        given = [tuple(Fraction(x) for x in chunk.split(":")) for chunk in points.split(",")]
+        assert len(parsed) == len(given)
+        for (s, u), (s_q, u_q) in zip(parsed, given):
+            assert type(s) is int and type(u) is int and math.gcd(s, u) == 1
+            scale = Fraction(s, s_q) if s_q else Fraction(u, u_q)
+            assert scale > 0 and (s, u) == (s_q * scale, u_q * scale)
 
     @pytest.mark.parametrize(
         "coordinate",
@@ -436,10 +454,10 @@ class TestPointsBound:
         assert exit_code(capsys, "replicate", "graded", "--r", "0", f"--points={points}") == 0
 
     def test_one_past_the_count_cap_exits_2_before_any_coordinate(self, capsys, monkeypatch):
-        def no_fraction(*args):
+        def no_coordinate(*args):
             raise AssertionError("a coordinate was parsed")
 
-        monkeypatch.setattr(cli, "Fraction", no_fraction)
+        monkeypatch.setattr(cli, "_coordinate", no_coordinate)
         points = ",".join(f"{k}:1" for k in range(POINTS_CAP + 1))
         with pytest.raises(SystemExit) as exc:
             main(["replicate", "graded", f"--points={points}"])
@@ -518,7 +536,7 @@ class TestRecords:
         def at(text: str, rv: int) -> str:
             forms = text.strip("()").split(", ")
             polys = [parse_poly(re.sub(r"(\d)r", r"\1*r", f)) for f in forms]
-            values = [str(p.substitute({"r": rv}).as_fraction()) for p in polys]
+            values = [str(as_fraction(p.substitute({"r": rv}))) for p in polys]
             return f"({', '.join(values)})" if text.startswith("(") else values[0]
 
         for rv in range(1, 7):
@@ -615,7 +633,12 @@ class TestJsonReport:
 # Loaded only to build classes (dataclasses pulls in inspect, ast and dis), to
 # write a report or to read report text back; a process that does none of
 # these should not pay for them.
-STARTUP_EXCLUDED = ("dataclasses", "inspect", "ast", "dis", "json", "datetime", "multistruct.grammar")
+STARTUP_EXCLUDED = (
+    "dataclasses", "inspect", "ast", "dis", "json", "datetime", "multistruct.grammar",
+    "fractions", "decimal", "numbers",
+)
+# The engine reads every rational as an int pair; these come only with Fraction.
+RATIONAL_MODULES = ("fractions", "decimal", "numbers")
 
 
 def _fresh_process(code: str, *argv: str) -> subprocess.CompletedProcess:
@@ -639,6 +662,21 @@ class TestStartup:
         # an interpreter whose own start-up loads one of them is not held against the package
         package = self._excluded_loaded_after("import multistruct.cli")
         assert package <= self._excluded_loaded_after("pass")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["replicate", "all"], 1), (["replicate", "graded", "--points=1:0,0:1,1:1,2:3,-1/2:5"], 0)],
+        ids=["all", "graded-points"],
+    )
+    def test_runs_load_no_rational_modules(self, argv, code):
+        proc = _fresh_process(
+            "import sys\nfrom multistruct.cli import main\ncode = main(sys.argv[1:])\n"
+            f"print('loaded:', *sorted(set({RATIONAL_MODULES!r}) & set(sys.modules)))\n"
+            "sys.exit(code)",
+            *argv,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "loaded:"
 
     def test_report_is_still_written(self, tmp_path):
         path = tmp_path / "report.json"

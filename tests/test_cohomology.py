@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from conftest import as_fraction
 from multistruct import EngineError
 from multistruct.arith import MultiPoly, var
 from multistruct.cohomology import (
@@ -97,6 +98,15 @@ class TestAssumption:
             a.check_nonneg(MultiPoly.const(-1), "test")
         with pytest.raises(UndecidableSignError):
             a.check_nonneg(5 - r, "test")
+
+    @pytest.mark.parametrize("p", [MultiPoly.const(-1), r.scalar_div(2) - 3, r.scalar_div(-6) - 1, -r - 4])
+    def test_negative_value_at_r_min_prints_as_a_fraction(self, p):
+        # the message quotes the value at r = r_min as str(Fraction) prints it
+        a = Assumption(r_min=1)
+        with pytest.raises(InconsistentSequenceError) as exc:
+            a.check_nonneg(p, "test")
+        value = as_fraction(p.substitute({"r": 1}))
+        assert str(exc.value) == f"negative dimension in test at r = 1: {value}"
 
 
 class TestLineBundleCohomology:

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import as_fraction
 from multistruct import graded
 from multistruct.arith import MultiPoly, exponent, var
 from multistruct.cli import _second_pair, main
@@ -109,7 +110,7 @@ def _fraction_slice(M: GradedMatrix, d: int) -> list[list[Fraction]]:
         for r_, (i, (ds1, du1)) in enumerate(rows):
             if ds1 >= ds0 and du1 >= du0:
                 entry = M.entries[i][j].coeff_of("s", ds1 - ds0).coeff_of("u", du1 - du0)
-                out[r_][c] = entry.as_fraction()
+                out[r_][c] = as_fraction(entry)
     return out
 
 

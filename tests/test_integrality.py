@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly
+from conftest import as_fraction, random_poly, sorted_terms
 from multistruct.arith import MultiPoly, var
 from multistruct.chow import BundleClass, split_bundle
 from multistruct.integrality import (
@@ -39,7 +39,7 @@ class TestLowestTerms:
             p = random_poly(rng, names=("r",), max_degree=4)
             num, den = lowest_terms(p)
             assert num.scalar_div(den) == p
-            assert all(c.denominator == 1 for _, c in num.sorted_terms())
+            assert all(c.denominator == 1 for _, c in sorted_terms(num))
 
     def test_is_the_stored_form(self):
         rng = random.Random(9)
@@ -101,7 +101,7 @@ class TestCongruences:
         """numerator(0), ..., numerator(count - 1) by substitution."""
         names = numerator.variables_used()
         return [
-            (numerator.substitute({names[0]: rho}) if names else numerator).as_fraction()
+            as_fraction(numerator.substitute({names[0]: rho}) if names else numerator)
             for rho in range(count)
         ]
 
@@ -239,10 +239,10 @@ class TestVerdicts:
             for rho in range(q):
                 values = []
                 for rep in (rho, rho + q, rho + 2 * q):
-                    values.extend(c.substitute({"r": rep}).as_fraction() for c in triple)
+                    values.extend(as_fraction(c.substitute({"r": rep})) for c in triple)
                     at_rep = chi.substitute({"r": rep})
                     values.extend(
-                        at_rep.substitute({"t": tv}).as_fraction() for tv in range(6)
+                        as_fraction(at_rep.substitute({"t": tv})) for tv in range(6)
                     )
                 if all(v.denominator % p for v in values):
                     direct.add(rho)
