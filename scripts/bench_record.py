@@ -21,7 +21,8 @@ time in milliseconds, the best of ``COMPILE_REPEATS`` ``compile()`` calls in
 this process, given at the reference speed of the CPU as ``replbench/run.py``
 gives its times: each call is followed by one ``calibration_work`` block of
 the checkout's ``replbench/run.py``, and the times are scaled by its
-``REFERENCE_BLOCK_S`` over the best block time (``compile_block_s``); the modules under ``src/`` that a fresh ``import
+``REFERENCE_BLOCK_S`` over the best block time (``compile_block_s``); the
+modules under ``src/`` that a fresh ``import
 multistruct.cli`` loads, the part that every benchmark process compiles,
 with their AST node sum; and the identity of the measured code: the
 checkout's HEAD sha, a flag for uncommitted changes to tracked files, and

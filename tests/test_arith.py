@@ -342,20 +342,22 @@ class TestIntPairs:
 
     def test_bare_pairs_are_normalized(self):
         for n, d in ((3, -6), (-4, -8), (0, -5), (12, 4), (7, 1)):
-            want = Fraction(n, d)
-            for got in (MultiPoly.const(_BarePair(n, d)), t * _BarePair(n, d), MultiPoly({_exp(): _BarePair(n, d)})):
+            pair, want = _BarePair(n, d), Fraction(n, d)
+            built = ((MultiPoly.const(pair), _exp()), (t * pair, _exp(t=1)), (MultiPoly({_exp(r=2): pair}), _exp(r=2)))
+            for got, exp in built:
                 _assert_lowest_terms(got)
-                assert sorted_terms(got) == ([(unpack(max(got.numerators()[0])), want)] if n else [])
+                assert sorted_terms(got) == ([(exp, want)] if n else [])
             if n:
-                quotient = t.scalar_div(_BarePair(n, d))
+                quotient = t.scalar_div(pair)
                 _assert_lowest_terms(quotient)
                 assert sorted_terms(quotient) == [(_exp(t=1), 1 / want)]
-            assert MultiPoly.const(want) == _BarePair(n, d)
+            assert MultiPoly.const(want) == pair
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, "1", None, complex(1, 0), _BarePair(1, 0), _BarePair(1.0, 2)])
     def test_non_rationals_raise_type_error(self, bad):
         # no float is read as a rational, not even an integral one
-        for op in (MultiPoly.const, t.scalar_div, lambda c: t * c, lambda c: c * t, lambda c: t + c, as_poly):
+        ops = (MultiPoly.const, t.scalar_div, lambda c: t * c, lambda c: c * t, lambda c: t + c, as_poly)
+        for op in ops:
             with pytest.raises(TypeError):
                 op(bad)
         with pytest.raises(TypeError):
