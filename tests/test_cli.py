@@ -630,15 +630,16 @@ class TestJsonReport:
         assert doc["summary"] == {"total": 2, "matched": 1, "discrepancies": 1}
 
 
-# Loaded only to build classes (dataclasses pulls in inspect, ast and dis), to
-# write a report or to read report text back; a process that does none of
-# these should not pay for them.
-STARTUP_EXCLUDED = (
-    "dataclasses", "inspect", "ast", "dis", "json", "datetime", "multistruct.grammar",
-    "fractions", "decimal", "numbers",
-)
 # The engine reads every rational as an int pair; these come only with Fraction.
 RATIONAL_MODULES = ("fractions", "decimal", "numbers")
+
+# Loaded only to build classes (dataclasses pulls in inspect, ast and dis), to
+# write a report or to read report text back, or with Fraction; a process
+# that does none of these should not pay for them.
+STARTUP_EXCLUDED = (
+    "dataclasses", "inspect", "ast", "dis", "json", "datetime", "multistruct.grammar",
+    *RATIONAL_MODULES,
+)
 
 
 def _fresh_process(code: str, *argv: str) -> subprocess.CompletedProcess:
