@@ -18,11 +18,7 @@ the runs; the Tier-1 wall time and summary line; whether
 the package, so ``setup_s`` includes the compile); the AST node count of each
 module under ``src/``, the volume that compile time follows, and its compile
 time in milliseconds, the best of ``COMPILE_REPEATS`` ``compile()`` calls in
-this process, given at the reference speed of the CPU as ``replbench/run.py``
-gives its times: each call is followed by one ``calibration_work`` block of
-the checkout's ``replbench/run.py``, and the times are scaled by its
-``REFERENCE_BLOCK_S`` over the best block time (``compile_block_s``); the
-modules under ``src/`` that a fresh ``import
+this process; the modules under ``src/`` that a fresh ``import
 multistruct.cli`` loads, the part that every benchmark process compiles,
 with their AST node sum; and the identity of the measured code: the
 checkout's HEAD sha, a flag for uncommitted changes to tracked files, and
@@ -40,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import importlib.util
 import json
 import os
 import subprocess
@@ -133,38 +128,22 @@ def startup_modules(checkout: Path, nodes: dict) -> dict:
     return {"modules": files, "ast_nodes": sum(nodes[name] for name in files)}
 
 
-def compile_ms(checkout: Path) -> tuple[dict, float]:
-    """Best of ``COMPILE_REPEATS`` ``compile()`` times of each module under
-    ``src/``, in ms at the reference speed, and the best calibration block time.
-
-    The checkout's ``replbench/run.py`` is loaded, not run, for its
-    ``calibration_work`` and ``REFERENCE_BLOCK_S``.  Taking the best of the
-    blocks as of the compiles makes the ratio follow the code, not the load.
-    """
-    spec = importlib.util.spec_from_file_location("replbench_run", checkout / "replbench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-    run.calibration_work()  # warm-up: the first block is slower
-    best, blocks = {}, []
+def compile_ms(checkout: Path) -> dict:
+    """Best of ``COMPILE_REPEATS`` ``compile()`` times of each module under ``src/``, in ms."""
+    best = {}
     for name, source in sources(checkout).items():
         times = []
         for _ in range(COMPILE_REPEATS):
             t0 = perf_counter()
             compile(source, name, "exec", dont_inherit=True)
             times.append(perf_counter() - t0)
-            t0 = perf_counter()
-            run.calibration_work()
-            blocks.append(perf_counter() - t0)
-        best[name] = min(times)
-    block = min(blocks)
-    scale = run.REFERENCE_BLOCK_S / block
-    return {name: round(t * scale * 1000, 3) for name, t in best.items()}, round(block, 6)
+        best[name] = round(min(times) * 1000, 3)
+    return best
 
 
 def record(checkout: Path) -> dict:
     identity = git_state(checkout)
     nodes = ast_nodes(checkout)
-    compiled, block = compile_ms(checkout)
     seconds = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
     workloads = {}
     for workload in WORKLOADS:
@@ -188,8 +167,7 @@ def record(checkout: Path) -> dict:
         "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "ast_nodes": nodes,
         "startup_modules": startup_modules(checkout, nodes),
-        "compile_ms": compiled,
-        "compile_block_s": block,
+        "compile_ms": compile_ms(checkout),
         "workloads": workloads,
         "tier1": tier1(checkout),
     }

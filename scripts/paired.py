@@ -2,17 +2,16 @@
 
 Usage, from anywhere::
 
-    python3 scripts/paired.py PARENT CHANGE [--pairs N] [--seconds S]
-        [--workload NAME ...] [--repo PATH]
+    python3 scripts/paired.py PARENT CHANGE [--repo PATH]
 
 PARENT and CHANGE name commits of the repository at ``--repo`` (by default
 the one holding this script).  Each is cloned clean into a temporary
 directory, so nothing uncommitted is measured.  Then,
 for each workload, ``replbench/run.py --trace 0`` of both clones runs
-``--pairs`` times (default 10), one run at a time.  Pair i uses seed
-``FIRST_SEED + i`` on both sides, and the side that runs first alternates:
-the parent in even pairs, the change in odd ones.  ``--seconds`` defaults to
-the ``run_seconds`` of the change's ``BENCHMARK.json``.
+``PAIRS`` times, one run at a time, for the ``run_seconds`` of the change's
+``BENCHMARK.json``.  Pair i uses seed ``FIRST_SEED + i`` on both sides, and
+the side that runs first alternates: the parent in even pairs, the change in
+odd ones.
 
 For each workload and end-to-end metric of the change's ``BENCHMARK.json``
 it prints the median of the paired differences (change minus parent), the
@@ -35,6 +34,7 @@ from statistics import median, quantiles
 
 from bench_record import bench_run
 
+PAIRS = 10
 FIRST_SEED = 101
 WORKLOADS = ("audit-all", "algebra", "graded-large-r")
 
@@ -74,22 +74,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS, dest="workloads")
     parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
     with tempfile.TemporaryDirectory(prefix="paired-") as tmp:
         sides = {name: clone(args.repo, commit, Path(tmp) / name)
                  for name, commit in (("parent", args.parent), ("change", args.change))}
         declared = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-        seconds = args.seconds or declared["run_seconds"]
+        seconds = declared["run_seconds"]
         results = {}
-        for workload in args.workloads or WORKLOADS:
+        for workload in WORKLOADS:
             values = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for name in order:
                     try:
@@ -98,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
                         print(f"paired: {name}: {exc}", file=sys.stderr)
                         return 2
                     values[name].append(result["metrics"])
-                print(f"{workload} pair {i + 1} of {args.pairs} done", file=sys.stderr)
+                print(f"{workload} pair {i + 1} of {PAIRS} done", file=sys.stderr)
             results[workload] = {}
             for metric in declared["end_to_end"]:
                 name = metric["name"]

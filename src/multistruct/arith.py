@@ -129,11 +129,9 @@ class MultiPoly:
                 if n:
                     pairs[key] = n, d
         den = math.lcm(*[d for _, d in pairs.values()])
-        num = {key: n * (den // d) for key, (n, d) in pairs.items()}
         # A pair need not be in lowest terms, so a common factor may remain.
-        g = math.gcd(den, *num.values())
-        self._num = {key: c // g for key, c in num.items()} if g != 1 else num
-        self._den = den // g
+        reduced = MultiPoly._reduced({key: n * (den // d) for key, (n, d) in pairs.items()}, den)
+        self._num, self._den = reduced._num, reduced._den
 
     @classmethod
     def _reduced(cls, num: dict, den: int) -> "MultiPoly":

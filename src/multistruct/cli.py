@@ -847,7 +847,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     rep = sub.add_parser("replicate", help="re-run a computation chain and compare")
-    # the usage line lists the choices; the type quotes a rejected value cut to 40 characters
+    # _one_of validates and quotes a rejected value cut to 40 characters.  The
+    # positional keeps choices= only so the usage line lists them: a metavar
+    # would also rename it in error messages ("argument {...}:" for "argument target:").
     targets, templates = (*RUNNERS, "all"), ("paper", "derived", "both")
     rep.add_argument("target", type=_one_of(targets), choices=targets)
     rep.add_argument(
@@ -856,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument(
         "--template",
         type=_one_of(templates),
-        choices=templates,
+        metavar="{" + ",".join(templates) + "}",
         default="both",
         help="which chi template drives the template-dependent chains",
     )
