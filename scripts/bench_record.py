@@ -16,11 +16,9 @@ per-layer metric with each seed's value, and failed/attempted summed over
 the runs; the Tier-1 wall time and summary line; whether
 ``PYTHONDONTWRITEBYTECODE`` was set (if it was, every fresh process compiles
 the package, so ``setup_s`` includes the compile); the AST node count of each
-module under ``src/``, the volume that compile time follows, and its compile
-time in milliseconds, the best of ``COMPILE_REPEATS`` ``compile()`` calls in
-this process; the modules under ``src/`` that a fresh ``import
-multistruct.cli`` loads, the part that every benchmark process compiles,
-with their AST node sum; and the identity of the measured code: the
+module under ``src/``, the volume that compile time follows; the modules
+under ``src/`` that a fresh ``import multistruct.cli`` loads, the part that
+every benchmark process compiles, with their AST node sum; and the identity of the measured code: the
 checkout's HEAD sha, a flag for uncommitted changes to tracked files, and
 the git tree hash of each of ``CODE_PATHS`` as the working tree held it.
 A later reader finds the measured code as the commit whose trees equal
@@ -47,7 +45,6 @@ from time import perf_counter
 WORKLOADS = ("audit-all", "algebra", "graded-large-r")
 SEEDS = (101, 102, 103)
 CODE_PATHS = ("src", "replbench", "tests")
-COMPILE_REPEATS = 5
 
 
 def git_state(checkout: Path) -> dict:
@@ -128,19 +125,6 @@ def startup_modules(checkout: Path, nodes: dict) -> dict:
     return {"modules": files, "ast_nodes": sum(nodes[name] for name in files)}
 
 
-def compile_ms(checkout: Path) -> dict:
-    """Best of ``COMPILE_REPEATS`` ``compile()`` times of each module under ``src/``, in ms."""
-    best = {}
-    for name, source in sources(checkout).items():
-        times = []
-        for _ in range(COMPILE_REPEATS):
-            t0 = perf_counter()
-            compile(source, name, "exec", dont_inherit=True)
-            times.append(perf_counter() - t0)
-        best[name] = round(min(times) * 1000, 3)
-    return best
-
-
 def record(checkout: Path) -> dict:
     identity = git_state(checkout)
     nodes = ast_nodes(checkout)
@@ -167,7 +151,6 @@ def record(checkout: Path) -> dict:
         "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "ast_nodes": nodes,
         "startup_modules": startup_modules(checkout, nodes),
-        "compile_ms": compile_ms(checkout),
         "workloads": workloads,
         "tier1": tier1(checkout),
     }

@@ -111,16 +111,26 @@ MUTANTS = (
     (
         "Sylvester slice read one degree too high",
         GRADED,
-        "    return slice_rank(sylvester, m + n - 1) == m + n\n",
-        "    return slice_rank(sylvester, m + n) == m + n\n",
+        "    return slice_rank(section_row(p), m + n - 1) == m + n\n",
+        "    return slice_rank(section_row(p), m + n) == m + n\n",
         [f"{SECTIONS}::test_common_zero_check", f"{SECTIONS}::{PLANTED}"],
     ),
     (
         "Sylvester rank allowed one short",
         GRADED,
-        "    return slice_rank(sylvester, m + n - 1) == m + n\n",
-        "    return slice_rank(sylvester, m + n - 1) >= m + n - 1\n",
+        "    return slice_rank(section_row(p), m + n - 1) == m + n\n",
+        "    return slice_rank(section_row(p), m + n - 1) >= m + n - 1\n",
         [f"{SECTIONS}::test_common_zero_check", f"{SECTIONS}::{PLANTED}"],
+    ),
+    (
+        "screen rank test never fails",
+        GRADED,
+        "        if matrix_rank([[2 * B, -A, 0], [0, -B, 2 * A]]) != 2:",
+        "        if matrix_rank([[2 * B, -A, 0], [0, -B, 2 * A]]) > 2:",
+        [
+            "tests/test_graded.py::TestComplex::test_pointwise_catches_common_zero",
+            "tests/test_graded.py::TestFiberScreen::test_fractional_common_zero_fails_the_screen",
+        ],
     ),
     (
         "sparse slice row index read from the u-exponent",

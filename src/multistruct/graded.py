@@ -18,12 +18,14 @@ Exactness is certified three independent ways: the symbolic identities
 (beta.alpha = 0 and the 2x2 minors of beta are -2b^2, 4ab, -2a^2, so a
 common-zero-free pair makes alpha fiberwise injective and beta fiberwise
 surjective), degree-slice rank bookkeeping over a window past the
-regularity bound, and fiberwise evaluation at sample points as a fast
-screen.  The cokernel of alpha is then a rank-2 bundle on the line; its
-splitting type is read from the section count at one twist, and twisted by
--r-2 it has no global sections, which is the injectivity certificate the
-cohomology module consumes.  The chain runs once per (pair, sample points)
-in a process.
+regularity bound, and a fiberwise screen at sample points.  By those
+identities the fiber at p is exact exactly when (a(p), b(p)) != (0, 0),
+so the screen evaluates only the row (a, b) and makes one rank test of
+beta(p) per point.  The cokernel of alpha is then a rank-2 bundle on the
+line; its splitting type is read from the section count at one twist, and
+twisted by -r-2 it has no global sections, which is the injectivity
+certificate the cohomology module consumes.  The chain runs once per
+(pair, sample points) in a process.
 
 Every slice rank is exact, kept per (matrix, degree), and proved by the
 first of four arguments that applies.  The entries' denominators are
@@ -517,6 +519,11 @@ def symbolic_complex_identities() -> bool:
 # -- zero locus and fiberwise checks ------------------------------------------
 
 
+def section_row(p: SectionPair) -> GradedMatrix:
+    """The row (a, b) from S(-r-2) + S(-r-4) to S."""
+    return GradedMatrix((-p.r - 2, -p.r - 4), (0,), ((p.a, p.b),))
+
+
 def common_zero_check(p: SectionPair) -> bool:
     """True iff a and b have no common zero on the projective line.
 
@@ -524,35 +531,32 @@ def common_zero_check(p: SectionPair) -> bool:
     forms of degree n-1 and m-1 to forms of degree m+n-1 is square, of
     size m+n.  It is injective exactly when a and b share no factor, that
     is no common zero on the line, [1:0] included.  It is the degree
-    m+n-1 slice of the row (a, b) from S(-m) + S(-n) to S, so one exact
-    slice rank decides it.
+    m+n-1 slice of section_row(p), so one exact slice rank decides it.
     """
     m, n = p.r + 2, p.r + 4
-    sylvester = GradedMatrix((-m, -n), (0,), ((p.a, p.b),))
-    return slice_rank(sylvester, m + n - 1) == m + n
+    return slice_rank(section_row(p), m + n - 1) == m + n
 
 
 def pointwise_exactness(
     cx: ComplexSpec, points: list[Point]
 ) -> tuple[bool, Point | None]:
-    """Fiberwise screen: at each point alpha != 0, rank beta = 2, beta.alpha = 0.
+    """Fiberwise screen: rank beta = 2 at each point, from (a, b) alone.
 
-    For a 1-3-2 complex these three conditions are fiberwise exactness.
-    Returns (True, None) or (False, witness_point).
+    With A = a(p) and B = b(p), alpha(p) = (A^2, 2AB, B^2) and the 2x2
+    minors of beta(p) = [[2B, -A, 0], [0, -B, 2A]] are -2B^2, 4AB, -2A^2.
+    So rank beta(p) = 2 exactly when (A, B) != (0, 0), which also makes
+    alpha(p) nonzero, and beta.alpha = 0 holds identically: the one rank
+    test is the whole fiberwise exactness of the 1-3-2 complex.  A and B
+    are read from section_row at an integer representative; evaluate
+    scales them by nonzero factors, which leave those minors' vanishing
+    unchanged.  Returns (True, None) or (False, witness_point).
     """
+    row = section_row(cx.pair)
     for point in points:
         if point[0] == 0 and point[1] == 0:
             raise ValueError("[0:0] is not a point of the projective line")
-        alpha_val = cx.alpha.evaluate(point)
-        beta_val = cx.beta.evaluate(point)
-        if all(row[0] == 0 for row in alpha_val):
-            return False, point
-        if matrix_rank(beta_val) != 2:
-            return False, point
-        composite = [
-            sum(beta_val[i][k] * alpha_val[k][0] for k in range(3)) for i in range(2)
-        ]
-        if any(v != 0 for v in composite):
+        ((A, B),) = row.evaluate(point)
+        if matrix_rank([[2 * B, -A, 0], [0, -B, 2 * A]]) != 2:
             return False, point
     return True, None
 

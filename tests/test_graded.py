@@ -13,7 +13,7 @@ import pytest
 from conftest import as_fraction
 from multistruct import graded
 from multistruct.arith import MultiPoly, exponent, var
-from multistruct.cli import _second_pair, main
+from multistruct.cli import POINT_DIGITS_CAP, R_CAP, _second_pair, main
 from multistruct.graded import (
     DEFAULT_POINTS,
     MODULUS,
@@ -34,6 +34,7 @@ from multistruct.graded import (
     matrix_rank,
     pointwise_exactness,
     rational_reconstruction,
+    section_row,
     slice_dim,
     slice_exactness_window,
     slice_matrix,
@@ -602,7 +603,7 @@ class TestFiberScreen:
     def test_integer_values_match_the_fraction_reference(self, rv):
         for pair in (default_pair(rv), _second_pair(rv)):
             cx = alphabeta_builder(pair)
-            for M in (cx.alpha, cx.beta):
+            for M in (cx.alpha, cx.beta, section_row(pair)):
                 for point in self.POINTS:
                     new = M.evaluate(point)
                     old = _fraction_evaluate(M, point)
@@ -619,6 +620,26 @@ class TestFiberScreen:
                     assert matrix_rank(new) == matrix_rank(old)
                     if L == 1:
                         assert new == [[scale * y for y in row] for row in old]
+
+    def test_worst_input_evaluates_entries_of_degree_at_most_r_plus_4(self, monkeypatch):
+        # at the largest accepted r and coordinates, every value the screen evaluates
+        # is a product of at most r + 4 coordinates and a small coefficient
+        rng = random.Random(22)
+        low, high = 10 ** (POINT_DIGITS_CAP - 1), 10**POINT_DIGITS_CAP
+        points = tuple((rng.randrange(low, high), rng.randrange(low, high)) for _ in range(5))
+        sizes = []
+        evaluate = GradedMatrix.evaluate
+
+        def recording(M, point):
+            rows = evaluate(M, point)
+            sizes.extend(x.bit_length() for row in rows for x in row)
+            return rows
+
+        monkeypatch.setattr(GradedMatrix, "evaluate", recording)
+        for pair in (default_pair(R_CAP), _second_pair(R_CAP)):
+            certified_split.__wrapped__(pair, points)
+        coordinate_bits = math.ceil(POINT_DIGITS_CAP * math.log2(10))
+        assert sizes and max(sizes) <= (R_CAP + 4) * coordinate_bits + 4
 
     def test_fractional_common_zero_fails_the_screen(self):
         # a and b both vanish at [3/2 : 1]; the earlier points pass
