@@ -18,9 +18,10 @@ the runs; the Tier-1 wall time and summary line; whether
 the package, so ``setup_s`` includes the compile); the AST node count of each
 module under ``src/``, the volume that compile time follows; the modules
 under ``src/`` that a fresh ``import multistruct.cli`` loads, the part that
-every benchmark process compiles, with their AST node sum; and the identity of the measured code: the
-checkout's HEAD sha, a flag for uncommitted changes to tracked files, and
-the git tree hash of each of ``CODE_PATHS`` as the working tree held it.
+every benchmark process compiles, with their AST node sum; and the identity
+of the measured code: the checkout's HEAD sha, a flag for uncommitted
+changes to tracked files, and the git tree hash of each of ``CODE_PATHS``
+as the working tree held it.
 A later reader finds the measured code as the commit whose trees equal
 those (``git rev-parse COMMIT:src``), whether or not the checkout was
 clean.  Record from a clean clone of a commit, so that the sha

@@ -622,7 +622,7 @@ class TestFiberScreen:
                         assert new == [[scale * y for y in row] for row in old]
 
     def test_worst_input_evaluates_entries_of_degree_at_most_r_plus_4(self, monkeypatch):
-        # at the largest accepted r and coordinates, every value the screen evaluates
+        # at the largest accepted r and integer coordinates, every value the screen evaluates
         # is a product of at most r + 4 coordinates and a small coefficient
         rng = random.Random(22)
         low, high = 10 ** (POINT_DIGITS_CAP - 1), 10**POINT_DIGITS_CAP
