@@ -41,6 +41,7 @@ SECTIONS = "tests/test_graded.py::TestSectionPairs"
 STEP = "tests/test_graded.py::TestSliceStep"
 PLANTED = "test_common_zero_check_matches_planted_roots_and_dense_sylvester"
 ORACLES = "tests/test_cli.py::TestSpecializedOracles"
+COMMAND_LINE = "tests/test_cli.py::TestCommandLine"
 SIGNS = "tests/test_cohomology.py::TestOneSignProcedure"
 P1 = "tests/test_cohomology.py::TestLineBundleCohomology"
 
@@ -125,8 +126,8 @@ MUTANTS = (
     (
         "screen rank test never fails",
         GRADED,
-        "        if matrix_rank([[2 * B, -A, 0], [0, -B, 2 * A]]) != 2:",
-        "        if matrix_rank([[2 * B, -A, 0], [0, -B, 2 * A]]) > 2:",
+        "        if matrix_rank([[A, B]]) != 1:",
+        "        if matrix_rank([[A, B]]) > 1:",
         [
             "tests/test_graded.py::TestComplex::test_pointwise_catches_common_zero",
             "tests/test_graded.py::TestFiberScreen::test_fractional_common_zero_fails_the_screen",
@@ -394,7 +395,29 @@ MUTANTS = (
         [
             "tests/test_cli.py::TestEchoedInput::test_long_value_gives_a_short_error_line",
             "tests/test_cli.py::TestEchoedInput::test_long_target_gives_a_short_error_line",
+            "tests/test_cli.py::TestEchoedInput::test_long_word_gives_a_short_error_line",
         ],
+    ),
+    (
+        "a flag-like word taken as a value",
+        CLI,
+        "                if not words or _flag(words[0], flags)[0] is not None:",
+        "                if not words:",
+        [COMMAND_LINE],
+    ),
+    (
+        "unrecognized words ignored",
+        CLI,
+        "    if extras:\n",
+        "    if False:\n",
+        [COMMAND_LINE],
+    ),
+    (
+        "missing target accepted",
+        CLI,
+        '    if not values or "target" not in values:',
+        "    if not values:",
+        [COMMAND_LINE],
     ),
     (
         "scalar_div without the sign normalization",

@@ -20,12 +20,12 @@ unexpected exception.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import random
 import re
 import sys
+import types
 
 from . import EngineError, __version__
 from .arith import MultiPoly, format_poly, var
@@ -740,11 +740,11 @@ def _shown(text: str) -> str:
 
 
 def _one_of(choices: tuple[str, ...]):
-    """An argparse type reading one of choices; a rejected value is quoted cut."""
+    """A reader of one of choices; a rejected value is quoted cut."""
 
     def read(text: str) -> str:
         if text not in choices:
-            raise argparse.ArgumentTypeError(f"invalid choice: {_shown(text)!r}")
+            raise ValueError(f"invalid choice: {_shown(text)!r}")
         return text
 
     return read
@@ -752,7 +752,7 @@ def _one_of(choices: tuple[str, ...]):
 
 def _check_cap(flag: str, value: int) -> int:
     if abs(value) > R_CAP:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"{flag} values must lie in -{R_CAP}..{R_CAP}, got {_shown(str(value))}"
         )
     return value
@@ -764,7 +764,7 @@ def _parse_r(text: str):
     try:
         value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"--r expects an integer or 'sym', got {_shown(text)!r}"
         ) from exc
     return _check_cap("--r", value)
@@ -773,15 +773,15 @@ def _parse_r(text: str):
 def _parse_window(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise argparse.ArgumentTypeError(f"--window expects a..b, got {_shown(text)!r}")
+        raise ValueError(f"--window expects a..b, got {_shown(text)!r}")
     try:
         start, stop = int(lo), int(hi)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"--window expects integer bounds, got {_shown(text)!r}"
         ) from exc
     if stop < start:
-        raise argparse.ArgumentTypeError("--window bounds must be ascending")
+        raise ValueError("--window bounds must be ascending")
     return range(_check_cap("--window", start), _check_cap("--window", stop) + 1)
 
 
@@ -789,7 +789,7 @@ def _coordinate(text: str) -> tuple[int, int]:
     """(numerator, denominator) of a --points coordinate [-]p or [-]p/q."""
     m = _COORDINATE.fullmatch(text)
     if not m or any(len(g or "") > POINT_DIGITS_CAP for g in m.groups()):
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"--points coordinates must read p or p/q with at most "
             f"{POINT_DIGITS_CAP} digits each, got {_shown(text)!r}"
         )
@@ -801,21 +801,21 @@ def _parse_points(text: str) -> list[tuple[int, int]]:
     """Each s:u as the primitive integer representative of the point [s:u]."""
     count = text.count(",") + 1
     if count > POINTS_CAP:
-        raise argparse.ArgumentTypeError(f"--points takes at most {POINTS_CAP} points, got {count}")
+        raise ValueError(f"--points takes at most {POINTS_CAP} points, got {count}")
     points = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         s_txt, sep, u_txt = chunk.partition(":")
         if not sep:
-            raise argparse.ArgumentTypeError(f"--points expects s:u pairs, got {_shown(chunk)!r}")
+            raise ValueError(f"--points expects s:u pairs, got {_shown(chunk)!r}")
         (s_num, s_den), (u_num, u_den) = _coordinate(s_txt), _coordinate(u_txt)
         if not s_den or not u_den:
-            raise argparse.ArgumentTypeError(f"bad point {_shown(chunk)!r}")
+            raise ValueError(f"bad point {_shown(chunk)!r}")
         scale = math.lcm(s_den, u_den)
         s, u = s_num * (scale // s_den), u_num * (scale // u_den)
         g = math.gcd(s, u)
         if not g:
-            raise argparse.ArgumentTypeError("[0:0] is not a projective point")
+            raise ValueError("[0:0] is not a projective point")
         points.append((s // g, u // g))
     return points
 
@@ -840,48 +840,129 @@ def _check_r(target: str, args) -> None:
         raise ValueError(_NONNEGATIVE_R[target])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="multistruct",
-        description="Exact replication driver for the multiple-structure computations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    rep = sub.add_parser("replicate", help="re-run a computation chain and compare")
-    # _one_of validates and quotes a rejected value cut to 40 characters.  The
-    # positional keeps choices= only so the usage line lists them: a metavar
-    # would also rename it in error messages ("argument {...}:" for "argument target:").
-    targets, templates = (*RUNNERS, "all"), ("paper", "derived", "both")
-    rep.add_argument("target", type=_one_of(targets), choices=targets)
-    rep.add_argument(
-        "--r", type=_parse_r, default="sym", help=f"integer value in -{R_CAP}..{R_CAP}, or 'sym'"
-    )
-    rep.add_argument(
-        "--template",
-        type=_one_of(templates),
-        metavar="{" + ",".join(templates) + "}",
-        default="both",
-        help="which chi template drives the template-dependent chains",
-    )
-    rep.add_argument(
-        "--points",
-        type=_parse_points,
-        default=None,
-        help="s:u pairs, comma separated, each coordinate p or p/q; "
-        "each pair is read as the coprime integers of the point [s:u]",
-    )
-    rep.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
-    rep.add_argument(
-        "--window",
-        type=_parse_window,
-        default=range(0, 7),
-        help=f"a..b parameter window, bounds in -{R_CAP}..{R_CAP}",
-    )
-    return parser
+_HELP_FLAGS = ("-h", "--help")
+
+# Each option of replicate: the attribute it sets, its reader and its default.
+_OPTIONS = {
+    "--r": ("r", _parse_r, "sym"),
+    "--template": ("template", _one_of(("paper", "derived", "both")), "both"),
+    "--points": ("points", _parse_points, None),
+    "--json": ("json_path", str, None),
+    "--window": ("window", _parse_window, range(0, 7)),
+}
+
+# The usage and help texts argparse printed for this command line at 80 columns.
+_USAGE = "usage: multistruct [-h] {replicate} ...\n"
+_HELP = _USAGE + """
+Exact replication driver for the multiple-structure computations.
+
+positional arguments:
+  {replicate}
+    replicate  re-run a computation chain and compare
+
+options:
+  -h, --help   show this help message and exit
+"""
+_REPLICATE_USAGE = """\
+usage: multistruct replicate [-h] [--r R] [--template {paper,derived,both}]
+                             [--points POINTS] [--json JSON_PATH]
+                             [--window WINDOW]
+                             {double-conic,double-plane,triple-plane,wedge,koszul,expansion,congruence,graded,ext-claim,all}
+"""
+_REPLICATE_HELP = _REPLICATE_USAGE + """
+positional arguments:
+  {double-conic,double-plane,triple-plane,wedge,koszul,expansion,congruence,graded,ext-claim,all}
+
+options:
+  -h, --help            show this help message and exit
+  --r R                 integer value in -32..32, or 'sym'
+  --template {paper,derived,both}
+                        which chi template drives the template-dependent
+                        chains
+  --points POINTS       s:u pairs, comma separated, each coordinate p or p/q;
+                        each pair is read as the coprime integers of the point
+                        [s:u]
+  --json JSON_PATH      write the JSON report here
+  --window WINDOW       a..b parameter window, bounds in -32..32
+"""
+
+# A word argparse reads as a flag: "-" and more, no space, not a negative number.
+_FLAG_LIKE = re.compile(r"-(?!\d+$|\d*\.\d+$)[^ ]+$")
+
+
+def _flag(word, flags):
+    """The flag of flags a word names, and the value it gives after "=" or None.
+
+    A word names a flag by a unique prefix of it.  With flags empty every
+    word is positional, (None, None); otherwise a flag-like word that names
+    none of them is an unknown flag, "".
+    """
+    name, sep, value = word.partition("=")
+    named = [f for f in flags if f.startswith(name)]
+    if len(named) == 1:
+        return named[0], value if sep else None
+    return "" if flags and _FLAG_LIKE.match(word) else None, None
+
+
+def _fail(values, message):
+    """Exit 2 with the message after the usage of replicate, once its values exist."""
+    usage, prog = (_REPLICATE_USAGE, "multistruct replicate") if values else (_USAGE, "multistruct")
+    sys.stderr.write(f"{usage}{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def parse_args(argv: list[str] | None = None) -> types.SimpleNamespace:
+    """The target and options of `multistruct replicate`, read left to right.
+
+    A flag takes its value as --name=value or as the next word, which must
+    not read as a flag.  "--" makes every later word of its level
+    positional.  -h or --help prints the help of its level and exits 0.
+    The first bad word exits 2 with the usage of its level; unknown flags
+    and stray words are reported last, with the top-level usage.
+    """
+    words = list(sys.argv[1:] if argv is None else argv)
+    values, extras, flags = None, [], _HELP_FLAGS
+    while words:
+        word = words.pop(0)
+        flag, value = _flag(word, flags)
+        if word == "--" and flags:
+            flags = ()
+            continue
+        if flag in _HELP_FLAGS:
+            if value is not None:
+                _fail(values, f"argument -h/--help: ignored explicit argument {value!r}")
+            sys.stdout.write(_REPLICATE_HELP if values else _HELP)
+            raise SystemExit(0)
+        if flag:
+            if value is None:
+                if not words or _flag(words[0], flags)[0] is not None:
+                    _fail(values, f"argument {flag}: expected one argument")
+                value = words.pop(0)
+            attr, read, _ = _OPTIONS[flag]
+        elif flag == "" or values and "target" in values:
+            extras.append(_shown(word))
+            continue
+        elif values:
+            flag = attr = "target"
+            read, value = _one_of((*RUNNERS, "all")), word
+        elif word == "replicate":
+            values, flags = {attr: default for attr, _, default in _OPTIONS.values()}, (*_HELP_FLAGS, *_OPTIONS)
+            continue
+        else:
+            _fail(values, f"argument command: invalid choice: {_shown(word)!r} (choose from 'replicate')")
+        try:
+            values[attr] = read(value)
+        except ValueError as exc:
+            _fail(values, f"argument {flag}: {exc}")
+    if not values or "target" not in values:
+        _fail(values, "the following arguments are required: " + ("target" if values else "command"))
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return types.SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     args.templates = ["paper", "derived"] if args.template == "both" else [args.template]
     args.r_values = (args.r,) if isinstance(args.r, int) else tuple(args.window)
     if args.points is None:

@@ -20,11 +20,12 @@ common-zero-free pair makes alpha fiberwise injective and beta fiberwise
 surjective), degree-slice rank bookkeeping over a window past the
 regularity bound, and a fiberwise screen at sample points.  By those
 identities the fiber at p is exact exactly when (a(p), b(p)) != (0, 0),
-so the screen evaluates only the row (a, b) and makes one rank test of
-beta(p) per point.  The cokernel of alpha is then a rank-2 bundle on the
-line; its splitting type is read from the section count at one twist, and
-twisted by -r-2 it has no global sections, which is the injectivity
-certificate the cohomology module consumes.  The chain runs once per
+so the screen evaluates only the row (a, b) and ranks that 1x2 row once
+per point: rank 1 there is rank beta(p) = 2.  The cokernel of alpha is
+then a rank-2 bundle on the line; its splitting type is read from the
+section count at one twist, and twisted by -r-2 it has no global
+sections, which is the injectivity certificate the cohomology module
+consumes.  The chain runs once per
 (pair, sample points) in a process.
 
 Every slice rank is exact, kept per (matrix, degree), and proved by the
@@ -544,11 +545,13 @@ def pointwise_exactness(
 
     With A = a(p) and B = b(p), alpha(p) = (A^2, 2AB, B^2) and the 2x2
     minors of beta(p) = [[2B, -A, 0], [0, -B, 2A]] are -2B^2, 4AB, -2A^2.
-    So rank beta(p) = 2 exactly when (A, B) != (0, 0), which also makes
+    So rank beta(p) = 2 exactly when (A, B) != (0, 0), which is exactly
+    when the row [[A, B]] has rank 1; that is the test ranked here, and
+    it proves the same statement as ranking beta(p).  It also makes
     alpha(p) nonzero, and beta.alpha = 0 holds identically: the one rank
     test is the whole fiberwise exactness of the 1-3-2 complex.  A and B
     are read from section_row at an integer representative; evaluate
-    scales them by nonzero factors, which leave those minors' vanishing
+    scales them by nonzero factors, which leave their vanishing
     unchanged.  Returns (True, None) or (False, witness_point).
     """
     row = section_row(cx.pair)
@@ -556,7 +559,7 @@ def pointwise_exactness(
         if point[0] == 0 and point[1] == 0:
             raise ValueError("[0:0] is not a point of the projective line")
         ((A, B),) = row.evaluate(point)
-        if matrix_rank([[2 * B, -A, 0], [0, -B, 2 * A]]) != 2:
+        if matrix_rank([[A, B]]) != 1:
             return False, point
     return True, None
 

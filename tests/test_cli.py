@@ -29,8 +29,8 @@ from multistruct.cli import (
     R_CAP,
     ReplicationRecord,
     RUNNERS,
-    build_parser,
     main,
+    parse_args,
     report_json,
 )
 from multistruct.graded import GradedCertificateError
@@ -93,7 +93,6 @@ class TestExitCodes:
         )
 
     def test_argparse_rejections(self, capsys):
-        parser = build_parser()
         for argv in (
             ["replicate", "bogus"],
             ["replicate", "graded", "--window", "5..3"],
@@ -102,13 +101,13 @@ class TestExitCodes:
             ["replicate", "graded", "--points", "1:0,0:0"],
         ):
             with pytest.raises(SystemExit) as exc:
-                parser.parse_args(argv)
+                parse_args(argv)
             assert exc.value.code == 2
         capsys.readouterr()
 
 
 def exit_code(capsys, *argv) -> int:
-    """main's return value, or the code of the SystemExit argparse raises."""
+    """main's return value, or the code of the SystemExit its parser raises."""
     try:
         code = main(list(argv))
     except SystemExit as exc:
@@ -268,7 +267,7 @@ class TestFaultInjection:
             monkeypatch.setenv("MULTISTRUCT_SEED", seed)
         try:
             code = main(["replicate", *argv])
-        except SystemExit as exc:  # argparse rejects a malformed coordinate itself
+        except SystemExit as exc:  # the parser rejects a malformed coordinate itself
             code = exc.code
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -323,15 +322,14 @@ class TestSeed:
 
 class TestParameterCap:
     def test_cap_admits_the_defaults_and_benchmark(self):
-        args = build_parser().parse_args(["replicate", "graded", "--r", "16"])
+        args = parse_args(["replicate", "graded", "--r", "16"])
         assert args.r == 16
-        assert build_parser().parse_args(["replicate", "graded"]).window == range(0, 7)
+        assert parse_args(["replicate", "graded"]).window == range(0, 7)
 
     def test_at_the_cap(self, capsys):
-        parser = build_parser()
-        assert parser.parse_args(["replicate", "ext-claim", "--r", str(R_CAP)]).r == R_CAP
-        assert parser.parse_args(["replicate", "ext-claim", f"--r={-R_CAP}"]).r == -R_CAP
-        window = parser.parse_args(["replicate", "ext-claim", f"--window={-R_CAP}..{R_CAP}"]).window
+        assert parse_args(["replicate", "ext-claim", "--r", str(R_CAP)]).r == R_CAP
+        assert parse_args(["replicate", "ext-claim", f"--r={-R_CAP}"]).r == -R_CAP
+        window = parse_args(["replicate", "ext-claim", f"--window={-R_CAP}..{R_CAP}"]).window
         assert window == range(-R_CAP, R_CAP + 1)
         assert exit_code(capsys, "replicate", "ext-claim", "--r", str(R_CAP)) == 0
 
@@ -400,6 +398,139 @@ class TestEchoedInput:
         assert line.startswith("multistruct replicate: error: argument target: invalid choice: ")
         assert len(line.encode()) < 200
 
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (["x" * 1000], "multistruct: error: argument command: invalid choice: "),
+            (
+                ["replicate", "ext-claim", "x" * 1000, "--" + "y" * 1000],
+                "multistruct: error: unrecognized arguments: ",
+            ),
+        ],
+        ids=["command", "unrecognized"],
+    )
+    def test_long_word_gives_a_short_error_line(self, capsys, argv, start):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith(start)
+        assert len(line.encode()) < 200
+
+
+USAGE = "usage: multistruct [-h] {replicate} ...\n"
+HELP = USAGE + """
+Exact replication driver for the multiple-structure computations.
+
+positional arguments:
+  {replicate}
+    replicate  re-run a computation chain and compare
+
+options:
+  -h, --help   show this help message and exit
+"""
+TARGET_CHOICES = (
+    "{double-conic,double-plane,triple-plane,wedge,koszul,expansion,congruence,graded,ext-claim,all}"
+)
+REPLICATE_USAGE = f"""usage: multistruct replicate [-h] [--r R] [--template {{paper,derived,both}}]
+                             [--points POINTS] [--json JSON_PATH]
+                             [--window WINDOW]
+                             {TARGET_CHOICES}
+"""
+REPLICATE_HELP = REPLICATE_USAGE + f"""
+positional arguments:
+  {TARGET_CHOICES}
+
+options:
+  -h, --help            show this help message and exit
+  --r R                 integer value in -32..32, or 'sym'
+  --template {{paper,derived,both}}
+                        which chi template drives the template-dependent
+                        chains
+  --points POINTS       s:u pairs, comma separated, each coordinate p or p/q;
+                        each pair is read as the coprime integers of the point
+                        [s:u]
+  --json JSON_PATH      write the JSON report here
+  --window WINDOW       a..b parameter window, bounds in -32..32
+"""
+
+
+def _usage_error(message: str) -> str:
+    return f"{USAGE}multistruct: error: {message}\n"
+
+
+def _replicate_error(message: str) -> str:
+    return f"{REPLICATE_USAGE}multistruct replicate: error: {message}\n"
+
+
+def _ext_claim_out(*r_values, symbolic: bool = True) -> str:
+    lines = ["[ ok ] ext-claim/vanishing[symbolic] (n/a): 0"] if symbolic else []
+    lines += [f"[ ok ] ext-claim/vanishing[r={rv}] (n/a): 0" for rv in r_values]
+    count = len(lines)
+    return "\n".join([*lines, f"summary: {count} records, {count} matched, 0 discrepancies"]) + "\n"
+
+
+# (argv, exit code, stdout, stderr); the help texts are argparse's at 80 columns
+COMMAND_LINES = [
+    ([], 2, "", _usage_error("the following arguments are required: command")),
+    (["--help"], 0, HELP, ""),
+    (["-h", "replicate"], 0, HELP, ""),
+    (["replicat"], 2, "", _usage_error("argument command: invalid choice: 'replicat' (choose from 'replicate')")),
+    (["--bogus", "replicate", "ext-claim"], 2, "", _usage_error("unrecognized arguments: --bogus")),
+    (["replicate"], 2, "", _replicate_error("the following arguments are required: target")),
+    (["replicate", "--help"], 0, REPLICATE_HELP, ""),
+    (["replicate", "ext-claim", "--help", "--r", "99"], 0, REPLICATE_HELP, ""),
+    (
+        ["replicate", "ext-claim", "--r", "99", "--help"], 2, "",
+        _replicate_error("argument --r: --r values must lie in -32..32, got 99"),
+    ),
+    (["replicate", "ext-claim", "--r"], 2, "", _replicate_error("argument --r: expected one argument")),
+    (["replicate", "--json"], 2, "", _replicate_error("argument --json: expected one argument")),
+    (
+        ["replicate", "ext-claim", "--window", "-2..3"], 2, "",
+        _replicate_error("argument --window: expected one argument"),
+    ),
+    (["replicate", "ext-claim", "--r", "-3"], 2, "", "invalid input: the vanishing claim is stated for r >= 0\n"),
+    (
+        ["replicate", "ext-claim", "--r", "-.5"], 2, "",
+        _replicate_error("argument --r: --r expects an integer or 'sym', got '-.5'"),
+    ),
+    (
+        ["replicate", "ext-claim", "--r="], 2, "",
+        _replicate_error("argument --r: --r expects an integer or 'sym', got ''"),
+    ),
+    (["replicate", "-r", "3", "ext-claim"], 2, "", _replicate_error("argument target: invalid choice: '3'")),
+    (["replicate", "ext-claim", "x", "y"], 2, "", _usage_error("unrecognized arguments: x y")),
+    (["replicate", "bogus", "--r", "99"], 2, "", _replicate_error("argument target: invalid choice: 'bogus'")),
+    (
+        ["replicate", "--r", "99", "bogus"], 2, "",
+        _replicate_error("argument --r: --r values must lie in -32..32, got 99"),
+    ),
+    (["replicate", "ext-claim", "--w", "0..2"], 0, _ext_claim_out(0, 1, 2), ""),
+    (["replicate", "ext-claim", "--temp", "paper"], 0, _ext_claim_out(*range(7)), ""),
+    (["replicate", "--", "ext-claim"], 0, _ext_claim_out(*range(7)), ""),
+    (["replicate", "ext-claim", "--r", "3", "--r", "4"], 0, _ext_claim_out(4, symbolic=False), ""),
+    (
+        ["replicate", "ext-claim", "--points", "-1:1, 0:1"], 2, "",
+        "invalid input: need at least five sample points\n",
+    ),
+]
+
+
+class TestCommandLine:
+    """Exit code, stdout and stderr of each command line, help texts at 80 columns."""
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err", COMMAND_LINES, ids=[" ".join(row[0]) or "none" for row in COMMAND_LINES]
+    )
+    def test_output(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            got = main(list(argv))
+        except SystemExit as exc:
+            got = exc.code
+        assert (got, *capsys.readouterr()) == (code, out, err)
+
 
 def _benchmark_points(seed: int) -> str:
     spec = importlib.util.spec_from_file_location("replbench_run", ROOT / "replbench" / "run.py")
@@ -420,7 +551,7 @@ class TestPointsBound:
     )
     def test_printed_fractions_are_accepted(self, points):
         # each s:u is read as the coprime integers of the point [s:u], signs kept
-        parsed = build_parser().parse_args(["replicate", "graded", f"--points={points}"]).points
+        parsed = parse_args(["replicate", "graded", f"--points={points}"]).points
         given = [tuple(Fraction(x) for x in chunk.split(":")) for chunk in points.split(",")]
         assert len(parsed) == len(given)
         for (s, u), (s_q, u_q) in zip(parsed, given):
@@ -449,7 +580,7 @@ class TestPointsBound:
 
     def test_count_at_the_cap_is_accepted(self, capsys):
         points = ",".join(f"{k}:1" for k in range(POINTS_CAP))
-        parsed = build_parser().parse_args(["replicate", "graded", f"--points={points}"]).points
+        parsed = parse_args(["replicate", "graded", f"--points={points}"]).points
         assert len(parsed) == POINTS_CAP
         assert exit_code(capsys, "replicate", "graded", "--r", "0", f"--points={points}") == 0
 
@@ -633,12 +764,16 @@ class TestJsonReport:
 # The engine reads every rational as an int pair; these come only with Fraction.
 RATIONAL_MODULES = ("fractions", "decimal", "numbers")
 
+# The command line is read without argparse, which brings gettext and, once a
+# parser is built, locale.
+PARSER_MODULES = ("argparse", "gettext", "locale")
+
 # Loaded only to build classes (dataclasses pulls in inspect, ast and dis), to
-# write a report or to read report text back, or with Fraction; a process
-# that does none of these should not pay for them.
+# write a report or to read report text back, with Fraction, or with argparse;
+# a process that does none of these should not pay for them.
 STARTUP_EXCLUDED = (
     "dataclasses", "inspect", "ast", "dis", "json", "datetime", "multistruct.grammar",
-    *RATIONAL_MODULES,
+    *RATIONAL_MODULES, *PARSER_MODULES,
 )
 
 
@@ -666,13 +801,18 @@ class TestStartup:
 
     @pytest.mark.parametrize(
         "argv, code",
-        [(["replicate", "all"], 1), (["replicate", "graded", "--points=1:0,0:1,1:1,2:3,-1/2:5"], 0)],
-        ids=["all", "graded-points"],
+        [
+            (["replicate", "all"], 1),
+            (["replicate", "graded", "--points=1:0,0:1,1:1,2:3,-1/2:5"], 0),
+            (["replicate", "wedge"], 1),
+        ],
+        ids=["all", "graded-points", "wedge"],
     )
     def test_runs_load_no_rational_modules(self, argv, code):
+        # nor the parser modules: the command line is read in the same process
         proc = _fresh_process(
             "import sys\nfrom multistruct.cli import main\ncode = main(sys.argv[1:])\n"
-            f"print('loaded:', *sorted(set({RATIONAL_MODULES!r}) & set(sys.modules)))\n"
+            f"print('loaded:', *sorted(set({RATIONAL_MODULES + PARSER_MODULES!r}) & set(sys.modules)))\n"
             "sys.exit(code)",
             *argv,
         )
@@ -769,7 +909,7 @@ class TestSpecializedOracles:
             return f(p, B)
 
         monkeypatch.setattr(cli, "specialize", recording)
-        args = build_parser().parse_args(["replicate", target])
+        args = parse_args(["replicate", target])
         args.seed = cli._read_seed()  # as main reads it before any runner
         records = RUNNERS[target](args)
         return {rec.claim_id: rec for rec in records}, bundles
