@@ -44,6 +44,7 @@ ORACLES = "tests/test_cli.py::TestSpecializedOracles"
 COMMAND_LINE = "tests/test_cli.py::TestCommandLine"
 SIGNS = "tests/test_cohomology.py::TestOneSignProcedure"
 P1 = "tests/test_cohomology.py::TestLineBundleCohomology"
+PROGRAM_EXIT = "tests/test_cli.py::TestProgramExit"
 
 # (name, file, snippet, replacement, test node ids that must catch it)
 MUTANTS = (
@@ -432,6 +433,23 @@ MUTANTS = (
         "        s, u = s_num * (scale // s_den), u_num * (scale // u_den)\n",
         "        s, u = s_num, u_num\n",
         ["tests/test_cli.py::TestPointsBound::test_printed_fractions_are_accepted"],
+    ),
+    (
+        "stdout not flushed before the hard exit",
+        CLI,
+        "            sys.stdout.flush()\n",
+        "            pass\n",
+        [
+            f"{PROGRAM_EXIT}::test_fresh_process_equals_in_process[ext-claim-buffered]",
+            f"{PROGRAM_EXIT}::test_fresh_process_equals_in_process[all-json-buffered]",
+        ],
+    ),
+    (
+        "failed write exits 1",
+        CLI,
+        'cannot write output: {exc}", file=sys.stderr)\n        return 2\n',
+        'cannot write output: {exc}", file=sys.stderr)\n        return 1\n',
+        [f"{PROGRAM_EXIT}::test_unwritable_stdout_exits_2"],
     ),
 )
 

@@ -198,14 +198,20 @@ def _exp(a: MultiPoly, n: int) -> MultiPoly:
     return sum((ah**k).scalar_div(math.factorial(k)) for k in range(n + 1))
 
 
+@functools.cache
+def twisted_todd(n: int) -> MultiPoly:
+    """exp(th) td(P^n), untruncated.  Cached per n, so callers share one immutable value."""
+    return _exp(var("t"), n) * todd_class(n)
+
+
 def _riemann_roch(ch: MultiPoly, n: int) -> MultiPoly:
     """chi(E(t)) on P^n for ch = ch(E): the h^n coefficient of ch exp(th) td(P^n).
 
     Only the h^(n-k) part of exp(th) td(P^n) meets the h^k part of ch, so
     the degree-n coefficient is read as that pairing, without the product.
     """
-    twisted_todd = _exp(var("t"), n) * todd_class(n)
-    return sum(ch.coeff_of("h", k) * twisted_todd.coeff_of("h", n - k) for k in range(n + 1))
+    series = twisted_todd(n)
+    return sum(ch.coeff_of("h", k) * series.coeff_of("h", n - k) for k in range(n + 1))
 
 
 def euler_characteristic(B: BundleClass) -> MultiPoly:

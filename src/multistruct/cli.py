@@ -962,7 +962,31 @@ def parse_args(argv: list[str] | None = None) -> types.SimpleNamespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = parse_args(argv)
+    """The exit code of `multistruct` on argv, or on the command line when argv is None.
+
+    Run as the program (argv None), main does not return: it flushes stdout
+    and stderr and ends the process with os._exit, skipping the
+    interpreter's teardown (freeing every module and cached value one object
+    at a time), so atexit handlers do not run.  A usage error or -h still
+    exits through SystemExit from parse_args.
+    """
+    code = _replicate(parse_args(argv), program=argv is None)
+    if argv is not None:
+        return code
+    try:
+        if sys.stderr:
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    os._exit(code)
+
+
+def _replicate(args: types.SimpleNamespace, program: bool) -> int:
+    """Check the input, run the targets, print the records; the exit code.
+
+    With program set, stdout is flushed here, where a failed write can still
+    be reported, since os._exit flushes nothing.
+    """
     args.templates = ["paper", "derived"] if args.template == "both" else [args.template]
     args.r_values = (args.r,) if isinstance(args.r, int) else tuple(args.window)
     if args.points is None:
@@ -989,17 +1013,23 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    for rec in records:
-        tag = " ok " if rec.match else "DIFF"
-        line = f"[{tag}] {rec.claim_id} ({rec.template}): {rec.computed_value}"
-        if not rec.match:
-            line += f"  [published: {rec.paper_value}]"
-        print(line)
     discrepancies = sum(1 for rec in records if not rec.match)
-    print(
-        f"summary: {len(records)} records, {len(records) - discrepancies} matched, "
-        f"{discrepancies} discrepancies"
-    )
+    try:
+        for rec in records:
+            tag = " ok " if rec.match else "DIFF"
+            line = f"[{tag}] {rec.claim_id} ({rec.template}): {rec.computed_value}"
+            if not rec.match:
+                line += f"  [published: {rec.paper_value}]"
+            print(line)
+        print(
+            f"summary: {len(records)} records, {len(records) - discrepancies} matched, "
+            f"{discrepancies} discrepancies"
+        )
+        if program and sys.stdout:
+            sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk is not a discrepancy (1)
+        print(f"invalid input: cannot write output: {exc}", file=sys.stderr)
+        return 2
     if args.json_path:
         import json
 

@@ -24,6 +24,7 @@ from multistruct.chow import (
     splitting_oracle,
     todd_class,
     truncate,
+    twisted_todd,
     wedge_powers,
 )
 
@@ -170,6 +171,12 @@ class TestEulerCharacteristic:
             base = sum(c * h**k for k, c in enumerate(series[: n + 1]))
             assert todd_class(n) == todd_class(n) == truncate(base ** (n + 1), n)
             assert todd_class(n) is todd_class(n)
+
+    def test_twisted_todd_cached_and_equal_to_the_product(self):
+        for n in range(1, chow.MAX_AMBIENT + 1):
+            exp_th = sum(Fraction(1, math.factorial(k)) * (t * h) ** k for k in range(n + 1))
+            assert twisted_todd(n) == exp_th * todd_class(n)
+            assert twisted_todd(n) is twisted_todd(n)
 
 
 class TestKoszul:

@@ -829,6 +829,75 @@ class TestStartup:
         assert_report_schema(json.loads(path.read_text()))
 
 
+# The entry the benchmark and the console script run: main() as the program.
+PROGRAM = "import sys; from multistruct.cli import main; sys.exit(main())"
+
+
+def _program(*argv: str, buffered: bool, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """main() as the program in a fresh interpreter, its output as bytes.
+
+    buffered removes PYTHONUNBUFFERED, so stdout to a pipe or file is
+    block-buffered and reaches it only through main's own flush.
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-c", PROGRAM, *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+    )
+
+
+class TestProgramExit:
+    """main() as the program ends with os._exit after a flush; nothing it prints is lost."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [[target] for target in EXPECTED_EXIT] + [["all", "--json"]],
+                             ids=[*EXPECTED_EXIT, "all-json"])
+    def test_fresh_process_equals_in_process(self, capsys, tmp_path, argv, buffered):
+        report = ["in.json"] if "--json" in argv else []
+        code = main(["replicate", *argv, *(str(tmp_path / name) for name in report)])
+        out, err = capsys.readouterr()
+        fresh = report and ["fresh.json"]
+        proc = _program("replicate", *argv, *(str(tmp_path / name) for name in fresh), buffered=buffered)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+        for name in report + fresh:
+            assert_report_schema(json.loads((tmp_path / name).read_text()))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_unwritable_stdout_exits_2(self, buffered):
+        # unbuffered, print fails; buffered, the final flush does
+        with open("/dev/full", "wb") as full:
+            proc = _program("replicate", "ext-claim", buffered=buffered, stdout=full)
+        assert proc.returncode == 2
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr.decode()
+        assert lines[0].startswith("invalid input: cannot write output: ")
+
+    @pytest.mark.parametrize("closed", [1, 2], ids=["stdout", "stderr"])
+    def test_closed_stream_keeps_the_exit_code(self, capsys, closed):
+        # a stream closed at start-up is None in sys, and print to it writes nothing
+        code = main(["replicate", "ext-claim"])
+        expected = capsys.readouterr()[2 - closed].encode()  # the stream left open
+        proc = subprocess.run(
+            [sys.executable, "-c", PROGRAM, "replicate", "ext-claim"],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, preexec_fn=lambda: os.close(closed), timeout=120,
+        )
+        assert (proc.returncode, (proc.stdout, proc.stderr)[2 - closed]) == (code, expected)
+
+    def test_failed_write_in_process_exits_2(self, capsys, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["replicate", "ext-claim"]) == 2
+        assert capsys.readouterr().err == "invalid input: cannot write output: [Errno 32] Broken pipe\n"
+
+
 class TestRunnersDirect:
     def test_every_target_has_runner(self):
         assert set(EXPECTED_EXIT) == set(RUNNERS)
