@@ -12,7 +12,8 @@ Exit codes: 0 all records match; 1 at least one documented discrepancy;
 2 invalid input (including --r or a --window bound beyond R_CAP, more
 than POINTS_CAP or fewer than five --points, a --points coordinate past
 POINT_DIGITS_CAP digits, and a MULTISTRUCT_SEED other than [-]digits, at
-most SEED_DIGITS_CAP of them), found before any target runs; 3 internal
+most SEED_DIGITS_CAP of them), found before any target runs, and output
+that cannot be written (stdout or the --json report); 3 internal
 inconsistency (an EngineError raised by a self-check: negative dimension,
 failed certificate, underdetermined sequence, ...) or any other
 unexpected exception.
