@@ -45,6 +45,7 @@ COMMAND_LINE = "tests/test_cli.py::TestCommandLine"
 SIGNS = "tests/test_cohomology.py::TestOneSignProcedure"
 P1 = "tests/test_cohomology.py::TestLineBundleCohomology"
 PROGRAM_EXIT = "tests/test_cli.py::TestProgramExit"
+EXIT_PATH = "tests/test_cli.py::TestOneExitPath"
 
 # (name, file, snippet, replacement, test node ids that must catch it)
 MUTANTS = (
@@ -214,8 +215,8 @@ MUTANTS = (
     (
         "EngineError mapped to exit 1 instead of 3",
         CLI,
-        '        print(f"internal inconsistency: {exc}", file=sys.stderr)\n        return 3',
-        '        print(f"internal inconsistency: {exc}", file=sys.stderr)\n        return 1',
+        'return _to_stderr(f"internal inconsistency: {exc}", 3)',
+        'return _to_stderr(f"internal inconsistency: {exc}", 1)',
         ["tests/test_cli.py::TestFaultInjection::test_engine_failures_exit_3"],
     ),
     (
@@ -437,8 +438,8 @@ MUTANTS = (
     (
         "stdout not flushed before the hard exit",
         CLI,
-        "            sys.stdout.flush()\n",
-        "            pass\n",
+        "            sys.stdout.write(text)\n            sys.stdout.flush()\n",
+        "            sys.stdout.write(text)\n",
         [
             f"{PROGRAM_EXIT}::test_fresh_process_equals_in_process[ext-claim-buffered]",
             f"{PROGRAM_EXIT}::test_fresh_process_equals_in_process[all-json-buffered]",
@@ -447,9 +448,28 @@ MUTANTS = (
     (
         "failed write exits 1",
         CLI,
-        'cannot write output: {exc}", file=sys.stderr)\n        return 2\n',
-        'cannot write output: {exc}", file=sys.stderr)\n        return 1\n',
+        'return _to_stderr(f"invalid input: cannot write output: {exc}", 2)',
+        'return _to_stderr(f"invalid input: cannot write output: {exc}", 1)',
         [f"{PROGRAM_EXIT}::test_unwritable_stdout_exits_2"],
+    ),
+    (
+        "diagnostic write unguarded",
+        CLI,
+        "    try:\n        if sys.stderr:\n            sys.stderr.write(line + \"\\n\")\n"
+        "            sys.stderr.flush()\n    except OSError:\n        pass  # nowhere left to report it\n",
+        "    if sys.stderr:\n        sys.stderr.write(line + \"\\n\")\n        sys.stderr.flush()\n",
+        [
+            f"{EXIT_PATH}::test_stream_failure_keeps_the_exit_code[usage-error-stderr-full]",
+            f"{EXIT_PATH}::test_stream_failure_keeps_the_exit_code[window-past-cap-stderr-full]",
+            f"{EXIT_PATH}::test_stream_failure_keeps_the_exit_code[report-unwritable-stderr-full]",
+        ],
+    ),
+    (
+        "help written past the writer",
+        CLI,
+        "            raise SystemExit(_to_stdout(_REPLICATE_HELP if values else _HELP))\n",
+        "            sys.stdout.write(_REPLICATE_HELP if values else _HELP)\n            raise SystemExit(0)\n",
+        [f"{EXIT_PATH}::test_stream_failure_keeps_the_exit_code[help-stdout-full]"],
     ),
 )
 

@@ -17,6 +17,12 @@ that cannot be written (stdout or the --json report); 3 internal
 inconsistency (an EngineError raised by a self-check: negative dimension,
 failed certificate, underdetermined sequence, ...) or any other
 unexpected exception.
+
+Every run ends through two writers: _to_stdout writes the records or a
+help text, and _to_stderr writes the one diagnostic line of a failing
+run.  A stream that cannot be written or is closed never changes the
+code: a diagnostic that cannot be written is dropped, and no diagnostic
+goes to stdout.
 """
 
 from __future__ import annotations
@@ -847,7 +853,7 @@ _HELP_FLAGS = ("-h", "--help")
 _OPTIONS = {
     "--r": ("r", _parse_r, "sym"),
     "--template": ("template", _one_of(("paper", "derived", "both")), "both"),
-    "--points": ("points", _parse_points, None),
+    "--points": ("points", _parse_points, DEFAULT_POINTS),
     "--json": ("json_path", str, None),
     "--window": ("window", _parse_window, range(0, 7)),
 }
@@ -905,11 +911,40 @@ def _flag(word, flags):
     return "" if flags and _FLAG_LIKE.match(word) else None, None
 
 
+def _to_stderr(line, code):
+    """Write one diagnostic line to stderr and flush it; the code given.
+
+    A line that cannot be written is dropped, whether stderr is unwritable
+    or was closed at start-up (None): the code stays the one the line
+    announces, never the 1 of a documented discrepancy.
+    """
+    try:
+        if sys.stderr:
+            sys.stderr.write(line + "\n")
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    return code
+
+
+def _to_stdout(text):
+    """Write text to stdout and flush it; 0, or 2 after a diagnostic if it cannot be written.
+
+    A stdout closed at start-up (None) takes nothing, as print writes nothing to it.
+    """
+    try:
+        if sys.stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk is not a discrepancy (1)
+        return _to_stderr(f"invalid input: cannot write output: {exc}", 2)
+    return 0
+
+
 def _fail(values, message):
     """Exit 2 with the message after the usage of replicate, once its values exist."""
     usage, prog = (_REPLICATE_USAGE, "multistruct replicate") if values else (_USAGE, "multistruct")
-    sys.stderr.write(f"{usage}{prog}: error: {message}\n")
-    raise SystemExit(2)
+    raise SystemExit(_to_stderr(f"{usage}{prog}: error: {message}", 2))
 
 
 def parse_args(argv: list[str] | None = None) -> types.SimpleNamespace:
@@ -932,8 +967,7 @@ def parse_args(argv: list[str] | None = None) -> types.SimpleNamespace:
         if flag in _HELP_FLAGS:
             if value is not None:
                 _fail(values, f"argument -h/--help: ignored explicit argument {value!r}")
-            sys.stdout.write(_REPLICATE_HELP if values else _HELP)
-            raise SystemExit(0)
+            raise SystemExit(_to_stdout(_REPLICATE_HELP if values else _HELP))
         if flag:
             if value is None:
                 if not words or _flag(words[0], flags)[0] is not None:
@@ -965,35 +999,30 @@ def parse_args(argv: list[str] | None = None) -> types.SimpleNamespace:
 def main(argv: list[str] | None = None) -> int:
     """The exit code of `multistruct` on argv, or on the command line when argv is None.
 
-    Run as the program (argv None), main does not return: it flushes stdout
-    and stderr and ends the process with os._exit, skipping the
-    interpreter's teardown (freeing every module and cached value one object
-    at a time), so atexit handlers do not run.  A usage error or -h still
-    exits through SystemExit from parse_args.
+    Called with a list, main returns the code, and a usage error or -h
+    raises SystemExit from parse_args.  Run as the program (argv None),
+    main does not return: every run, a usage error and -h included, ends
+    the process with os._exit, skipping the interpreter's teardown (freeing
+    every module and cached value one object at a time, and flushing the
+    streams once more, which turns a write that already failed into exit
+    120), so atexit handlers do not run.  Nothing is left to flush there,
+    since both writers flush what they write.
     """
-    code = _replicate(parse_args(argv), program=argv is None)
     if argv is not None:
-        return code
+        return _replicate(parse_args(argv))
     try:
-        if sys.stderr:
-            sys.stderr.flush()
-    except OSError:
-        pass  # nowhere left to report it
+        code = _replicate(parse_args())
+    except SystemExit as exc:  # a usage error or -h, already written
+        code = exc.code
     os._exit(code)
 
 
-def _replicate(args: types.SimpleNamespace, program: bool) -> int:
-    """Check the input, run the targets, print the records; the exit code.
-
-    With program set, stdout is flushed here, where a failed write can still
-    be reported, since os._exit flushes nothing.
-    """
+def _replicate(args: types.SimpleNamespace) -> int:
+    """Check the input, run the targets, write the records; the exit code."""
     args.templates = ["paper", "derived"] if args.template == "both" else [args.template]
     args.r_values = (args.r,) if isinstance(args.r, int) else tuple(args.window)
-    if args.points is None:
-        args.points = list(DEFAULT_POINTS)
 
-    targets = list(RUNNERS) if args.target == "all" else [args.target]
+    targets = RUNNERS if args.target == "all" else [args.target]
     records: list[ReplicationRecord] = []
     try:
         # every input is checked before the first runner starts
@@ -1005,32 +1034,24 @@ def _replicate(args: types.SimpleNamespace, program: bool) -> int:
         for target in targets:
             records.extend(RUNNERS[target](args))
     except EngineError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 3
+        return _to_stderr(f"internal inconsistency: {exc}", 3)
     except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
+        return _to_stderr(f"invalid input: {exc}", 2)
     except Exception as exc:  # a failed self-check must never read as a discrepancy (1)
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _to_stderr(f"internal error: {type(exc).__name__}: {exc}", 3)
 
     discrepancies = sum(1 for rec in records if not rec.match)
-    try:
-        for rec in records:
-            tag = " ok " if rec.match else "DIFF"
-            line = f"[{tag}] {rec.claim_id} ({rec.template}): {rec.computed_value}"
-            if not rec.match:
-                line += f"  [published: {rec.paper_value}]"
-            print(line)
-        print(
-            f"summary: {len(records)} records, {len(records) - discrepancies} matched, "
-            f"{discrepancies} discrepancies"
-        )
-        if program and sys.stdout:
-            sys.stdout.flush()
-    except OSError as exc:  # a closed pipe or a full disk is not a discrepancy (1)
-        print(f"invalid input: cannot write output: {exc}", file=sys.stderr)
-        return 2
+    lines = []
+    for rec in records:
+        tag, published = (" ok ", "") if rec.match else ("DIFF", f"  [published: {rec.paper_value}]")
+        lines.append(f"[{tag}] {rec.claim_id} ({rec.template}): {rec.computed_value}{published}\n")
+    lines.append(
+        f"summary: {len(records)} records, {len(records) - discrepancies} matched, "
+        f"{discrepancies} discrepancies\n"
+    )
+    code = _to_stdout("".join(lines))
+    if code:
+        return code
     if args.json_path:
         import json
 
@@ -1039,10 +1060,9 @@ def _replicate(args: types.SimpleNamespace, program: bool) -> int:
                 json.dump(report_json(records), handle, indent=2)
                 handle.write("\n")
         except OSError as exc:
-            print(f"invalid input: cannot write report: {exc}", file=sys.stderr)
-            return 2
+            return _to_stderr(f"invalid input: cannot write report: {exc}", 2)
 
-    return 0 if discrepancies == 0 else 1
+    return 1 if discrepancies else 0
 
 
 if __name__ == "__main__":

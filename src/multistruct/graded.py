@@ -454,67 +454,58 @@ class ComplexSpec:
         self.beta = beta
 
 
+def _alphabeta_entries(a: MultiPoly, b: MultiPoly):
+    """The entry tables of alpha = (a^2, 2ab, b^2)^T and beta = [[2b, -a, 0], [0, -b, 2a]]."""
+    zero = MultiPoly.zero()
+    return ((a * a,), (2 * a * b,), (b * b,)), ((2 * b, -a, zero), (zero, -b, 2 * a))
+
+
 def alphabeta_builder(p: SectionPair) -> ComplexSpec:
-    """Build alpha = (a^2, 2ab, b^2)^T and beta = [[2b, -a, 0], [0, -b, 2a]].
+    """Build alpha and beta from the entry tables of _alphabeta_entries.
 
     Twists: source S(-2r-12), middle S(-8)+S(-6)+S(-4), target
     S(r-4)+S(r-2); homogeneity of every entry is verified on construction.
     """
     r = p.r
-    source = (-2 * r - 12,)
     middle = (-8, -6, -4)
-    target = (r - 4, r - 2)
-    zero = MultiPoly.zero()
-    alpha = GradedMatrix(
-        source, middle, ((p.a * p.a,), (2 * p.a * p.b,), (p.b * p.b,))
+    alpha, beta = _alphabeta_entries(p.a, p.b)
+    return ComplexSpec(
+        p,
+        GradedMatrix((-2 * r - 12,), middle, alpha),
+        GradedMatrix(middle, (r - 4, r - 2), beta),
     )
-    beta = GradedMatrix(
-        middle, target, ((2 * p.b, -p.a, zero), (zero, -p.b, 2 * p.a))
+
+
+def _product(outer, inner) -> tuple[tuple[MultiPoly, ...], ...]:
+    """The entry table of outer . inner, from their entry tables."""
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, column)), MultiPoly.zero()) for column in zip(*inner))
+        for row in outer
     )
-    return ComplexSpec(p, alpha, beta)
 
 
 def compose(outer: GradedMatrix, inner: GradedMatrix) -> tuple[tuple[MultiPoly, ...], ...]:
     """Entry table of the composite outer . inner (not degree-checked)."""
     if outer.source != inner.target:
         raise ValueError("composition shape mismatch")
-    rows = len(outer.target)
-    cols = len(inner.source)
-    mid = len(inner.target)
-    return tuple(
-        tuple(
-            sum(
-                (outer.entries[i][k] * inner.entries[k][j] for k in range(mid)),
-                MultiPoly.zero(),
-            )
-            for j in range(cols)
-        )
-        for i in range(rows)
-    )
+    return _product(outer.entries, inner.entries)
 
 
 @functools.cache
 def symbolic_complex_identities() -> bool:
     """beta.alpha = 0 and the beta minors are -2b^2, 4ab, -2a^2, symbolically.
 
-    Verified with free stand-ins for a and b, so the identities hold for
-    every section pair; the minor shapes show beta is fiberwise surjective
-    wherever a and b do not vanish together.  Evaluated once per process.
+    The builder's own entry tables, with free stand-ins for a and b, so the
+    identities hold for every section pair; the minor shapes show beta is
+    fiberwise surjective wherever a and b do not vanish together.
+    Evaluated once per process.
     """
     a, b = var("a1"), var("a2")
-    composite = (
-        2 * b * (a * a) + (-a) * (2 * a * b),
-        (-b) * (2 * a * b) + 2 * a * (b * b),
-    )
-    minors = (
-        2 * b * (-b) - (-a) * MultiPoly.zero(),
-        2 * b * (2 * a) - MultiPoly.zero() * MultiPoly.zero(),
-        (-a) * (2 * a) - MultiPoly.zero() * (-b),
-    )
+    alpha, beta = _alphabeta_entries(a, b)
+    top, bottom = beta
+    minors = tuple(top[i] * bottom[j] - top[j] * bottom[i] for i, j in ((0, 1), (0, 2), (1, 2)))
     expected = (-2 * b * b, 4 * a * b, -2 * a * a)
-    return all(c.is_zero() for c in composite) and all(
-        m == e for m, e in zip(minors, expected)
-    )
+    return all(e.is_zero() for row in _product(beta, alpha) for e in row) and minors == expected
 
 
 # -- zero locus and fiberwise checks ------------------------------------------

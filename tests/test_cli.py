@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib.util
 import inspect
@@ -833,11 +834,13 @@ class TestStartup:
 PROGRAM = "import sys; from multistruct.cli import main; sys.exit(main())"
 
 
-def _program(*argv: str, buffered: bool, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def _program(*argv: str, buffered: bool, **streams) -> subprocess.CompletedProcess:
     """main() as the program in a fresh interpreter, its output as bytes.
 
     buffered removes PYTHONUNBUFFERED, so stdout to a pipe or file is
-    block-buffered and reaches it only through main's own flush.
+    block-buffered and reaches it only through main's own flush.  streams
+    override subprocess.run's stdout and stderr (pipes by default) and may
+    add a preexec_fn.
     """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("PYTHONUNBUFFERED", None)
@@ -845,7 +848,7 @@ def _program(*argv: str, buffered: bool, stdout=subprocess.PIPE) -> subprocess.C
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-c", PROGRAM, *argv],
-        env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+        env=env, timeout=120, **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams},
     )
 
 
@@ -896,6 +899,76 @@ class TestProgramExit:
         monkeypatch.setattr(sys, "stdout", Closed())
         assert main(["replicate", "ext-claim"]) == 2
         assert capsys.readouterr().err == "invalid input: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def _stream_case(name: str, argv: list[str], stdout: str, stderr: str):
+    """One command line with its streams: "pipe", "full" (/dev/full) or "closed".
+
+    A stream closed before the interpreter starts is None in sys.  Runs
+    with a full stream are block-buffered, where a write that failed stays
+    in the buffer and the interpreter's teardown would flush it once more
+    (exit 120); runs with stderr closed are unbuffered, so that a
+    diagnostic sent to stdout instead reaches it at once.
+    """
+    full = "full" in (stdout, stderr)
+    marks = pytest.mark.skipif(full and not os.path.exists("/dev/full"), reason="needs /dev/full")
+    return pytest.param(argv, stdout, stderr, full, marks=marks, id=name)
+
+
+STREAM_FAILURES = [
+    _stream_case("usage-error-stderr-full", ["replicate", "bogus"], "pipe", "full"),
+    _stream_case("window-past-cap-stderr-full", ["replicate", "all", "--window", "0..40"], "pipe", "full"),
+    _stream_case("both-full", ["replicate", "ext-claim"], "full", "full"),
+    _stream_case("report-unwritable-stderr-full", ["replicate", "ext-claim", "--json", "/nonexistent/x.json"],
+                 "pipe", "full"),
+    _stream_case("help-stdout-full", ["--help"], "full", "pipe"),
+    _stream_case("replicate-help-stdout-full", ["replicate", "--help"], "full", "pipe"),
+    _stream_case("usage-error-stderr-closed", ["replicate", "bogus"], "pipe", "closed"),
+    _stream_case("bad-r-stderr-closed", ["replicate", "graded", "--r", "-3"], "pipe", "closed"),
+    _stream_case("report-unwritable-stderr-closed", ["replicate", "ext-claim", "--json", "/nonexistent/x.json"],
+                 "pipe", "closed"),
+]
+
+_RECORD_LINE = re.compile(r"\[( ok |DIFF)\] |summary: ")
+
+
+class TestOneExitPath:
+    """No stream failure changes the exit code, and no diagnostic goes to stdout."""
+
+    @pytest.mark.parametrize("argv, stdout, stderr, buffered", STREAM_FAILURES)
+    def test_stream_failure_keeps_the_exit_code(self, argv, stdout, stderr, buffered):
+        with contextlib.ExitStack() as stack:
+            streams = {
+                name: stack.enter_context(open("/dev/full", "wb"))
+                for name, kind in (("stdout", stdout), ("stderr", stderr))
+                if kind == "full"
+            }
+            if stderr == "closed":
+                streams["preexec_fn"] = lambda: os.close(2)
+            proc = _program(*argv, buffered=buffered, **streams)
+        assert proc.returncode == 2
+        out, err = (stream.decode() if stream else "" for stream in (proc.stdout, proc.stderr))
+        assert "Traceback" not in out + err
+        # stdout holds the records or nothing, never a diagnostic
+        assert all(_RECORD_LINE.match(line) for line in out.splitlines())
+        if stderr == "pipe":
+            assert err.startswith("invalid input: cannot write output: ") and err.count("\n") == 1
+
+    def test_only_the_two_writers_name_the_streams(self):
+        tree = ast.parse((ROOT / "src" / "multistruct" / "cli.py").read_text(encoding="utf-8"))
+        writers = set()
+        for definition in tree.body:
+            for node in ast.walk(definition):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    assert node.func.id != "print", f"print call on line {node.lineno}"
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("stdout", "stderr")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "sys"
+                ):
+                    writers.add(getattr(definition, "name", f"line {node.lineno}"))
+        assert writers == {"_to_stdout", "_to_stderr"}
 
 
 class TestRunnersDirect:
