@@ -834,13 +834,13 @@ class TestStartup:
 PROGRAM = "import sys; from multistruct.cli import main; sys.exit(main())"
 
 
-def _program(*argv: str, buffered: bool, **streams) -> subprocess.CompletedProcess:
+def _program(*argv: str, buffered: bool, **options) -> subprocess.CompletedProcess:
     """main() as the program in a fresh interpreter, its output as bytes.
 
     buffered removes PYTHONUNBUFFERED, so stdout to a pipe or file is
-    block-buffered and reaches it only through main's own flush.  streams
-    override subprocess.run's stdout and stderr (pipes by default) and may
-    add a preexec_fn.
+    block-buffered and reaches it only through main's own flush.  options
+    go to subprocess.run: stdout and stderr (pipes by default), or a
+    preexec_fn.
     """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("PYTHONUNBUFFERED", None)
@@ -848,7 +848,7 @@ def _program(*argv: str, buffered: bool, **streams) -> subprocess.CompletedProce
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-c", PROGRAM, *argv],
-        env=env, timeout=120, **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams},
+        env=env, timeout=120, **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **options},
     )
 
 
@@ -938,14 +938,14 @@ class TestOneExitPath:
     @pytest.mark.parametrize("argv, stdout, stderr, buffered", STREAM_FAILURES)
     def test_stream_failure_keeps_the_exit_code(self, argv, stdout, stderr, buffered):
         with contextlib.ExitStack() as stack:
-            streams = {
+            options = {
                 name: stack.enter_context(open("/dev/full", "wb"))
                 for name, kind in (("stdout", stdout), ("stderr", stderr))
                 if kind == "full"
             }
             if stderr == "closed":
-                streams["preexec_fn"] = lambda: os.close(2)
-            proc = _program(*argv, buffered=buffered, **streams)
+                options["preexec_fn"] = lambda: os.close(2)
+            proc = _program(*argv, buffered=buffered, **options)
         assert proc.returncode == 2
         out, err = (stream.decode() if stream else "" for stream in (proc.stdout, proc.stderr))
         assert "Traceback" not in out + err
