@@ -46,6 +46,7 @@ SIGNS = "tests/test_cohomology.py::TestOneSignProcedure"
 P1 = "tests/test_cohomology.py::TestLineBundleCohomology"
 PROGRAM_EXIT = "tests/test_cli.py::TestProgramExit"
 EXIT_PATH = "tests/test_cli.py::TestOneExitPath"
+SYMBOLIC = "tests/test_graded.py::TestSymbolicInjectivity"
 
 # (name, file, snippet, replacement, test node ids that must catch it)
 MUTANTS = (
@@ -357,6 +358,30 @@ MUTANTS = (
         '("t2-coefficient", 2, ',
         '("t2-coefficient", 1, ',
         ["tests/test_cli.py::TestJsonReport::test_example_report_regenerates"],
+    ),
+    (
+        "symbolic twist off by one",
+        GRADED,
+        "    _no_twisted_sections(_twists(r)[2], r, Assumption(r_min=0))\n",
+        "    _no_twisted_sections(_twists(r)[2], r - 1, Assumption(r_min=0))\n",
+        [f"{SYMBOLIC}::test_sections_appear_exactly_when_the_twisted_target_reaches_degree_0"],
+    ),
+    (
+        "certified-split cross-check dropped",
+        GRADED,
+        "    if split != cx.beta.target:\n",
+        "    if False:\n",
+        [f"{SYMBOLIC}::test_split_other_than_the_target_of_beta_rejected"],
+    ),
+    (
+        "section degree off by one",
+        COHOMOLOGY,
+        "pullback_degree(L_BUNDLE.tensor(ConicBundle(0, -m))) for m in CONORMAL_TWISTS",
+        "pullback_degree(L_BUNDLE.tensor(ConicBundle(0, -m))) + 1 for m in CONORMAL_TWISTS",
+        [
+            "tests/test_cohomology.py::TestTangentComputation::test_family_dimension_matches",
+            "tests/test_cli.py::TestDerivedRecords::test_section_degree_record_is_derived",
+        ],
     ),
     (
         "certificate takes no points as the default points",

@@ -80,25 +80,30 @@ def _elementary_symmetric(values: list[MultiPoly]) -> list[MultiPoly]:
     return e[1:]
 
 
-def _power_sums(chern: list[MultiPoly], upto: int) -> list[MultiPoly]:
+def _newton_sum(c: Sequence[MultiPoly], p: list[MultiPoly], k: int) -> MultiPoly:
+    """sum over i < k of (-1)^(i-1) c_i p_(k-i), with c_i = 0 past len(c).
+
+    Newton's identities read p_k = this sum + (-1)^(k-1) k c_k.
+    """
+    return sum(
+        ((-1) ** (i - 1) * c[i - 1] * p[k - i - 1] for i in range(1, min(k, len(c) + 1))),
+        MultiPoly.zero(),
+    )
+
+
+def _power_sums(chern: Sequence[MultiPoly], upto: int) -> list[MultiPoly]:
     """Power sums p_1..p_upto of the Chern roots, by Newton's identities."""
     p: list[MultiPoly] = []
     for k in range(1, upto + 1):
-        acc = MultiPoly.zero()
-        for i in range(1, k):
-            c_i = chern[i - 1] if i <= len(chern) else MultiPoly.zero()
-            sign = 1 if (i - 1) % 2 == 0 else -1
-            acc = acc + sign * c_i * p[k - i - 1]
         c_k = chern[k - 1] if k <= len(chern) else MultiPoly.zero()
-        sign = 1 if (k - 1) % 2 == 0 else -1
-        p.append(acc + sign * k * c_k)
+        p.append(_newton_sum(chern, p, k) + (-1) ** (k - 1) * k * c_k)
     return p
 
 
 def chern_character(B: BundleClass) -> MultiPoly:
     """ch(B) = rank + sum p_k / k! h^k, truncated at the ambient dimension."""
     n = B.ambient_dim
-    p = _power_sums(list(B.chern), n)
+    p = _power_sums(B.chern, n)
     h = var("h")
     ch = MultiPoly.const(B.rank)
     for k in range(1, n + 1):
@@ -116,12 +121,7 @@ def chern_from_character(ch: MultiPoly, rank: int, n: int) -> list[MultiPoly]:
     p = [ch.coeff_of("h", k) * math.factorial(k) for k in range(1, n + 1)]
     c: list[MultiPoly] = []
     for k in range(1, n + 1):
-        acc = p[k - 1]
-        for i in range(1, k):
-            sign = 1 if (i - 1) % 2 == 0 else -1
-            acc = acc - sign * c[i - 1] * p[k - i - 1]
-        sign = 1 if (k - 1) % 2 == 0 else -1
-        c.append(acc.scalar_div(sign * k))
+        c.append((p[k - 1] - _newton_sum(c, p, k)).scalar_div((-1) ** (k - 1) * k))
     return c
 
 

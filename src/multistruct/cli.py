@@ -54,15 +54,18 @@ from .cohomology import (
     format_dim,
     h_p1,
     pullback_degree,
+    section_degrees,
     tangent_dimension_double_conic,
 )
 from .graded import (
     DEFAULT_POINTS,
     SectionPair,
     certified_split,
+    check_points,
     default_pair,
     injectivity_certificate,
     symbolic_complex_identities,
+    symbolic_injectivity,
 )
 from .integrality import (
     congruence_residues,
@@ -205,7 +208,7 @@ def run_double_conic(args) -> list[ReplicationRecord]:
         (str(bundle), h_p1(pullback_degree(bundle), assumption))
         for bundle in double_conic_side_terms().values()
     )
-    aux1, aux2, main_pair = tangent_dimension_double_conic(assumption, True)
+    aux1, aux2, main_pair = tangent_dimension_double_conic(assumption, symbolic_injectivity())
     zero = MultiPoly.zero()
     side = "side term of the auxiliary sequences, tensored by the dualizing sheaf"
     middle = "middle term solved from the six-term sequence"
@@ -249,7 +252,7 @@ def run_double_conic(args) -> list[ReplicationRecord]:
         ReplicationRecord(
             "double-conic/family-section-degrees",
             "degrees r+4 and r+3",
-            "degrees r+2 and r+4",
+            "degrees " + " and ".join(map(format_dim, section_degrees())),
             match=False,
             notes=(
                 "the published prose assigns degrees r+4 and r+3 to the section pair, "
@@ -1027,8 +1030,7 @@ def _replicate(args: types.SimpleNamespace) -> int:
     try:
         # every input is checked before the first runner starts
         args.seed = _read_seed()
-        if len(args.points) < 5:
-            raise ValueError("need at least five sample points")
+        check_points(args.points)
         for target in targets:
             _check_r(target, args)
         for target in targets:

@@ -9,7 +9,11 @@ as the records show it: 2r+15, r-1, -r, 7.
 Line bundles on the conic C are tagged by a pair (k, m) standing for
 L^k (m), i.e. the k-th power of the doubling bundle twisted by O_C(m);
 the normalization P^1 -> C doubles O_C twists, so the pullback degree is
-k*r + 2m.
+k*r + 2m.  The double conic's bundles follow from one datum, the twists of
+the conormal bundle I_C/I_C^2 = O_C(-1) + O_C(-2) of a plane conic
+(CONORMAL_TWISTS): the identifications its sequences are built from
+(normal_sheaf_sequences) and the pullback degrees of its section pair,
+r+2 and r+4 (section_degrees).
 
 The long-exact-sequence solver does pure rank bookkeeping: for an exact
 chain 0 -> V_0 -> ... -> V_(L-1) -> 0 with arrow ranks rho_i it propagates
@@ -118,11 +122,16 @@ class ConicBundle(Value):
     def tensor(self, other: "ConicBundle") -> "ConicBundle":
         return ConicBundle(self.k + other.k, self.m + other.m)
 
+    def power(self, n: int) -> "ConicBundle":
+        return ConicBundle(n * self.k, n * self.m)
+
     def __str__(self) -> str:
         return f"L^{self.k}({self.m})"
 
 
 L_BUNDLE = ConicBundle(1, 0)
+# the conormal bundle I_C/I_C^2 = O_C(-1) + O_C(-2) of a plane conic C, by its twists
+CONORMAL_TWISTS = (-1, -2)
 OMEGA_Y_ON_C = ConicBundle(-1, -1)  # omega_Y restricted to C: omega_C tensor L^(-1)
 
 
@@ -311,36 +320,20 @@ def solve_exact_sequence(spec: ExactSeqSpec, assumption: Assumption) -> CohomPai
 # -- the composite double-conic computation ----------------------------------
 
 
-def normal_sheaf_sequences() -> dict[str, object]:
+def normal_sheaf_sequences() -> dict[str, ConicBundle]:
     """The fixed sheaf identifications feeding the tangent-space computation.
 
-    Carried out once with checked determinant deductions.  Determinants are
-    additive, so in a short exact sequence of bundles the unknown degree is
-    the middle one minus the known one, all as pullback degrees on P^1:
-      conormal quotient:  I_Y/I_C^2 = L^(-1)(-3)   (from det O_C(-1)+O_C(-2))
-      det of I_C I_Y/I_C^3 = L^(-2)(-9)            (from det O_C(-2)+O_C(-3)+O_C(-4))
-      middle quotient:    O_C(-3)
+    Each follows from the conormal twists and the doubling bundle L, by
+    additivity of determinants in short exact sequences of bundles:
+      I_Y/I_C^2 = det(I_C/I_C^2) tensor L^(-1)                   = L^(-1)(-3)
+      det of I_C I_Y/I_C^3 = det(Sym^2 I_C/I_C^2) tensor L^(-2)  = L^(-2)(-9)
+      middle quotient = that determinant tensor (I_Y/I_C^2)^(-2) = O_C(-3)
     """
-    conormal_det = MultiPoly.const(-6)  # pullback degree of det(O_C(-1) + O_C(-2))
-    iy_ic2 = conormal_det - pullback_degree(L_BUNDLE)
-    expected_iy = ConicBundle(-1, -3)
-    if iy_ic2 != pullback_degree(expected_iy):
-        raise InconsistentSequenceError("conormal determinant deduction failed")
-    cubic_det = MultiPoly.const(-18)  # pullback degree of det(O_C(-2) + O_C(-3) + O_C(-4))
-    det_icy = cubic_det - pullback_degree(ConicBundle(2, 0))
-    expected_det = ConicBundle(-2, -9)
-    if det_icy != pullback_degree(expected_det):
-        raise InconsistentSequenceError("cubic determinant deduction failed")
-    sub_piece = ConicBundle(-2, -6)  # (I_Y/I_C^2) squared
-    quotient_m = det_icy - pullback_degree(sub_piece)
-    if quotient_m != -6:
-        raise InconsistentSequenceError("middle quotient deduction failed")
-    quotient = ConicBundle(0, -3)
-    return {
-        "iy_ic2": expected_iy,
-        "det_icy": expected_det,
-        "quotient": quotient,
-    }
+    det = sum(CONORMAL_TWISTS)
+    sym2_det = sum(a + b for i, a in enumerate(CONORMAL_TWISTS) for b in CONORMAL_TWISTS[i:])
+    iy_ic2 = ConicBundle(0, det).tensor(L_BUNDLE.power(-1))
+    det_icy = ConicBundle(0, sym2_det).tensor(L_BUNDLE.power(-2))
+    return {"iy_ic2": iy_ic2, "det_icy": det_icy, "quotient": det_icy.tensor(iy_ic2.power(-2))}
 
 
 def double_conic_side_terms() -> dict[str, ConicBundle]:
@@ -364,7 +357,8 @@ def tangent_dimension_double_conic(
     Returns the solved pairs (aux1, aux2, main) of the two auxiliary
     sequences and the main one; the tangent dimension is main.h1.
     Requires the connecting-map injectivity certificate produced by the
-    graded module; without it the main sequence is underdetermined.
+    graded module (graded.symbolic_injectivity); without it the main
+    sequence is underdetermined.
     """
     if not injectivity_certificate:
         raise EngineError("missing injectivity certificate; cannot solve the middle sequence")
@@ -381,13 +375,19 @@ def tangent_dimension_double_conic(
     return aux1, aux2, main
 
 
+def section_degrees() -> tuple[MultiPoly, ...]:
+    """Degrees on P^1 of the section pair (a, b) of a doubling, r+2 and r+4.
+
+    A doubling by L is a surjection I_C/I_C^2 -> L, that is a section of
+    L tensor O_C(-m) for each conormal twist m, pulled back to P^1.
+    """
+    return tuple(pullback_degree(L_BUNDLE.tensor(ConicBundle(0, -m))) for m in CONORMAL_TWISTS)
+
+
 def family_dimension(assumption: Assumption) -> MultiPoly:
     """Dimension of the family of double conics: 8 for the conic plus the
     section pair (a, b) modulo scale."""
-    r = var("r")
-    h_a = h_p1(r + 2, assumption).h0  # sections of O(r+2)
-    h_b = h_p1(r + 4, assumption).h0  # sections of O(r+4)
-    return h_a + h_b + 7  # 8 + (h_a + h_b - 1)
+    return sum(h_p1(d, assumption).h0 for d in section_degrees()) + 7  # 8 + (h^0(a) + h^0(b) - 1)
 
 
 def ext_vanishing_claim(r_value: int | None = None) -> bool:

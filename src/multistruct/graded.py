@@ -8,8 +8,9 @@ and must be homogeneous of degree target_twist_i - source_twist_j (the sign
 convention used throughout this module) or zero.
 
 The central object is the Koszul-style complex built from a section pair
-(a, b) of degrees r+2 and r+4 with no common zero (itself a slice rank,
-of the Sylvester map of a and b; see common_zero_check):
+(a, b), of degree r+2 and r+4, with no common zero (itself a slice rank,
+of the Sylvester map of a and b; see common_zero_check), with its twists
+written once (_twists):
 
     0 -> S(-2r-12) --alpha--> S(-8)+S(-6)+S(-4) --beta--> S(r-4)+S(r-2) -> 0
 
@@ -22,11 +23,15 @@ regularity bound, and a fiberwise screen at sample points.  By those
 identities the fiber at p is exact exactly when (a(p), b(p)) != (0, 0),
 so the screen evaluates only the row (a, b) and ranks that 1x2 row once
 per point: rank 1 there is rank beta(p) = 2.  The cokernel of alpha is
-then a rank-2 bundle on the line; its splitting type is read from the
-section count at one twist, and twisted by -r-2 it has no global
-sections, which is the injectivity certificate the cohomology module
-consumes.  The chain runs once per
-(pair, sample points) in a process.
+then a rank-2 bundle on the line, beta's target O(r-4) + O(r-2), and
+twisted by -r-2 it has no global sections, which is the injectivity
+certificate the cohomology module consumes.  symbolic_injectivity proves
+it for every r >= 0 at once, from the identities and the twists alone,
+with no slice ranked.  The window certificates are its exact
+cross-check at each r: the splitting type is read from the section count
+at one twist, must equal beta's target, and is checked for sections
+after the twist.  The chain runs once per (pair, sample points) in a
+process.
 
 Every slice rank is exact, kept per (matrix, degree), and proved by the
 first of four arguments that applies.  The entries' denominators are
@@ -57,7 +62,7 @@ import math
 
 from . import EngineError, Value
 from ._kernels import bareiss_rank
-from .arith import MultiPoly, Scalar, exponent, format_poly, var
+from .arith import MultiPoly, Scalar, as_poly, exponent, format_poly, var
 from .cohomology import Assumption, h_p1
 
 # A point [s:u] of the projective line, as two exact rationals: ints (an
@@ -65,6 +70,7 @@ from .cohomology import Assumption, h_p1
 Point = tuple[Scalar, Scalar]
 
 DEFAULT_POINTS: tuple[Point, ...] = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 3))
+MIN_POINTS = 5  # the fewest sample points a certificate accepts
 
 
 class GradedCertificateError(EngineError):
@@ -415,7 +421,7 @@ def _pure_u_rank(M: GradedMatrix, d: int) -> int:
 
 
 class SectionPair(Value):
-    """Homogeneous sections a, b of degrees r+2 and r+4 on the line.
+    """Homogeneous sections a, b on the line, of degree r+2 and r+4.
 
     Ferrand's doubling needs a and b without a common zero.  That is not
     checked here but by common_zero_check, a slice rank of their Sylvester
@@ -460,20 +466,22 @@ def _alphabeta_entries(a: MultiPoly, b: MultiPoly):
     return ((a * a,), (2 * a * b,), (b * b,)), ((2 * b, -a, zero), (zero, -b, 2 * a))
 
 
-def alphabeta_builder(p: SectionPair) -> ComplexSpec:
-    """Build alpha and beta from the entry tables of _alphabeta_entries.
+def _twists(r):
+    """The twists (source, middle, target) of the complex, for an int r or var("r").
 
-    Twists: source S(-2r-12), middle S(-8)+S(-6)+S(-4), target
-    S(r-4)+S(r-2); homogeneity of every entry is verified on construction.
+    Source S(-2r-12), middle S(-8)+S(-6)+S(-4), target S(r-4)+S(r-2).
     """
-    r = p.r
-    middle = (-8, -6, -4)
+    return (-2 * r - 12,), (-8, -6, -4), (r - 4, r - 2)
+
+
+def alphabeta_builder(p: SectionPair) -> ComplexSpec:
+    """Build alpha and beta from _twists and the entry tables of _alphabeta_entries.
+
+    Homogeneity of every entry is verified on construction.
+    """
+    source, middle, target = _twists(p.r)
     alpha, beta = _alphabeta_entries(p.a, p.b)
-    return ComplexSpec(
-        p,
-        GradedMatrix((-2 * r - 12,), middle, alpha),
-        GradedMatrix(middle, (r - 4, r - 2), beta),
-    )
+    return ComplexSpec(p, GradedMatrix(source, middle, alpha), GradedMatrix(middle, target, beta))
 
 
 def _product(outer, inner) -> tuple[tuple[MultiPoly, ...], ...]:
@@ -506,6 +514,37 @@ def symbolic_complex_identities() -> bool:
     minors = tuple(top[i] * bottom[j] - top[j] * bottom[i] for i, j in ((0, 1), (0, 2), (1, 2)))
     expected = (-2 * b * b, 4 * a * b, -2 * a * a)
     return all(e.is_zero() for row in _product(beta, alpha) for e in row) and minors == expected
+
+
+def _no_twisted_sections(split, r, assumption: Assumption) -> None:
+    """Raise unless each summand O(a) of split has no sections after the -r-2 twist.
+
+    That vanishing is the injectivity of the connecting map which the
+    cohomology module consumes; r is an int or var("r").
+    """
+    for a in split:
+        twisted = as_poly(a - r - 2)
+        if not h_p1(twisted, assumption).h0.is_zero():
+            raise GradedCertificateError(
+                f"twisted summand O({format_poly(twisted)}) has sections; kernel map not injective"
+            )
+
+
+def symbolic_injectivity() -> bool:
+    """The connecting-map injectivity for every r >= 0, with no slice ranked.
+
+    By symbolic_complex_identities, a pair without a common zero (Ferrand's
+    hypothesis) makes the complex an exact sequence of bundles, so coker
+    alpha is beta's target, read from _twists(var("r")).  Twisted by -r-2
+    its summands have degrees free of r, and h_p1 under r >= 0 finds them
+    without sections.  A failure raises GradedCertificateError; the window
+    certificates (certified_split) cross-check the target at each r.
+    """
+    if not symbolic_complex_identities():
+        raise GradedCertificateError("symbolic complex identities failed")
+    r = var("r")
+    _no_twisted_sections(_twists(r)[2], r, Assumption(r_min=0))
+    return True
 
 
 # -- zero locus and fiberwise checks ------------------------------------------
@@ -558,15 +597,20 @@ def pointwise_exactness(
 # -- slice-level certification -------------------------------------------------
 
 
+def _regularity_bound(cx: ComplexSpec) -> int:
+    """max |twist| + deg(b); the slice window and the top twist lie past it."""
+    return max(abs(a) for a in cx.alpha.source + cx.alpha.target + cx.beta.target) + cx.pair.r + 4
+
+
 def slice_exactness_window(cx: ComplexSpec) -> tuple[int, int]:
     """Primary certificate: slice ranks prove exactness past regularity.
 
-    For each degree d in [d0, d0+6] with d0 = max |twist| + deg(b) + 2,
+    For each degree d in [d0, d0+6] with d0 = _regularity_bound + 2,
     checks rank(alpha_d) = dim source_d, rank(beta_d) = dim target_d, and
     rank(alpha_d) + rank(beta_d) = dim middle_d.  Returns the window.
     """
     source, middle, target = cx.alpha.source, cx.alpha.target, cx.beta.target
-    d0 = max(abs(a) for a in source + middle + target) + (cx.pair.r + 4) + 2
+    d0 = _regularity_bound(cx) + 2
     for d in range(d0, d0 + 7):
         r_alpha = slice_rank(cx.alpha, d)
         r_beta = slice_rank(cx.beta, d)
@@ -599,27 +643,22 @@ def cokernel_h0(cx: ComplexSpec, d: int) -> int:
     return value
 
 
-def splitting_type(cx: ComplexSpec, candidate_sum_degree: int) -> tuple[int, int]:
+def splitting_type(cx: ComplexSpec) -> tuple[int, int]:
     """The twists (x, y), x <= y, of the cokernel bundle F = O(x) + O(y).
 
     Once common_zero_check has passed, alpha vanishes nowhere, so F is a
-    rank-2 bundle of degree S = candidate_sum_degree and splits
-    (Grothendieck).  At the one twist d* = -floor(S/2) - 1 the summand O(x)
-    has no sections (x <= S/2) and O(y) has y + d* + 1 >= 0 of them, so
-    y = h^0(F(d*)) - d* - 1 and x = S - y.  The split model is then checked
-    at the twists -y-1, -y, -x-1, -x and top = max |twist| + r + 12.
+    rank-2 bundle and splits (Grothendieck).  Determinants are additive,
+    so its degree S is the sum of the middle twists less the source twist.
+    At the one twist d* = -floor(S/2) - 1 the summand O(x) has no sections
+    (x <= S/2) and O(y) has y + d* + 1 >= 0 of them, so y = h^0(F(d*)) -
+    d* - 1 and x = S - y.  The split model is then checked at the twists
+    -y-1, -y, -x-1, -x and top = _regularity_bound + 8.
     """
-    e = cx.alpha.source[0]
-    expected_sum = sum(cx.alpha.target) - e
-    if candidate_sum_degree != expected_sum:
-        raise ValueError(
-            f"candidate sum {candidate_sum_degree} contradicts determinant {expected_sum}"
-        )
-    d0 = max(abs(a) for a in cx.alpha.source + cx.alpha.target + cx.beta.target)
-    top = d0 + (cx.pair.r + 4) + 8
-    d_star = -(candidate_sum_degree // 2) - 1
+    degree = sum(cx.alpha.target) - cx.alpha.source[0]
+    top = _regularity_bound(cx) + 8
+    d_star = -(degree // 2) - 1
     y = cokernel_h0(cx, d_star) - d_star - 1
-    x = candidate_sum_degree - y
+    x = degree - y
     twists = (-y - 1, -y, -x - 1, -x, top)
     if any(cokernel_h0(cx, d) != max(d + x + 1, 0) + max(d + y + 1, 0) for d in twists):
         raise GradedCertificateError(
@@ -629,6 +668,12 @@ def splitting_type(cx: ComplexSpec, candidate_sum_degree: int) -> tuple[int, int
 
 
 # -- the certificate ------------------------------------------------------------
+
+
+def check_points(points: tuple[Point, ...]) -> None:
+    """Raise ValueError when the sample has fewer than MIN_POINTS points."""
+    if len(points) < MIN_POINTS:
+        raise ValueError("need at least five sample points")
 
 
 def injectivity_certificate(
@@ -648,8 +693,7 @@ def injectivity_certificate(
     if pair is not None and pair.r != r:
         raise ValueError("section pair was built for a different r")
     sample = DEFAULT_POINTS if points is None else tuple(points)
-    if len(sample) < 5:
-        raise ValueError("need at least five sample points")
+    check_points(sample)
     certified_split(pair if pair is not None else default_pair(r), sample)
     return True
 
@@ -659,8 +703,9 @@ def certified_split(pair: SectionPair, points: tuple[Point, ...]) -> tuple[int, 
     """The certified splitting type of the pair's cokernel bundle.
 
     Steps: common-zero check, symbolic identities, complex construction,
-    fiberwise screen, slice exactness past regularity, splitting type, and
-    vanishing of sections after the -r-2 twist.  A failure raises
+    fiberwise screen, slice exactness past regularity, splitting type, its
+    agreement with beta's target (the theorem symbolic_injectivity rests
+    on), and vanishing of sections after the -r-2 twist.  A failure raises
     GradedCertificateError and is not cached.  Callers validate the input
     through injectivity_certificate first.
     """
@@ -676,12 +721,10 @@ def certified_split(pair: SectionPair, points: tuple[Point, ...]) -> tuple[int, 
     if not ok:
         raise GradedCertificateError(f"fiberwise exactness fails at {witness}")
     slice_exactness_window(cx)
-    split = splitting_type(cx, 2 * r - 6)
-    assumption = Assumption(fixed=r)
-    for a in sorted(a + (-r - 2) for a in split):
-        sections = h_p1(MultiPoly.const(a), assumption).h0
-        if not sections.is_zero():
-            raise GradedCertificateError(
-                f"twisted summand O({a}) has sections; kernel map not injective"
-            )
+    split = splitting_type(cx)
+    if split != cx.beta.target:
+        raise GradedCertificateError(
+            f"certified split {split} differs from beta's target {cx.beta.target}"
+        )
+    _no_twisted_sections(split, r, Assumption(fixed=r))
     return split

@@ -43,28 +43,21 @@ def lowest_terms(p: MultiPoly) -> tuple[MultiPoly, int]:
 class BinomialExpansion(Value):
     """Coefficients of a degree-<=n polynomial in the basis C(t+i, i).
 
-    coeffs[i] is the (numerator, denominator) pair of the coefficient of
-    C(t+i, i), in lowest terms with positive denominator; the numerator is
-    an integer-coefficient polynomial in the parameter.
+    coeffs[i] is the coefficient of C(t+i, i), an exact polynomial in the
+    parameter; lowest_terms splits it into the num/den the congruences read.
     """
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: tuple[tuple[MultiPoly, int], ...]):
+    def __init__(self, n: int, coeffs: tuple[MultiPoly, ...]):
         if len(coeffs) != n + 1:
             raise ValueError("need exactly n+1 coefficients")
-        for num, den in coeffs:
-            if den <= 0:
-                raise ValueError("denominators must be positive")
-            if num.numerators()[1] != 1:
-                raise ValueError("numerators must have integer coefficients")
         self.n = n
         self.coeffs = coeffs
 
     def coefficient(self, i: int) -> MultiPoly:
         """The i-th coefficient as an exact rational polynomial."""
-        num, den = self.coeffs[i]
-        return num.scalar_div(den)
+        return self.coeffs[i]
 
 
 def to_binomial_basis(p: MultiPoly, n: int) -> BinomialExpansion:
@@ -83,7 +76,7 @@ def to_binomial_basis(p: MultiPoly, n: int) -> BinomialExpansion:
         remainder = remainder - binomial_poly(i) * c_i
     if not remainder.is_zero():
         raise ValueError("expansion failed to terminate; input is not polynomial in t")
-    return BinomialExpansion(n, tuple(lowest_terms(c) for c in rational))
+    return BinomialExpansion(n, tuple(rational))
 
 
 def from_binomial_basis(e: BinomialExpansion) -> MultiPoly:
@@ -178,7 +171,7 @@ def _active_parameter(polys: Iterable[MultiPoly]) -> str:
 
 
 @functools.cache
-def schwarzenberger_verdict(B: BundleClass, n: int = 5) -> Verdict:
+def schwarzenberger_verdict(B: BundleClass) -> Verdict:
     """Decide whether integrality of chi(B(t)) obstructs existence.
 
     Constraints: each Chern entry must be an integer, and each coefficient
@@ -186,12 +179,13 @@ def schwarzenberger_verdict(B: BundleClass, n: int = 5) -> Verdict:
     Chern entry whose denominator admits exactly one residue class forces
     the reparametrization r = m*R + rho (applied at most once) before the
     expansion is analyzed, mirroring how such conditions are used by hand.
-    Cached per (bundle, n); the one Verdict is shared by every caller.
+    The expansion runs to the ambient dimension.  Cached per bundle; the
+    one Verdict is shared by every caller.
     """
     parameter = _active_parameter(B.chern)
-    chern_parts = [lowest_terms(c) for c in B.chern]
+    parts = [lowest_terms(c) for c in B.chern]
 
-    for num, den in chern_parts:
+    for num, den in parts:
         if den == 1:
             continue
         residues = congruence_residues(num, den)
@@ -205,7 +199,7 @@ def schwarzenberger_verdict(B: BundleClass, n: int = 5) -> Verdict:
                 tuple(c.substitute({"r": shift}) for c in B.chern),
                 B.ambient_dim,
             )
-            inner = schwarzenberger_verdict(substituted, n)
+            inner = schwarzenberger_verdict(substituted)
             return Verdict(
                 inner.conclusion,
                 inner.admissible_residues,
@@ -214,33 +208,25 @@ def schwarzenberger_verdict(B: BundleClass, n: int = 5) -> Verdict:
                 inner.expansion,
             )
 
-    expansion = to_binomial_basis(euler_characteristic(B), n)
-    constraints = [(num, den) for num, den in chern_parts + list(expansion.coeffs) if den > 1]
+    expansion = to_binomial_basis(euler_characteristic(B), B.ambient_dim)
+    parts += [lowest_terms(c) for c in expansion.coeffs]
+    constraints = [(num, _factorize(den)) for num, den in parts if den > 1]
 
     prime_max: dict[int, int] = {}
-    for _, den in constraints:
-        for p, e in _factorize(den).items():
+    for _, factors in constraints:
+        for p, e in factors.items():
             prime_max[p] = max(prime_max.get(p, 0), e)
 
     table: list[tuple[int, tuple[int, ...]]] = []
-    empty = False
     for p in sorted(prime_max):
         q = p ** prime_max[p]
         admissible = set(range(q))
-        for num, den in constraints:
-            f = 0
-            d = den
-            while d % p == 0:
-                f += 1
-                d //= p
-            if f == 0:
-                continue
-            pf = p**f
-            good = congruence_residues(num, pf)
-            admissible = {rho for rho in admissible if rho % pf in good}
+        for num, factors in constraints:
+            if p in factors:
+                pf = p ** factors[p]
+                good = congruence_residues(num, pf)
+                admissible = {rho for rho in admissible if rho % pf in good}
         table.append((q, tuple(sorted(admissible))))
-        if not admissible:
-            empty = True
 
-    conclusion = "nonexistence" if empty else "exists-candidate"
+    conclusion = "exists-candidate" if all(residues for _, residues in table) else "nonexistence"
     return Verdict(conclusion, tuple(table), None, parameter, expansion)

@@ -54,7 +54,6 @@ from multistruct.integrality import (
     BinomialExpansion,
     congruence_residues,
     from_binomial_basis,
-    lowest_terms,
     schwarzenberger_verdict,
     to_binomial_basis,
 )
@@ -253,7 +252,7 @@ def test_criterion_07_printed_expansion_coefficients(tmp_path):
     negated = {i for i in printed if expansion.coefficient(i) == -printed[i]}
     slip_ok = matches[5] and negated == {0, 1, 2, 3, 4}
     printed_display = from_binomial_basis(
-        BinomialExpansion(5, tuple(lowest_terms(printed[i]) for i in range(6)))
+        BinomialExpansion(5, tuple(printed[i] for i in range(6)))
     )
     display_ok = printed_display == 6 * binomial_poly(5) - chi
     # Vandermonde: C(t+a+5, 5) = sum_k C(a, k) C(t+5-k, 5-k), so the
@@ -391,7 +390,7 @@ def test_criterion_10_graded_certificates():
             ok_points, _ = pointwise_exactness(cx, list(DEFAULT_POINTS))
             if not ok_points:
                 failures.append((rv, label, "pointwise"))
-            if splitting_type(cx, 2 * rv - 6) != (rv - 4, rv - 2):
+            if splitting_type(cx) != (rv - 4, rv - 2):
                 failures.append((rv, label, "splitting"))
             if injectivity_certificate(rv, pair) is not True:
                 failures.append((rv, label, "certificate"))

@@ -971,6 +971,74 @@ class TestOneExitPath:
         assert writers == {"_to_stdout", "_to_stderr"}
 
 
+def _computed_value(call: ast.Call) -> ast.expr | None:
+    """The computed_value argument of a ReplicationRecord(...) call."""
+    if len(call.args) > 2:
+        return call.args[2]
+    return next((k.value for k in call.keywords if k.arg == "computed_value"), None)
+
+
+class TestDerivedRecords:
+    """Every computed value is computed, and the symbolic double-conic records rest on a certificate."""
+
+    def test_no_record_restates_its_computed_value(self):
+        # a bare string constant as the computed value cannot disagree with the
+        # engine; the one exception is the injective record, whose loop body
+        # first calls injectivity_certificate, which raises on failure
+        tree = ast.parse((ROOT / "src" / "multistruct" / "cli.py").read_text(encoding="utf-8"))
+        guarded = set()
+        for loop in ast.walk(tree):
+            if isinstance(loop, ast.For) and any(
+                isinstance(node, ast.Name) and node.id == "injectivity_certificate"
+                for statement in loop.body[:1]
+                for node in ast.walk(statement)
+            ):
+                guarded.update(id(node) for node in ast.walk(loop))
+        literals = [
+            (call.lineno, value.value, id(call) in guarded)
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == "ReplicationRecord"
+            and isinstance(value := _computed_value(call), ast.Constant)
+        ]
+        assert [(value, ok) for _, value, ok in literals] == [("injective", True)], literals
+
+    def test_section_degree_record_is_derived(self, capsys):
+        _, out, _ = run_cli(capsys, "replicate", "double-conic")
+        line = next(line for line in out.splitlines() if "family-section-degrees" in line)
+        assert line == (
+            "[DIFF] double-conic/family-section-degrees (n/a): degrees r+2 and r+4"
+            "  [published: degrees r+4 and r+3]"
+        )
+
+    @pytest.mark.parametrize("every_r", [True, False], ids=["window-certificate", "symbolic-certificate"])
+    def test_twisted_target_with_sections_exits_3(self, capsys, monkeypatch, every_r):
+        # beta's target moved by 4: after the -r-2 twist it is O(-2) + O(0), which
+        # has sections.  Moved for every r, the window certificate at r = 1 finds
+        # it; moved in the symbolic reading only, symbolic_injectivity does.
+        from multistruct import graded
+
+        original = graded._twists
+
+        def moved(r):
+            source, middle, target = original(r)
+            if isinstance(r, int) and not every_r:
+                return source, middle, target
+            shift = 4 if every_r else 0
+            return (
+                tuple(a + shift for a in source),
+                tuple(a + shift for a in middle),
+                tuple(a + 4 for a in target),
+            )
+
+        monkeypatch.setattr(graded, "_twists", moved)
+        graded.certified_split.cache_clear()
+        code, out, err = run_cli(capsys, "replicate", "double-conic", "--r", "1")
+        assert (code, out) == (3, "")
+        assert err == "internal inconsistency: twisted summand O(0) has sections; kernel map not injective\n"
+
+
 class TestRunnersDirect:
     def test_every_target_has_runner(self):
         assert set(EXPECTED_EXIT) == set(RUNNERS)

@@ -41,6 +41,7 @@ from multistruct.graded import (
     slice_rank,
     splitting_type,
     symbolic_complex_identities,
+    symbolic_injectivity,
     transpose_dual,
 )
 
@@ -261,7 +262,7 @@ class TestIntegerRank:
             d0, _ = slice_exactness_window(cx)
             # beta is built at the window's first degree and stepped to the other six
             assert [d for M, d in built if M == cx.beta] == [d0]
-            splitting_type(cx, 2 * rv - 6)
+            splitting_type(cx)
         ranked = [(M, d, rank) for M, ranks in graded._SLICE_RANKS.items() for d, rank in ranks.items()]
         graded._SLICE_RANKS.clear()
         # every slice the certificate ranks, stepped or built, full rank or not
@@ -702,12 +703,7 @@ class TestSplitting:
     @pytest.mark.parametrize("rv", range(0, 7))
     def test_splitting_values(self, rv):
         cx = alphabeta_builder(default_pair(rv))
-        assert splitting_type(cx, 2 * rv - 6) == (rv - 4, rv - 2)
-
-    def test_sum_degree_checked(self):
-        cx = alphabeta_builder(default_pair(0))
-        with pytest.raises(ValueError):
-            splitting_type(cx, 0)
+        assert splitting_type(cx) == (rv - 4, rv - 2)
 
     @pytest.mark.parametrize("rv", range(0, 9))
     def test_one_twist_matches_the_full_profile(self, rv):
@@ -724,7 +720,7 @@ class TestSplitting:
             assert x <= y
             assert all(profile[d] == max(d + x + 1, 0) + max(d + y + 1, 0) for d in window)
             # the last oracle reads no slice: exactness makes coker alpha = im beta = O(r-4) + O(r-2)
-            assert splitting_type(cx, 2 * rv - 6) == (x, y) == tuple(sorted(cx.beta.target))
+            assert splitting_type(cx) == (x, y) == tuple(sorted(cx.beta.target))
 
     def test_each_twist_computed_once(self, monkeypatch):
         seen, built = [], []
@@ -733,7 +729,7 @@ class TestSplitting:
         monkeypatch.setattr(graded, "slice_matrix", lambda M, d: built.append((M, d)) or original_slice(M, d))
         graded._SLICE_RANKS.clear()
         cx = alphabeta_builder(_second_pair(8))
-        assert splitting_type(cx, 10) == (4, 6)
+        assert splitting_type(cx) == (4, 6)
         # the twist d* that gives y, then the five twists of the split-model check
         assert len(seen) <= 6
         # d* = -y here: the second reading reuses the cached slice ranks
@@ -746,13 +742,13 @@ class TestSplitting:
         cx = alphabeta_builder(default_pair(0))
         assert _full_window(cx)[-1] == 24
         with pytest.raises(GradedCertificateError, match="no split pair"):
-            splitting_type(cx, -6)
+            splitting_type(cx)
 
     def test_torsion_cokernel_rejected(self):
         # alpha = u^4 (s^2, 2s u^3, u^8): the cokernel has torsion at [1:0]
         cx = alphabeta_builder(SectionPair(1, s * u * u, u**5))
         with pytest.raises(GradedCertificateError, match="no split pair"):
-            splitting_type(cx, -4)
+            splitting_type(cx)
 
 
 class TestCertificate:
@@ -800,6 +796,34 @@ class TestCertificate:
         assert produced >= 20
 
 
+class TestSymbolicInjectivity:
+    def test_ranks_no_slice_and_runs_no_window_certificate(self, monkeypatch):
+        for name in ("slice_rank", "integer_rank", "slice_matrix", "injectivity_certificate", "certified_split"):
+            monkeypatch.setattr(graded, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+        symbolic_complex_identities.cache_clear()
+        assert symbolic_injectivity() is True
+
+    @pytest.mark.parametrize("shift", [3, 4])
+    def test_sections_appear_exactly_when_the_twisted_target_reaches_degree_0(self, monkeypatch, shift):
+        # beta's target moved by shift is O(shift-6) + O(shift-4) after the -r-2 twist
+        original = graded._twists
+        monkeypatch.setattr(graded, "_twists", lambda r: (*original(r)[:2], tuple(a + shift for a in original(r)[2])))
+        if shift == 3:
+            assert symbolic_injectivity() is True
+        else:
+            with pytest.raises(GradedCertificateError, match=r"twisted summand O\(0\) has sections"):
+                symbolic_injectivity()
+
+    def test_split_other_than_the_target_of_beta_rejected(self, monkeypatch):
+        # the window certificate must reach the symbolic argument's bundle, not just a bundle
+        # without twisted sections: (-3, 1) at r = 2 has none after the -4 twist either
+        original = graded.splitting_type
+        monkeypatch.setattr(graded, "splitting_type", lambda cx: (original(cx)[0] - 1, original(cx)[1] + 1))
+        certified_split.cache_clear()
+        with pytest.raises(GradedCertificateError, match=r"certified split \(-3, 1\) differs from beta's target \(-2, 0\)"):
+            injectivity_certificate(2)
+
+
 class TestCertificateCache:
     def test_repeat_runs_no_chain_step(self, monkeypatch):
         certified_split.cache_clear()
@@ -835,7 +859,7 @@ class TestCertificateCache:
     def test_graded_target_splits_each_pair_once(self, monkeypatch):
         calls = []
         original = graded.splitting_type
-        monkeypatch.setattr(graded, "splitting_type", lambda cx, n: calls.append(cx.pair) or original(cx, n))
+        monkeypatch.setattr(graded, "splitting_type", lambda cx: calls.append(cx.pair) or original(cx))
         certified_split.cache_clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["replicate", "graded", "--r", "2"]) == 0

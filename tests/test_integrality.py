@@ -71,11 +71,7 @@ class TestBinomialBasis:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BinomialExpansion(1, ((MultiPoly.const(1), 1),))
-        with pytest.raises(ValueError):
-            BinomialExpansion(0, ((MultiPoly.const(1), -2),))
-        with pytest.raises(ValueError):
-            BinomialExpansion(0, ((r.scalar_div(2), 2),))
+            BinomialExpansion(1, (MultiPoly.const(1),))
 
 
 class TestCongruences:
@@ -207,7 +203,7 @@ class TestVerdicts:
         table = dict(verdict.admissible_residues)
         assert table[3] == ()
         # the reported C(t+1,1) coefficient, after r = 3R, in lowest terms
-        num, den = verdict.expansion.coeffs[1]
+        num, den = lowest_terms(verdict.expansion.coeffs[1])
         assert den == 12
         assert num == -(207 * R**4 - 1512 * R**3 - 1845 * R * R - 828 * R - 134)
 
