@@ -1014,23 +1014,17 @@ class TestDerivedRecords:
 
     @pytest.mark.parametrize("every_r", [True, False], ids=["window-certificate", "symbolic-certificate"])
     def test_twisted_target_with_sections_exits_3(self, capsys, monkeypatch, every_r):
-        # beta's target moved by 4: after the -r-2 twist it is O(-2) + O(0), which
-        # has sections.  Moved for every r, the window certificate at r = 1 finds
+        # every twist moved by 4, so beta's target after the -r-2 twist is O(-2) + O(0),
+        # which has sections.  Moved for every r, the window certificate at r = 1 finds
         # it; moved in the symbolic reading only, symbolic_injectivity does.
         from multistruct import graded
 
         original = graded._twists
 
         def moved(r):
-            source, middle, target = original(r)
             if isinstance(r, int) and not every_r:
-                return source, middle, target
-            shift = 4 if every_r else 0
-            return (
-                tuple(a + shift for a in source),
-                tuple(a + shift for a in middle),
-                tuple(a + 4 for a in target),
-            )
+                return original(r)
+            return tuple(tuple(a + 4 for a in part) for part in original(r))
 
         monkeypatch.setattr(graded, "_twists", moved)
         graded.certified_split.cache_clear()

@@ -807,7 +807,9 @@ class TestSymbolicInjectivity:
     def test_sections_appear_exactly_when_the_twisted_target_reaches_degree_0(self, monkeypatch, shift):
         # beta's target moved by shift is O(shift-6) + O(shift-4) after the -r-2 twist
         original = graded._twists
-        monkeypatch.setattr(graded, "_twists", lambda r: (*original(r)[:2], tuple(a + shift for a in original(r)[2])))
+        monkeypatch.setattr(
+            graded, "_twists", lambda r: (*original(r)[:2], tuple(a + shift for a in original(r)[2]))
+        )
         if shift == 3:
             assert symbolic_injectivity() is True
         else:
@@ -820,7 +822,8 @@ class TestSymbolicInjectivity:
         original = graded.splitting_type
         monkeypatch.setattr(graded, "splitting_type", lambda cx: (original(cx)[0] - 1, original(cx)[1] + 1))
         certified_split.cache_clear()
-        with pytest.raises(GradedCertificateError, match=r"certified split \(-3, 1\) differs from beta's target \(-2, 0\)"):
+        message = r"certified split \(-3, 1\) differs from beta's target \(-2, 0\)"
+        with pytest.raises(GradedCertificateError, match=message):
             injectivity_certificate(2)
 
 
