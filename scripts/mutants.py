@@ -496,6 +496,34 @@ MUTANTS = (
         "            sys.stdout.write(_REPLICATE_HELP if values else _HELP)\n            raise SystemExit(0)\n",
         [f"{EXIT_PATH}::test_stream_failure_keeps_the_exit_code[help-stdout-full]"],
     ),
+    (
+        "hash cached on the class, not the instance",
+        ARITH,
+        "            self._hash = h = hash((self._den, frozenset(self._num.items())))\n",
+        "            type(self)._hash = h = hash((self._den, frozenset(self._num.items())))\n",
+        ["tests/test_arith.py::TestStoredForm::test_hash_is_the_documented_one_before_and_after_first_use"],
+    ),
+    (
+        "power identity dropped",
+        ARITH,
+        "        return MultiPoly.const(1) if result is None else result\n",
+        "        return result\n",
+        ["tests/test_arith.py::TestArithmetic::test_pow_is_the_repeated_product"],
+    ),
+    (
+        "timestamp drops the microseconds",
+        CLI,
+        '    fraction = f".{micros:06d}" if micros else ""\n',
+        '    fraction = ""\n',
+        ["tests/test_cli.py::TestJsonReport::test_timestamp_is_the_datetime_isoformat[microseconds]"],
+    ),
+    (
+        "section pair degree off by one",
+        GRADED,
+        "    return target[0] - middle[1], target[0] - middle[0]\n",
+        "    return target[0] - middle[1] + 1, target[0] - middle[0]\n",
+        [f"{SECTIONS}::test_default_pair"],
+    ),
 )
 
 TIMEOUT_S = 600

@@ -29,9 +29,11 @@ class Value:
     Two instances are equal when they have the same type and equal fields,
     in __slots__ order; the hash is that of the field tuple.  So instances
     serve as cache keys, and classes with the same fields stay unequal.
+    Subclasses write their fields only in __init__, so the hash is computed
+    on first use and kept in _hash.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -39,4 +41,8 @@ class Value:
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __hash__(self) -> int:
-        return hash(tuple(getattr(self, name) for name in self.__slots__))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(tuple(getattr(self, name) for name in self.__slots__))
+            return h

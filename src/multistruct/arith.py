@@ -112,22 +112,26 @@ class MultiPoly:
     ``_den`` is a positive int, kept in lowest terms (gcd of ``_den`` and
     every numerator is 1; the zero polynomial has ``_den == 1``).  The form is unique, so equality and
     hashing compare ints, and products go to the integer kernel as stored.
+    Nothing writes ``_num`` or ``_den`` after construction, so the hash is
+    computed on first use and kept in ``_hash``.
 
     Construct via the factory function ``var`` or the classmethods
     below; ``grammar.parse_poly`` reads the report text back.
     Arithmetic never mutates operands.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: Mapping[Exponent, Scalar] | None = None):
+        if not terms:
+            self._num, self._den = {}, 1
+            return
         pairs: dict = {}
-        if terms:
-            for exp, coeff in terms.items():
-                key = pack(exp)
-                n, d = _pair(coeff)
-                if n:
-                    pairs[key] = n, d
+        for exp, coeff in terms.items():
+            key = pack(exp)
+            n, d = _pair(coeff)
+            if n:
+                pairs[key] = n, d
         den = math.lcm(*[d for _, d in pairs.values()])
         # A pair need not be in lowest terms, so a common factor may remain.
         reduced = MultiPoly._reduced({key: n * (den // d) for key, (n, d) in pairs.items()}, den)
@@ -269,14 +273,17 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.const(1)
+        # Square-and-multiply from the first factor, so no product by one;
+        # n == 0 alone leaves result unset.
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return MultiPoly.const(1) if result is None else result
 
     def scalar_div(self, value: Scalar) -> "MultiPoly":
         """Exact division by a nonzero scalar; never builds rational functions."""
@@ -333,7 +340,12 @@ class MultiPoly:
         return self.is_constant() and self._num.get(0, 0) * d == n * self._den
 
     def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._num.items())))
+        """hash((den, frozenset(numerator items))), computed on first use and kept."""
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self._den, frozenset(self._num.items())))
+            return h
 
     def __str__(self) -> str:
         return format_poly(self)

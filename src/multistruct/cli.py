@@ -32,6 +32,7 @@ import os
 import random
 import re
 import sys
+import time
 import types
 
 from . import EngineError, __version__
@@ -116,13 +117,17 @@ class ReplicationRecord:
 
 
 def report_json(records: list[ReplicationRecord]) -> dict:
-    """The stable report document: version, timestamp, records, summary."""
-    from datetime import datetime, timezone
+    """The stable report document: version, timestamp, records, summary.
 
+    The timestamp is the UTC instant as datetime.now(timezone.utc).isoformat()
+    prints it, microseconds floored and omitted when zero, built with time.
+    """
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    fraction = f".{micros:06d}" if micros else ""
     matched = sum(1 for rec in records if rec.match)
     return {
         "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + fraction + "+00:00",
         "records": [rec.to_dict() for rec in records],
         "summary": {
             "total": len(records),

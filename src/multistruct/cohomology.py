@@ -132,7 +132,9 @@ class ConicBundle(Value):
 L_BUNDLE = ConicBundle(1, 0)
 # the conormal bundle I_C/I_C^2 = O_C(-1) + O_C(-2) of a plane conic C, by its twists
 CONORMAL_TWISTS = (-1, -2)
-OMEGA_Y_ON_C = ConicBundle(-1, -1)  # omega_Y restricted to C: omega_C tensor L^(-1)
+# omega_Y restricted to C: omega_C tensor L^(-1), with omega_C = O_C(-1) by
+# adjunction from omega_P3 = O(-4) and det N_C = O_C(-sum(CONORMAL_TWISTS))
+OMEGA_Y_ON_C = L_BUNDLE.power(-1).tensor(ConicBundle(0, -4 - sum(CONORMAL_TWISTS)))
 
 
 def pullback_degree(c: ConicBundle) -> MultiPoly:
@@ -341,10 +343,10 @@ def double_conic_side_terms() -> dict[str, ConicBundle]:
     pieces = normal_sheaf_sequences()
     return {
         # sequence (first auxiliary): L^2 tensor omega and I_Y/I_C^2 tensor omega
-        "aux1_left": ConicBundle(2, 0).tensor(OMEGA_Y_ON_C),
+        "aux1_left": L_BUNDLE.power(2).tensor(OMEGA_Y_ON_C),
         "aux1_right": pieces["iy_ic2"].tensor(OMEGA_Y_ON_C),
         # sequence (second auxiliary): L^3 tensor omega and O_C(-3) tensor omega
-        "aux2_left": ConicBundle(3, 0).tensor(OMEGA_Y_ON_C),
+        "aux2_left": L_BUNDLE.power(3).tensor(OMEGA_Y_ON_C),
         "aux2_right": pieces["quotient"].tensor(OMEGA_Y_ON_C),
     }
 

@@ -432,7 +432,7 @@ class SectionPair(Value):
     __slots__ = ("r", "a", "b")
 
     def __init__(self, r: int, a: MultiPoly, b: MultiPoly):
-        for name, p, want in (("a", a, r + 2), ("b", b, r + 4)):
+        for name, p, want in zip("ab", (a, b), _pair_degrees(r)):
             if p.is_zero() or homogeneous_degree(p) != want:
                 raise ValueError(f"{name} must be homogeneous of degree {want} in s, u")
         self.r = r
@@ -442,7 +442,8 @@ class SectionPair(Value):
 
 def default_pair(r: int) -> SectionPair:
     """The canonical common-zero-free pair a = s^(r+2), b = u^(r+4)."""
-    return SectionPair(r, var("s") ** (r + 2), var("u") ** (r + 4))
+    m, n = _pair_degrees(r)
+    return SectionPair(r, var("s") ** m, var("u") ** n)
 
 
 class ComplexSpec:
@@ -472,6 +473,12 @@ def _twists(r):
     Source S(-2r-12), middle S(-8)+S(-6)+S(-4), target S(r-4)+S(r-2).
     """
     return (-2 * r - 12,), (-8, -6, -4), (r - 4, r - 2)
+
+
+def _pair_degrees(r):
+    """The degrees (r+2, r+4) of a and b, read from beta's first row (2b, -a, 0)."""
+    _, middle, target = _twists(r)
+    return target[0] - middle[1], target[0] - middle[0]
 
 
 def alphabeta_builder(p: SectionPair) -> ComplexSpec:
@@ -552,7 +559,8 @@ def symbolic_injectivity() -> bool:
 
 def section_row(p: SectionPair) -> GradedMatrix:
     """The row (a, b) from S(-r-2) + S(-r-4) to S."""
-    return GradedMatrix((-p.r - 2, -p.r - 4), (0,), ((p.a, p.b),))
+    m, n = _pair_degrees(p.r)
+    return GradedMatrix((-m, -n), (0,), ((p.a, p.b),))
 
 
 def common_zero_check(p: SectionPair) -> bool:
@@ -564,7 +572,7 @@ def common_zero_check(p: SectionPair) -> bool:
     is no common zero on the line, [1:0] included.  It is the degree
     m+n-1 slice of section_row(p), so one exact slice rank decides it.
     """
-    m, n = p.r + 2, p.r + 4
+    m, n = _pair_degrees(p.r)
     return slice_rank(section_row(p), m + n - 1) == m + n
 
 
@@ -599,7 +607,8 @@ def pointwise_exactness(
 
 def _regularity_bound(cx: ComplexSpec) -> int:
     """max |twist| + deg(b); the slice window and the top twist lie past it."""
-    return max(abs(a) for a in cx.alpha.source + cx.alpha.target + cx.beta.target) + cx.pair.r + 4
+    twists = cx.alpha.source + cx.alpha.target + cx.beta.target
+    return max(abs(a) for a in twists) + _pair_degrees(cx.pair.r)[1]
 
 
 def slice_exactness_window(cx: ComplexSpec) -> tuple[int, int]:

@@ -70,6 +70,20 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             (t + 1) ** -1
 
+    def test_pow_is_the_repeated_product(self):
+        sample = (
+            MultiPoly.zero(),
+            MultiPoly.const(Fraction(-2, 3)),
+            t.scalar_div(2) - Fraction(1, 3) * r,
+            (t + 1) * r.scalar_div(5),
+        )
+        for p in sample:
+            assert (p**0).numerators() == ({0: 1}, 1)
+            product = MultiPoly.const(1)
+            for n in range(8):
+                assert (p**n).numerators() == product.numerators()
+                product = product * p
+
     def test_scalar_div(self):
         assert (2 * t).scalar_div(2) == t
         assert t.scalar_div(Fraction(1, 3)) == 3 * t
@@ -261,6 +275,9 @@ class TestStoredForm:
             ((t - r).coeff_of("t", 1), MultiPoly.const(1)),
             (t - t, MultiPoly.zero()),
             (MultiPoly({_exp(t=1): Fraction(2, 4)}), MultiPoly({_exp(t=1): 1}).scalar_div(2)),
+            (MultiPoly._reduced({pack(_exp(t=2)): 3, 0: -6}, 4), parse_poly("(3/4)*t^2 - (3/2)")),
+            (parse_poly("(1/2)*t*r + 1"), MultiPoly({_exp(t=1, r=1): Fraction(1, 2), _exp(): 1})),
+            (parse_poly("t^2 - 1"), (t + 1) * (t - 1)),
         ],
     )
     def test_equal_by_different_routes(self, left, right):
@@ -271,8 +288,16 @@ class TestStoredForm:
         assert left.numerators() == right.numerators()
 
     def test_zero_has_denominator_one(self):
-        for zero in (MultiPoly.zero(), t.scalar_div(3) - t.scalar_div(3), 0 * t.scalar_div(7)):
+        built = (MultiPoly(), MultiPoly({}), MultiPoly({_exp(t=1): 0}), MultiPoly.zero())
+        for zero in (*built, t.scalar_div(3) - t.scalar_div(3), 0 * t.scalar_div(7)):
             assert zero.numerators() == ({}, 1)
+
+    def test_hash_is_the_documented_one_before_and_after_first_use(self):
+        for p in (MultiPoly(), t.scalar_div(3) + r, parse_poly("(1/2)*t^2 - 3"), t**5, -t):
+            num, den = p.numerators()
+            want = hash((den, frozenset(num.items())))
+            assert hash(p) == want
+            assert hash(p) == want
 
 
 # -- the int-pair scalar path against Fraction arithmetic -------------------------

@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import time
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
 
@@ -761,6 +762,16 @@ class TestJsonReport:
         doc = report_json(records)
         assert doc["summary"] == {"total": 2, "matched": 1, "discrepancies": 1}
 
+    @pytest.mark.parametrize(
+        "ns",
+        [1_700_000_000_123_456_789, 1_700_000_000_000_000_999, 1_761_000_000_000_001_000, 0],
+        ids=["microseconds", "microsecond-0", "leading-zeros", "epoch"],
+    )
+    def test_timestamp_is_the_datetime_isoformat(self, monkeypatch, ns):
+        monkeypatch.setattr(time, "time_ns", lambda: ns)
+        instant = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=ns // 1000)
+        assert report_json([])["timestamp"] == instant.isoformat()
+
 
 # The engine reads every rational as an int pair; these come only with Fraction.
 RATIONAL_MODULES = ("fractions", "decimal", "numbers")
@@ -819,6 +830,15 @@ class TestStartup:
         )
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.splitlines()[-1] == "loaded:"
+
+    def test_report_loads_json_but_not_datetime(self, tmp_path):
+        proc = _fresh_process(
+            "import sys\nfrom multistruct.cli import main\ncode = main(sys.argv[1:])\n"
+            "print('loaded:', *sorted({'json', 'datetime'} & set(sys.modules)))\nsys.exit(code)",
+            "replicate", "koszul", "--json", str(tmp_path / "koszul.json"),
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "loaded: json"
 
     def test_report_is_still_written(self, tmp_path):
         path = tmp_path / "report.json"

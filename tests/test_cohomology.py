@@ -165,6 +165,15 @@ class TestConicBundles:
         assert pullback_degree(ConicBundle(0, 1)) == MultiPoly.const(2)
         assert pullback_degree(L_BUNDLE.tensor(OMEGA_Y_ON_C)) == MultiPoly.const(-2)
 
+    def test_omega_and_side_terms(self):
+        # derived from CONORMAL_TWISTS by adjunction and from powers of L
+        assert OMEGA_Y_ON_C == ConicBundle(-1, -1)
+        sides = double_conic_side_terms()
+        assert sides["aux1_left"] == ConicBundle(1, -1)
+        assert sides["aux1_right"] == ConicBundle(-2, -4)
+        assert sides["aux2_left"] == ConicBundle(2, -1)
+        assert sides["aux2_right"] == ConicBundle(-1, -4)
+
     def test_normal_sheaf_identifications(self):
         pieces = normal_sheaf_sequences()
         assert pieces["iy_ic2"] == ConicBundle(-1, -3)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import as_fraction
-from multistruct import graded
+from multistruct import chow, graded
 from multistruct.arith import MultiPoly, exponent, var
 from multistruct.cli import POINT_DIGITS_CAP, R_CAP, _second_pair, main
 from multistruct.graded import (
@@ -867,6 +867,24 @@ class TestCertificateCache:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["replicate", "graded", "--r", "2"]) == 0
         assert calls == [default_pair(2), _second_pair(2)]
+
+    def test_equal_values_hash_alike_and_share_one_cache_entry(self):
+        # each argument list is built twice, apart; the kept hash is the field tuple's
+        cases = (
+            (transpose_dual, lambda: (alphabeta_builder(default_pair(3)).beta,)),
+            (certified_split, lambda: (SectionPair(1, s**3 + u**3, s * u**4), DEFAULT_POINTS)),
+            (chow.wedge_powers, lambda: (chow.split_bundle([1, 2, 5], 3),)),
+        )
+        for cached, build in cases:
+            first, second = build(), build()
+            value, again = first[0], second[0]
+            assert value == again and value is not again
+            want = hash(tuple(getattr(value, name) for name in type(value).__slots__))
+            assert hash(value) == want and hash(value) == want and hash(again) == want
+            cached(*first)
+            hits = cached.cache_info().hits
+            cached(*second)
+            assert cached.cache_info().hits == hits + 1
 
 
 def _seeded_random_pairs() -> list[SectionPair]:
