@@ -44,6 +44,7 @@ ORACLES = "tests/test_cli.py::TestSpecializedOracles"
 COMMAND_LINE = "tests/test_cli.py::TestCommandLine"
 SIGNS = "tests/test_cohomology.py::TestOneSignProcedure"
 P1 = "tests/test_cohomology.py::TestLineBundleCohomology"
+SEQUENCES = "tests/test_cohomology.py::TestExactSequences"
 PROGRAM_EXIT = "tests/test_cli.py::TestProgramExit"
 EXIT_PATH = "tests/test_cli.py::TestOneExitPath"
 SYMBOLIC = "tests/test_graded.py::TestSymbolicInjectivity"
@@ -523,6 +524,30 @@ MUTANTS = (
         "    return target[0] - middle[1], target[0] - middle[0]\n",
         "    return target[0] - middle[1] + 1, target[0] - middle[0]\n",
         [f"{SECTIONS}::test_default_pair"],
+    ),
+    (
+        "exactness check at a known term dropped",
+        COHOMOLOGY,
+        "            if left is not None and right is not None and dims[i] != left + right:\n",
+        "            if False:\n",
+        [f"{SEQUENCES}::test_exactness_checked_at_a_known_term"],
+    ),
+    (
+        "rank nonnegativity unchecked",
+        COHOMOLOGY,
+        "        assumption.check_nonneg(value, context)\n",
+        "",
+        [f"{SEQUENCES}::test_negative_rank_rejected"],
+    ),
+    (
+        "connecting-map fact ignored",
+        COHOMOLOGY,
+        "(2,) if connecting_injective else ()",
+        "()",
+        [
+            f"{SEQUENCES}::test_inconsistent_fact_detected",
+            "tests/test_cohomology.py::TestTangentComputation::test_symbolic_tangent_dimension",
+        ],
     ),
 )
 

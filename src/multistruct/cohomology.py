@@ -18,10 +18,11 @@ r+2 and r+4 (section_degrees).
 The long-exact-sequence solver does pure rank bookkeeping: for an exact
 chain 0 -> V_0 -> ... -> V_(L-1) -> 0 with arrow ranks rho_i it propagates
   dim V_i = rho_(i-1) + rho_i
-together with declared injectivity facts about its arrows until the
-single unknown term is pinned down.  Facts are always explicit inputs;
-injectivity of a connecting map is never inferred here, it must arrive as
-a certificate (the graded module produces it).
+together with the arrows declared injective until the unknown terms are
+pinned down.  solve_exact_sequence applies it to the six-term sequence of
+0 -> A -> B -> C -> 0 with B unknown.  Injectivity of the connecting map
+is never inferred here, it must arrive as a certificate (the graded module
+produces it).
 """
 
 from __future__ import annotations
@@ -195,38 +196,21 @@ def h_p2(d: MultiPoly, assumption: Assumption) -> tuple[MultiPoly, MultiPoly, Mu
 
 # -- exact-sequence solving --------------------------------------------------
 
-class ExactSeqSpec:
-    """A short exact sequence of sheaves on the conic, for the LES solver.
-
-    terms: exactly three entries, each a ConicBundle (cohomology computed
-    via h_p1 of the pullback degree), an explicit CohomPair, or None for
-    the single unknown.  map_facts: declared (kind, arrow) facts about
-    arrows of the induced six-term cohomology sequence, kind "injective",
-    arrow indexed 0..4 in order H0A->H0B, H0B->H0C, H0C->H1A
-    (connecting), H1A->H1B, H1B->H1C.
-    """
-
-    __slots__ = ("terms", "map_facts")
-
-    def __init__(self, terms: tuple, map_facts: tuple[tuple[str, int], ...] = ()):
-        if len(terms) != 3:
-            raise ValueError(f"a short exact sequence has exactly three terms, got {len(terms)}")
-        unknowns = sum(1 for term in terms if term is None)
-        if unknowns != 1:
-            raise ValueError(f"exactly one unknown term required, got {unknowns}")
-        self.terms = terms
-        self.map_facts = map_facts
-
 
 def _solve_chain(
     dims: list[MultiPoly | None],
-    facts: Sequence[tuple[str, int]],
+    injective: Sequence[int],
     assumption: Assumption,
 ) -> list[MultiPoly]:
     """Fill in the unknown entries of an exact chain 0 -> V_0 -> ... -> 0.
 
     dims holds exact dimensions (MultiPoly) or None; arrow i joins V_i to
-    V_(i+1).  Returns the completed dimension list.
+    V_(i+1), and each arrow i in injective is injective, with V_i known.
+    Returns the completed dimension list.  Every rank passes set_rank's
+    nonnegativity check, so a solved term, the sum of its two ranks, needs
+    none of its own: Assumption.nonneg is closed under sums, because after
+    r = fixed or r = r_min + x the coefficients of a sum are sums of
+    nonnegative coefficients.
     """
     L = len(dims)
     ranks: list[MultiPoly | None] = [None] * (L + 1)  # rank of arrow into V_i is ranks[i]
@@ -242,14 +226,8 @@ def _solve_chain(
                 f"conflicting ranks at arrow {i - 1}: {ranks[i]} vs {value}"
             )
 
-    for kind, arrow in facts:
-        if not 0 <= arrow <= L - 2:
-            raise ValueError(f"arrow index {arrow} out of range")
-        if kind != "injective":
-            raise ValueError(f"unknown fact kind {kind!r}")
-        if dims[arrow] is None:
-            raise UnderdeterminedError("injectivity fact on an unknown source term")
-        set_rank(arrow + 1, dims[arrow], f"fact injective@{arrow}")
+    for arrow in injective:
+        set_rank(arrow + 1, dims[arrow], f"injective arrow {arrow}")
 
     changed = True
     while changed:
@@ -279,44 +257,27 @@ def _solve_chain(
                     f"exactness fails at position {i}: {dims[i]} != {left} + {right}"
                 )
             out.append(dims[i])
+        elif left is None or right is None:
+            raise UnderdeterminedError(
+                f"facts insufficient to determine the term at position {i}"
+            )
         else:
-            if left is None or right is None:
-                raise UnderdeterminedError(
-                    f"facts insufficient to determine the term at position {i}"
-                )
-            value = left + right
-            assumption.check_nonneg(value, f"solved term {i}")
-            out.append(value)
+            out.append(left + right)
     return out
 
 
-def _term_pair(term, assumption: Assumption) -> CohomPair | None:
-    if term is None:
-        return None
-    if isinstance(term, CohomPair):
-        return term
-    if isinstance(term, ConicBundle):
-        return h_p1(pullback_degree(term), assumption)
-    raise TypeError(f"bad sequence term {term!r}")
+def solve_exact_sequence(
+    a: CohomPair, c: CohomPair, assumption: Assumption, connecting_injective: bool = False
+) -> CohomPair:
+    """The (h^0, h^1) pair of the middle term B of 0 -> A -> B -> C -> 0.
 
-
-def solve_exact_sequence(spec: ExactSeqSpec, assumption: Assumption) -> CohomPair:
-    """Solve the six-term cohomology sequence of a short exact sequence.
-
-    Returns the (h^0, h^1) pair of the unique unknown term.
+    Solves the six-term sequence 0 -> H0A -> H0B -> H0C -> H1A -> H1B ->
+    H1C -> 0; connecting_injective declares the connecting map H0C -> H1A
+    (arrow 2) injective.
     """
-    pairs = [_term_pair(term, assumption) for term in spec.terms]
-    unknown_index = next(i for i, p in enumerate(pairs) if p is None)
-    width = len(pairs)
-    dims: list[MultiPoly | None] = []
-    for level in range(2):
-        for p in pairs:
-            if p is None:
-                dims.append(None)
-            else:
-                dims.append(p.h0 if level == 0 else p.h1)
-    solved = _solve_chain(dims, spec.map_facts, assumption)
-    return CohomPair(solved[unknown_index], solved[unknown_index + width])
+    dims = [a.h0, None, c.h0, a.h1, None, c.h1]
+    solved = _solve_chain(dims, (2,) if connecting_injective else (), assumption)
+    return CohomPair(solved[1], solved[4])
 
 
 # -- the composite double-conic computation ----------------------------------
@@ -364,16 +325,13 @@ def tangent_dimension_double_conic(
     """
     if not injectivity_certificate:
         raise EngineError("missing injectivity certificate; cannot solve the middle sequence")
-    sides = double_conic_side_terms()
-    aux1 = solve_exact_sequence(
-        ExactSeqSpec((sides["aux1_left"], None, sides["aux1_right"])), assumption
-    )
-    aux2 = solve_exact_sequence(
-        ExactSeqSpec((sides["aux2_left"], None, sides["aux2_right"])), assumption
-    )
-    main = solve_exact_sequence(
-        ExactSeqSpec((aux2, None, aux1), (("injective", 2),)), assumption
-    )
+    sides = {
+        key: h_p1(pullback_degree(bundle), assumption)
+        for key, bundle in double_conic_side_terms().items()
+    }
+    aux1 = solve_exact_sequence(sides["aux1_left"], sides["aux1_right"], assumption)
+    aux2 = solve_exact_sequence(sides["aux2_left"], sides["aux2_right"], assumption)
+    main = solve_exact_sequence(aux2, aux1, assumption, connecting_injective=True)
     return aux1, aux2, main
 
 

@@ -128,20 +128,18 @@ class Verdict(Value):
     (m, rho) meaning r = m*R + rho was applied first.
     """
 
-    __slots__ = ("conclusion", "admissible_residues", "substitution", "parameter", "expansion")
+    __slots__ = ("conclusion", "admissible_residues", "substitution", "expansion")
 
     def __init__(
         self,
         conclusion: str,
         admissible_residues: ResidueTable,
         substitution: tuple[int, int] | None,
-        parameter: str,
         expansion: BinomialExpansion | None,
     ):
         self.conclusion = conclusion
         self.admissible_residues = admissible_residues
         self.substitution = substitution
-        self.parameter = parameter
         self.expansion = expansion
 
 
@@ -190,7 +188,7 @@ def schwarzenberger_verdict(B: BundleClass) -> Verdict:
             continue
         residues = congruence_residues(num, den)
         if not residues:
-            return Verdict("nonexistence", ((den, ()),), None, parameter, None)
+            return Verdict("nonexistence", ((den, ()),), None, None)
         if len(residues) == 1 and parameter == "r":
             rho = next(iter(residues))
             shift = den * var("R") + rho
@@ -204,7 +202,6 @@ def schwarzenberger_verdict(B: BundleClass) -> Verdict:
                 inner.conclusion,
                 inner.admissible_residues,
                 (den, rho),
-                inner.parameter,
                 inner.expansion,
             )
 
@@ -229,4 +226,4 @@ def schwarzenberger_verdict(B: BundleClass) -> Verdict:
         table.append((q, tuple(sorted(admissible))))
 
     conclusion = "exists-candidate" if all(residues for _, residues in table) else "nonexistence"
-    return Verdict(conclusion, tuple(table), None, parameter, expansion)
+    return Verdict(conclusion, tuple(table), None, expansion)

@@ -6,8 +6,8 @@ carrier and enters only through its Euler characteristic, so a structure is
 a tuple of layer characteristics (polynomials in t and r) and its Hilbert
 polynomial is their sum.  Two carriers appear:
 
-  conic   a smooth conic with P^1 normalization; O_C(l) pulls back to
-          O_P1(2l), so conic_layer(k, m) is chi(O_P1(2t + kr + 2m))
+  conic   a smooth conic with P^1 normalization; conic_layer(bundle) is
+          chi(O_P1(2t + d)) with d = cohomology.pullback_degree(bundle)
   plane   P^2 linearly embedded; plane_layer(d) is C(t+d+2, 2)
 
 Chern classes are solved by matching a quadratic Hilbert polynomial against
@@ -25,13 +25,14 @@ from typing import Literal
 
 from . import EngineError, chow
 from .arith import MultiPoly, Scalar, as_poly, var
+from .cohomology import L_BUNDLE, ConicBundle, pullback_degree
 
 Template = Literal["paper", "derived"]
 
 
-def conic_layer(k: int, m: int) -> MultiPoly:
-    """chi of the conic layer whose pullback to P^1 has degree k*r + 2m."""
-    return 2 * var("t") + k * var("r") + (2 * m + 1)
+def conic_layer(bundle: ConicBundle) -> MultiPoly:
+    """chi(O_P1(2t + d)) of the conic layer `bundle`, d its pullback degree."""
+    return 2 * var("t") + pullback_degree(bundle) + 1
 
 
 def plane_layer(twist: MultiPoly | Scalar) -> MultiPoly:
@@ -49,7 +50,7 @@ def hilbert_of_layers(layers: tuple[MultiPoly, ...]) -> MultiPoly:
 
 def double_conic_structure() -> tuple[MultiPoly, ...]:
     """Doubling of a conic with a line bundle pulling back to O_P1(r)."""
-    return conic_layer(0, 0), conic_layer(1, 0)
+    return conic_layer(ConicBundle(0, 0)), conic_layer(L_BUNDLE)
 
 
 def double_plane_structure() -> tuple[MultiPoly, ...]:

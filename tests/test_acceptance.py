@@ -133,18 +133,14 @@ def test_criterion_02_tangent_dimension():
 def test_criterion_03_twelve_displayed_dimensions():
     assumption = Assumption(r_min=1)
     sides = double_conic_side_terms()
-    from multistruct.cohomology import ExactSeqSpec, solve_exact_sequence
+    from multistruct.cohomology import solve_exact_sequence
 
     pairs = {
         key: h_p1(pullback_degree(bundle), assumption)
         for key, bundle in sides.items()
     }
-    pairs["middle1"] = solve_exact_sequence(
-        ExactSeqSpec((sides["aux1_left"], None, sides["aux1_right"])), assumption
-    )
-    pairs["middle2"] = solve_exact_sequence(
-        ExactSeqSpec((sides["aux2_left"], None, sides["aux2_right"])), assumption
-    )
+    pairs["middle1"] = solve_exact_sequence(pairs["aux1_left"], pairs["aux1_right"], assumption)
+    pairs["middle2"] = solve_exact_sequence(pairs["aux2_left"], pairs["aux2_right"], assumption)
     zero = MultiPoly.zero()
     expected = {
         "aux1_left": CohomPair(r - 1, zero),

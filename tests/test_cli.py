@@ -1083,14 +1083,33 @@ class TestSolvedOnce:
     def test_double_conic_solves_each_sequence_once(self, monkeypatch, r):
         solved = []
 
-        def counted(spec, assumption, solve=cohomology.solve_exact_sequence):
-            solved.append(spec)
-            return solve(spec, assumption)
+        def counted(*args, solve=cohomology.solve_exact_sequence, **kwargs):
+            solved.append(args)
+            return solve(*args, **kwargs)
 
         monkeypatch.setattr(cohomology, "solve_exact_sequence", counted)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["replicate", "double-conic", "--r", r]) == 1
         assert len(solved) == 3  # the two auxiliary sequences, then the main one
+
+
+class TestTracedLayers:
+    def test_every_benchmark_layer_is_found_and_called(self, tmp_path):
+        # the benchmark's tracer reports a renamed layer on stderr and then counts it as 0 calls
+        spec = importlib.util.spec_from_file_location("layertrace", ROOT / "replbench" / "layertrace.py")
+        layertrace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layertrace)
+        out = tmp_path / "trace.json"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "replbench" / "layertrace.py"), str(out), "replicate", "all"],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (1, "")
+        layers = json.loads(out.read_text())["layers"]
+        calls = {name: layers.get(name, {}).get("calls", 0) for name, _, _ in layertrace.LAYERS}
+        assert all(calls.values()), calls
+        assert calls["cohomology.solve_exact_sequence"] == 3
 
 
 _PIPELINE = ("wedge_powers", "koszul_euler", "euler_characteristic")

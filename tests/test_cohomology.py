@@ -14,12 +14,12 @@ from multistruct.cohomology import (
     Assumption,
     CohomPair,
     ConicBundle,
-    ExactSeqSpec,
     InconsistentSequenceError,
     L_BUNDLE,
     OMEGA_Y_ON_C,
     UndecidableSignError,
     UnderdeterminedError,
+    _solve_chain,
     double_conic_side_terms,
     ext_vanishing_claim,
     family_dimension,
@@ -181,30 +181,19 @@ class TestConicBundles:
         assert pieces["quotient"] == ConicBundle(0, -3)
 
 
-class TestExactSequences:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ExactSeqSpec((ConicBundle(0, 0), None))
-        with pytest.raises(ValueError):
-            ExactSeqSpec((None, None, ConicBundle(0, 0)))
-        with pytest.raises(ValueError):
-            ExactSeqSpec((ConicBundle(0, 0),) * 3)
-        # the solver reads a six-term cohomology sequence, so four or five
-        # terms are bad input, not left for the solver to misread
-        a, b = ConicBundle(0, 0), ConicBundle(1, 0)
-        for terms in ((a, None, b, a), (a, None, b, a, b)):
-            with pytest.raises(ValueError, match="exactly three terms"):
-                ExactSeqSpec(terms)
+def _side_pairs(assumption: Assumption) -> dict[str, CohomPair]:
+    return {
+        key: h_p1(pullback_degree(bundle), assumption)
+        for key, bundle in double_conic_side_terms().items()
+    }
 
+
+class TestExactSequences:
     def test_middle_term_solve(self):
-        sides = double_conic_side_terms()
-        middle = solve_exact_sequence(
-            ExactSeqSpec((sides["aux1_left"], None, sides["aux1_right"])), GENERIC
-        )
+        sides = _side_pairs(GENERIC)
+        middle = solve_exact_sequence(sides["aux1_left"], sides["aux1_right"], GENERIC)
         assert middle == CohomPair(r - 1, 2 * r + 7)
-        middle = solve_exact_sequence(
-            ExactSeqSpec((sides["aux2_left"], None, sides["aux2_right"])), GENERIC
-        )
+        middle = solve_exact_sequence(sides["aux2_left"], sides["aux2_right"], GENERIC)
         assert middle == CohomPair(2 * r - 1, r + 7)
 
     def test_displayed_side_dimensions(self):
@@ -214,36 +203,44 @@ class TestExactSequences:
             "aux2_left": CohomPair(2 * r - 1, ZERO),
             "aux2_right": CohomPair(ZERO, r + 7),
         }
-        sides = double_conic_side_terms()
-        for key, want in expected.items():
-            assert h_p1(pullback_degree(sides[key]), GENERIC) == want
+        assert _side_pairs(GENERIC) == expected
 
     def test_underdetermined_without_fact(self):
-        sides = double_conic_side_terms()
-        aux1 = solve_exact_sequence(
-            ExactSeqSpec((sides["aux1_left"], None, sides["aux1_right"])), GENERIC
-        )
-        aux2 = solve_exact_sequence(
-            ExactSeqSpec((sides["aux2_left"], None, sides["aux2_right"])), GENERIC
-        )
+        sides = _side_pairs(GENERIC)
+        aux1 = solve_exact_sequence(sides["aux1_left"], sides["aux1_right"], GENERIC)
+        aux2 = solve_exact_sequence(sides["aux2_left"], sides["aux2_right"], GENERIC)
         with pytest.raises(UnderdeterminedError):
-            solve_exact_sequence(ExactSeqSpec((aux2, None, aux1)), GENERIC)
+            solve_exact_sequence(aux2, aux1, GENERIC)
 
     def test_inconsistent_fact_detected(self):
         # an injective connecting map from h^0 = 2 into h^1 = 0 has no exact completion
         left = CohomPair(ZERO, ZERO)
         right = CohomPair(MultiPoly.const(2), ZERO)
         with pytest.raises(InconsistentSequenceError, match="conflicting ranks at arrow 2"):
-            solve_exact_sequence(
-                ExactSeqSpec((left, None, right), (("injective", 2),)),
-                Assumption(fixed=1),
-            )
+            solve_exact_sequence(left, right, Assumption(fixed=1), connecting_injective=True)
 
-    def test_only_injectivity_facts_on_the_five_arrows(self):
-        terms = (CohomPair(ZERO, ZERO), None, CohomPair(ZERO, ZERO))
-        for facts in ((("zero", 0),), (("surjective", 1),), (("injective", 5),)):
-            with pytest.raises(ValueError):
-                solve_exact_sequence(ExactSeqSpec(terms, facts), Assumption(fixed=1))
+    def test_exactness_checked_at_a_known_term(self):
+        # the ranks 1 and 4 forced from the left leave 1 -> 0 at the last term
+        dims = [MultiPoly.const(d) for d in (1, 5, 1)]
+        with pytest.raises(
+            InconsistentSequenceError, match=re.escape("exactness fails at position 2: 1 != 4 + 0")
+        ):
+            _solve_chain(dims, (), Assumption(fixed=1))
+
+    @pytest.mark.parametrize(
+        "a, c, assumption, message",
+        [
+            (CohomPair(ZERO, MultiPoly.const(1)), CohomPair(MultiPoly.const(2), ZERO),
+             Assumption(fixed=1), "negative dimension in term 3: -1"),
+            (CohomPair(ZERO, r), CohomPair(r + 1, ZERO),
+             GENERIC, "negative dimension in term 3 at r = 1: -1"),
+        ],
+        ids=["fixed", "symbolic"],
+    )
+    def test_negative_rank_rejected(self, a, c, assumption, message):
+        # h^0(C) injects into the smaller h^1(A), leaving rank h^1(A) - h^0(C) < 0 into H1B
+        with pytest.raises(InconsistentSequenceError, match=re.escape(message)):
+            solve_exact_sequence(a, c, assumption, connecting_injective=True)
 
 
 class TestTangentComputation:

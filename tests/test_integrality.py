@@ -199,7 +199,6 @@ class TestVerdicts:
         verdict = schwarzenberger_verdict(BundleClass(3, triple, 5))
         assert verdict.conclusion == "nonexistence"
         assert verdict.substitution == (3, 0)
-        assert verdict.parameter == "R"
         table = dict(verdict.admissible_residues)
         assert table[3] == ()
         # the reported C(t+1,1) coefficient, after r = 3R, in lowest terms

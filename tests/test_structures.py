@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from multistruct.arith import MultiPoly, var
+from multistruct.cohomology import ConicBundle
 from multistruct.structures import (
     chi_template,
     conic_layer,
@@ -40,11 +41,11 @@ class TestHilbertOfLayers:
         assert hilbert_of_layers(triple_plane_structure()) == expected
 
     def test_single_layers(self):
-        assert hilbert_of_layers((conic_layer(0, 0),)) == 2 * t + 1
+        assert hilbert_of_layers((conic_layer(ConicBundle(0, 0)),)) == 2 * t + 1
         assert hilbert_of_layers((plane_layer(0),)) == ((t + 2) * (t + 1)).scalar_div(2)
 
     def test_layer_constructors(self):
-        assert conic_layer(1, -2) == 2 * t + r - 3
+        assert conic_layer(ConicBundle(1, -2)) == 2 * t + r - 3
         shifted = hilbert_of_layers((plane_layer(r),))
         assert shifted == ((t + r + 2) * (t + r + 1)).scalar_div(2)
         with pytest.raises(ValueError):
