@@ -48,6 +48,7 @@ SEQUENCES = "tests/test_cohomology.py::TestExactSequences"
 PROGRAM_EXIT = "tests/test_cli.py::TestProgramExit"
 EXIT_PATH = "tests/test_cli.py::TestOneExitPath"
 SYMBOLIC = "tests/test_graded.py::TestSymbolicInjectivity"
+FAST_PATHS = "tests/test_arith.py::TestFastPaths"
 
 # (name, file, snippet, replacement, test node ids that must catch it)
 MUTANTS = (
@@ -548,6 +549,27 @@ MUTANTS = (
             f"{SEQUENCES}::test_inconsistent_fact_detected",
             "tests/test_cohomology.py::TestTangentComputation::test_symbolic_tangent_dimension",
         ],
+    ),
+    (
+        "n-ary sum drops a denominator scale",
+        ARITH,
+        "                out[key] = get(key, 0) + c * f\n",
+        "                out[key] = get(key, 0) + c\n",
+        [f"{FAST_PATHS}::test_sum_matches_repeated_addition"],
+    ),
+    (
+        "truncated product bound off by one",
+        CHOW,
+        "truncate(b, n - i) for i, part",
+        "truncate(b, n - i + 1) for i, part",
+        ["tests/test_chow.py::TestTruncate::test_truncated_product_matches_truncating_the_full_product"],
+    ),
+    (
+        "shifted-binomial cache keyed on the shift alone",
+        ARITH,
+        "    key = (s, n)\n",
+        "    key = s\n",
+        [f"{FAST_PATHS}::test_shifted_binomial_matches_the_substitution_route"],
     ),
 )
 

@@ -35,7 +35,7 @@ format_poly prints the text form of the reports, e.g.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Protocol, Tuple
+from typing import Iterable, Mapping, Protocol, Tuple
 
 from . import EngineError, _kernels
 
@@ -126,16 +126,13 @@ class MultiPoly:
         if not terms:
             self._num, self._den = {}, 1
             return
-        pairs: dict = {}
+        monomials = []
         for exp, coeff in terms.items():
             key = pack(exp)
             n, d = _pair(coeff)
-            if n:
-                pairs[key] = n, d
-        den = math.lcm(*[d for _, d in pairs.values()])
-        # A pair need not be in lowest terms, so a common factor may remain.
-        reduced = MultiPoly._reduced({key: n * (den // d) for key, (n, d) in pairs.items()}, den)
-        self._num, self._den = reduced._num, reduced._den
+            monomials.append(MultiPoly._reduced({key: n} if n else {}, d))
+        total = MultiPoly.sum(monomials)
+        self._num, self._den = total._num, total._den
 
     @classmethod
     def _reduced(cls, num: dict, den: int) -> "MultiPoly":
@@ -209,25 +206,35 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        da, db = self._den, other._den
-        if da == db:
-            out = dict(self._num)
-            terms = other._num.items()
-        else:
-            g = math.gcd(da, db)
-            fa, fb = db // g, da // g
-            da *= fa
-            out = {exp: c * fa for exp, c in self._num.items()}
-            terms = [(exp, c * fb) for exp, c in other._num.items()]
-        for exp, c in terms:
+        if self._den != other._den:
+            return MultiPoly.sum((self, other))
+        out = dict(self._num)
+        for exp, c in other._num.items():
             c += out.get(exp, 0)
             if c:
                 out[exp] = c
             else:
                 del out[exp]
-        return MultiPoly._reduced(out, da)
+        return MultiPoly._reduced(out, self._den)
 
     __radd__ = __add__
+
+    @staticmethod
+    def sum(terms: Iterable["MultiPoly | Scalar"]) -> "MultiPoly":
+        """The sum of polynomials and scalars, reduced once.
+
+        Every numerator dict is scaled to the common denominator and merged
+        into one dict, so no partial sum is built or reduced.
+        """
+        polys = [as_poly(p) for p in terms]
+        den = math.lcm(*[p._den for p in polys])
+        out: dict = {}
+        get = out.get
+        for p in polys:
+            f = den // p._den
+            for key, c in p._num.items():
+                out[key] = get(key, 0) + c * f
+        return MultiPoly._reduced({key: c for key, c in out.items() if c}, den)
 
     def __neg__(self) -> "MultiPoly":
         res = MultiPoly.__new__(MultiPoly)
@@ -313,7 +320,7 @@ class MultiPoly:
                 powers[key] = binds[shift] ** e
             return powers[key]
 
-        total = MultiPoly()
+        pieces = []
         for key, c in self._num.items():
             residual = key
             factors = []
@@ -322,11 +329,11 @@ class MultiPoly:
                 if e:
                     residual -= (e << shift) + (e << _DEGREE_SHIFT)
                     factors.append(power_of(shift, e))
-            piece = MultiPoly._reduced({residual: c}, 1)
+            piece = MultiPoly._reduced({residual: c}, self._den)
             for factor in factors:
                 piece = piece * factor
-            total = total + piece
-        return total.scalar_div(self._den)
+            pieces.append(piece)
+        return MultiPoly.sum(pieces)
 
     # -- equality and display ---------------------------------------------
 
@@ -379,11 +386,23 @@ def binomial_poly(n: int) -> MultiPoly:
     """The integer-valued basis polynomial C(t+n, n) = (t+n)...(t+1)/n!."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("binomial_poly needs n >= 0")
-    t = var("t")
-    prod = MultiPoly.const(1)
-    for j in range(1, n + 1):
-        prod = prod * (t + j)
-    return prod.scalar_div(math.factorial(n))
+    return shifted_binomial(0, n)
+
+
+# (s, n) -> C(t-s+n, n): each binomial is built once per process
+_BINOMIALS: dict = {}
+
+
+def shifted_binomial(s: int, n: int) -> MultiPoly:
+    """C(t-s+n, n) = (t-s+1)...(t-s+n)/n!, built from its linear factors, for n >= 0."""
+    key = (s, n)
+    if key not in _BINOMIALS:
+        t = var("t")
+        prod = MultiPoly.const(1)
+        for j in range(1, n + 1):
+            prod = prod * (t + (j - s))
+        _BINOMIALS[key] = prod.scalar_div(math.factorial(n))
+    return _BINOMIALS[key]
 
 
 # -- serialization ----------------------------------------------------------

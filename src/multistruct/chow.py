@@ -25,7 +25,7 @@ import math
 from typing import Sequence
 
 from . import EngineError, Value
-from .arith import MultiPoly, Scalar, as_poly, exponent, var
+from .arith import MultiPoly, Scalar, as_poly, exponent, shifted_binomial, var
 
 MAX_AMBIENT = 8
 
@@ -34,6 +34,21 @@ def truncate(p: MultiPoly, n: int) -> MultiPoly:
     """p mod h^(n+1): the terms of h-degree at most n."""
     num, den = p.numerators()
     return MultiPoly._reduced({key: c for key, c in num.items() if exponent(key, "h") <= n}, den)
+
+
+def truncated_product(a: MultiPoly, b: MultiPoly, n: int) -> MultiPoly:
+    """truncate(a * b, n), without forming the terms the truncation drops.
+
+    The h^i part of a meets only the terms of b of h-degree at most n - i,
+    so each part is multiplied by that truncation of b alone.
+    """
+    num, den = a.numerators()
+    parts: dict = {}
+    for key, c in num.items():
+        parts.setdefault(exponent(key, "h"), {})[key] = c
+    return MultiPoly.sum(
+        MultiPoly._reduced(part, den) * truncate(b, n - i) for i, part in parts.items() if i <= n
+    )
 
 
 class BundleClass(Value):
@@ -69,15 +84,16 @@ def split_bundle(degrees: Sequence[MultiPoly | Scalar], n: int) -> BundleClass:
 
 
 def _elementary_symmetric(values: list[MultiPoly]) -> list[MultiPoly]:
-    k = len(values)
-    e = [MultiPoly.zero()] * (k + 1)
-    e[0] = MultiPoly.const(1)
-    count = 0
+    e = []  # e[j] is e_(j+1) of the values so far; e_0 = 1 is never multiplied
     for v in values:
-        count += 1
-        for j in range(count, 0, -1):
+        # e_j += v e_(j-1) from the top down, so each slot reads the old e_(j-1);
+        # the new top slot is assigned, and e_1 gains v itself
+        e.append(v * e[-1] if e else v)
+        for j in range(len(e) - 2, 0, -1):
             e[j] = e[j] + v * e[j - 1]
-    return e[1:]
+        if len(e) > 1:
+            e[0] = e[0] + v
+    return e
 
 
 def _newton_sum(c: Sequence[MultiPoly], p: list[MultiPoly], k: int) -> MultiPoly:
@@ -85,9 +101,8 @@ def _newton_sum(c: Sequence[MultiPoly], p: list[MultiPoly], k: int) -> MultiPoly
 
     Newton's identities read p_k = this sum + (-1)^(k-1) k c_k.
     """
-    return sum(
-        ((-1) ** (i - 1) * c[i - 1] * p[k - i - 1] for i in range(1, min(k, len(c) + 1))),
-        MultiPoly.zero(),
+    return MultiPoly.sum(
+        (-1) ** (i - 1) * c[i - 1] * p[k - i - 1] for i in range(1, min(k, len(c) + 1))
     )
 
 
@@ -105,10 +120,9 @@ def chern_character(B: BundleClass) -> MultiPoly:
     n = B.ambient_dim
     p = _power_sums(B.chern, n)
     h = var("h")
-    ch = MultiPoly.const(B.rank)
-    for k in range(1, n + 1):
-        ch = ch + p[k - 1].scalar_div(math.factorial(k)) * h**k
-    return ch
+    return MultiPoly.sum(
+        [B.rank, *(p[k - 1].scalar_div(math.factorial(k)) * h**k for k in range(1, n + 1))]
+    )
 
 
 def chern_from_character(ch: MultiPoly, rank: int, n: int) -> list[MultiPoly]:
@@ -150,9 +164,10 @@ def wedge_powers(B: BundleClass) -> tuple[BundleClass, BundleClass]:
     ch = chern_character(B)
     psi2 = adams_operation(2, ch)
     psi3 = adams_operation(3, ch)
-    square = truncate(ch * ch, n)
+    square = truncated_product(ch, ch, n)
     ch2 = (square - psi2).scalar_div(2)
-    ch3 = (truncate(square * ch, n) - 3 * truncate(ch * psi2, n) + 2 * psi3).scalar_div(6)
+    cube = truncated_product(square, ch, n)
+    ch3 = (cube - 3 * truncated_product(ch, psi2, n) + 2 * psi3).scalar_div(6)
     c_wedge2 = chern_from_character(ch2, 3, n)
     c_wedge3 = chern_from_character(ch3, 1, n)
     for extra in c_wedge3[1:]:
@@ -185,23 +200,26 @@ def todd_class(n: int) -> MultiPoly:
     for k in range(1, n + 1):
         G[k] = -sum(f[i] * G[k - i] * D ** (i - 1) for i in range(1, k + 1))
     h = var("h")
-    base = sum((h**k * G[k]).scalar_div(D**k) for k in range(n + 1))
-    td = MultiPoly.const(1)
-    for _ in range(n + 1):
-        td = truncate(td * base, n)
+    base = MultiPoly.sum((h**k * G[k]).scalar_div(D**k) for k in range(n + 1))
+    td = base
+    for _ in range(n):
+        td = truncated_product(td, base, n)
     return td
 
 
 def _exp(a: MultiPoly, n: int) -> MultiPoly:
     """exp(a*h) truncated at h^n: h^k coefficient a^k / k!."""
     ah = a * var("h")
-    return sum((ah**k).scalar_div(math.factorial(k)) for k in range(n + 1))
+    terms = [MultiPoly.const(1)]
+    for k in range(1, n + 1):
+        terms.append((terms[-1] * ah).scalar_div(k))
+    return MultiPoly.sum(terms)
 
 
 @functools.cache
 def twisted_todd(n: int) -> MultiPoly:
-    """exp(th) td(P^n), untruncated.  Cached per n, so callers share one immutable value."""
-    return _exp(var("t"), n) * todd_class(n)
+    """exp(th) td(P^n), truncated at h^n.  Cached per n, so callers share one immutable value."""
+    return truncated_product(_exp(var("t"), n), todd_class(n), n)
 
 
 def _riemann_roch(ch: MultiPoly, n: int) -> MultiPoly:
@@ -211,7 +229,7 @@ def _riemann_roch(ch: MultiPoly, n: int) -> MultiPoly:
     the degree-n coefficient is read as that pairing, without the product.
     """
     series = twisted_todd(n)
-    return sum(ch.coeff_of("h", k) * series.coeff_of("h", n - k) for k in range(n + 1))
+    return MultiPoly.sum(ch.coeff_of("h", k) * series.coeff_of("h", n - k) for k in range(n + 1))
 
 
 def euler_characteristic(B: BundleClass) -> MultiPoly:
@@ -261,7 +279,7 @@ def specialize(p: MultiPoly, B: BundleClass) -> MultiPoly:
 
 def _root_character(roots: list[MultiPoly], n: int) -> MultiPoly:
     """ch of a formal sum of line bundles with the given first Chern roots."""
-    return sum(_exp(a, n) for a in roots)
+    return MultiPoly.sum(_exp(a, n) for a in roots)
 
 
 def splitting_oracle(rank: int, n: int = 5) -> dict[str, bool]:
@@ -315,18 +333,13 @@ def koszul_complete_intersection(degrees: Sequence[int], n: int = 5) -> MultiPol
     For Y cut out by hypersurfaces of the given degrees,
       chi_Y(t) = sum over subsets S of (-1)^|S| C(t - sum(S) + n, n),
     with each binomial built from its linear factors as
-    (t - sum(S) + 1) ... (t - sum(S) + n) / n!.
+    (t - sum(S) + 1) ... (t - sum(S) + n) / n!, once per (sum(S), n) in a
+    process (arith.shifted_binomial).
     Serves as the independent oracle for koszul_euler on split bundles of
     the form O(-d1) + O(-d2) + O(-d3).
     """
-    t = var("t")
-    total = MultiPoly.zero()
-    d = list(degrees)
-    for mask in range(1 << len(d)):
-        shift = sum(d[i] for i in range(len(d)) if mask >> i & 1)
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        prod = MultiPoly.const(sign)
-        for j in range(1, n + 1):
-            prod = prod * (t + (j - shift))
-        total = total + prod
-    return total.scalar_div(math.factorial(n))
+    return MultiPoly.sum(
+        (-1) ** bin(mask).count("1")
+        * shifted_binomial(sum(d for i, d in enumerate(degrees) if mask >> i & 1), n)
+        for mask in range(1 << len(degrees))
+    )

@@ -49,12 +49,11 @@ from .chow import (
 )
 from .cohomology import (
     Assumption,
+    double_conic_side_pairs,
     double_conic_side_terms,
     ext_vanishing_claim,
     family_dimension,
     format_dim,
-    h_p1,
-    pullback_degree,
     section_degrees,
     tangent_dimension_double_conic,
 )
@@ -209,11 +208,11 @@ def run_double_conic(args) -> list[ReplicationRecord]:
 
     assumption = Assumption(r_min=1) if args.r == "sym" else Assumption(fixed=args.r)
 
-    aux1_left, aux1_right, aux2_left, aux2_right = (
-        (str(bundle), h_p1(pullback_degree(bundle), assumption))
-        for bundle in double_conic_side_terms().values()
+    sides = double_conic_side_pairs(assumption)
+    aux1_left, aux1_right, aux2_left, aux2_right = zip(
+        map(str, double_conic_side_terms().values()), sides.values()
     )
-    aux1, aux2, main_pair = tangent_dimension_double_conic(assumption, symbolic_injectivity())
+    aux1, aux2, main_pair = tangent_dimension_double_conic(sides, assumption, symbolic_injectivity())
     zero = MultiPoly.zero()
     side = "side term of the auxiliary sequences, tensored by the dualizing sheaf"
     middle = "middle term solved from the six-term sequence"

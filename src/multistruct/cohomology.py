@@ -312,23 +312,28 @@ def double_conic_side_terms() -> dict[str, ConicBundle]:
     }
 
 
-def tangent_dimension_double_conic(
-    assumption: Assumption, injectivity_certificate: bool
-) -> tuple[CohomPair, CohomPair, CohomPair]:
-    """h^0 of the normal sheaf of a double conic, via three chained sequences.
-
-    Returns the solved pairs (aux1, aux2, main) of the two auxiliary
-    sequences and the main one; the tangent dimension is main.h1.
-    Requires the connecting-map injectivity certificate produced by the
-    graded module (graded.symbolic_injectivity); without it the main
-    sequence is underdetermined.
-    """
-    if not injectivity_certificate:
-        raise EngineError("missing injectivity certificate; cannot solve the middle sequence")
-    sides = {
+def double_conic_side_pairs(assumption: Assumption) -> dict[str, CohomPair]:
+    """(h^0, h^1) of each side term, keyed as in double_conic_side_terms."""
+    return {
         key: h_p1(pullback_degree(bundle), assumption)
         for key, bundle in double_conic_side_terms().items()
     }
+
+
+def tangent_dimension_double_conic(
+    sides: dict[str, CohomPair], assumption: Assumption, injectivity_certificate: bool
+) -> tuple[CohomPair, CohomPair, CohomPair]:
+    """h^0 of the normal sheaf of a double conic, via three chained sequences.
+
+    sides are the pairs of double_conic_side_pairs(assumption).  Returns
+    the solved pairs (aux1, aux2, main) of the two auxiliary sequences and
+    the main one; the tangent dimension is main.h1.  Requires the
+    connecting-map injectivity certificate produced by the graded module
+    (graded.symbolic_injectivity); without it the main sequence is
+    underdetermined.
+    """
+    if not injectivity_certificate:
+        raise EngineError("missing injectivity certificate; cannot solve the middle sequence")
     aux1 = solve_exact_sequence(sides["aux1_left"], sides["aux1_right"], assumption)
     aux2 = solve_exact_sequence(sides["aux2_left"], sides["aux2_right"], assumption)
     main = solve_exact_sequence(aux2, aux1, assumption, connecting_injective=True)

@@ -494,7 +494,7 @@ def alphabeta_builder(p: SectionPair) -> ComplexSpec:
 def _product(outer, inner) -> tuple[tuple[MultiPoly, ...], ...]:
     """The entry table of outer . inner, from their entry tables."""
     return tuple(
-        tuple(sum((x * y for x, y in zip(row, column)), MultiPoly.zero()) for column in zip(*inner))
+        tuple(MultiPoly.sum(x * y for x, y in zip(row, column)) for column in zip(*inner))
         for row in outer
     )
 

@@ -81,10 +81,7 @@ def to_binomial_basis(p: MultiPoly, n: int) -> BinomialExpansion:
 
 def from_binomial_basis(e: BinomialExpansion) -> MultiPoly:
     """Reassemble the polynomial; exact inverse of to_binomial_basis."""
-    total = MultiPoly.zero()
-    for i in range(e.n + 1):
-        total = total + binomial_poly(i) * e.coefficient(i)
-    return total
+    return MultiPoly.sum(binomial_poly(i) * e.coefficient(i) for i in range(e.n + 1))
 
 
 def congruence_residues(numerator: MultiPoly, m: int) -> set[int]:

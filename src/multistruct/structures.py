@@ -45,7 +45,7 @@ def hilbert_of_layers(layers: tuple[MultiPoly, ...]) -> MultiPoly:
     """Hilbert polynomial: the sum of the layer Euler characteristics."""
     if not layers:
         raise ValueError("a structure needs at least one layer")
-    return sum(layers, MultiPoly.zero())
+    return MultiPoly.sum(layers)
 
 
 def double_conic_structure() -> tuple[MultiPoly, ...]:

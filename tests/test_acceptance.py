@@ -32,12 +32,10 @@ from multistruct.cli import main
 from multistruct.cohomology import (
     Assumption,
     CohomPair,
-    double_conic_side_terms,
+    double_conic_side_pairs,
     ext_vanishing_claim,
     family_dimension,
     format_dim,
-    h_p1,
-    pullback_degree,
     tangent_dimension_double_conic,
 )
 from multistruct.graded import (
@@ -114,7 +112,8 @@ def test_criterion_01_hilbert_of_double_conic():
 def test_criterion_02_tangent_dimension():
     certificates = {rv: injectivity_certificate(rv) for rv in range(0, 7)}
     assumption = Assumption(r_min=1)
-    tangent = tangent_dimension_double_conic(assumption, all(certificates.values()))[2].h1
+    sides = double_conic_side_pairs(assumption)
+    tangent = tangent_dimension_double_conic(sides, assumption, all(certificates.values()))[2].h1
     family = family_dimension(assumption)
     ok = (
         all(certificates.values())
@@ -132,13 +131,9 @@ def test_criterion_02_tangent_dimension():
 @criterion(3)
 def test_criterion_03_twelve_displayed_dimensions():
     assumption = Assumption(r_min=1)
-    sides = double_conic_side_terms()
     from multistruct.cohomology import solve_exact_sequence
 
-    pairs = {
-        key: h_p1(pullback_degree(bundle), assumption)
-        for key, bundle in sides.items()
-    }
+    pairs = double_conic_side_pairs(assumption)
     pairs["middle1"] = solve_exact_sequence(pairs["aux1_left"], pairs["aux1_right"], assumption)
     pairs["middle2"] = solve_exact_sequence(pairs["aux2_left"], pairs["aux2_right"], assumption)
     zero = MultiPoly.zero()

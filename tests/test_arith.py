@@ -20,6 +20,7 @@ from multistruct.arith import (
     exponent,
     format_poly,
     pack,
+    shifted_binomial,
     unpack,
     var,
 )
@@ -478,3 +479,51 @@ class TestExponentGuards:
             MultiPoly({_exp(t=EXPONENT_LIMIT - 1): 1}) * (r + 1)
         with pytest.raises(EngineError):
             t**EXPONENT_LIMIT
+
+
+class TestFastPaths:
+    """The n-ary sum and the cached binomials against the slow exact paths."""
+
+    def test_sum_matches_repeated_addition(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            terms = [
+                random_poly(rng, names=("t", "r", "h"))
+                if rng.random() < 0.8
+                else Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                for _ in range(rng.randint(1, 6))
+            ]
+            expected = MultiPoly.zero()
+            for term in terms:
+                expected = expected + term
+            got = MultiPoly.sum(terms)
+            assert got == expected
+            assert got.numerators() == expected.numerators()
+
+    def test_sum_of_nothing_scalars_and_cancellation(self):
+        assert MultiPoly.sum([]) == MultiPoly.zero()
+        assert MultiPoly.sum(iter(())).numerators() == ({}, 1)
+        assert MultiPoly.sum([Fraction(1, 2), 3, Fraction(-1, 6)]) == Fraction(10, 3)
+        p = t.scalar_div(6) + r.scalar_div(4)
+        zero = MultiPoly.sum([p, -p, Fraction(1, 3), Fraction(-1, 3)])
+        assert zero.is_zero()
+        assert zero.numerators() == ({}, 1)
+        with pytest.raises(TypeError):
+            MultiPoly.sum([t, 1.5])
+
+    def test_shifted_binomial_matches_the_substitution_route(self):
+        # two degrees per shift, so a cache that ignored n would return a wrong one
+        for n in (0, 1, 2, 3, 5):
+            for s in range(-3, 7):
+                got = shifted_binomial(s, n)
+                assert got == binomial_poly(n).substitute({"t": t - s})
+                assert got.degree("t") == n
+                for value in range(s, s + 4):
+                    assert as_fraction(got.substitute({"t": value})) == math.comb(value - s + n, n)
+                assert shifted_binomial(s, n) is got
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, [1]])
+    def test_binomial_poly_rejects_bad_degrees_on_every_call(self, bad):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                binomial_poly(bad)

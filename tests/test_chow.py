@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import as_fraction
+from conftest import as_fraction, random_poly
 from multistruct import chow
 from multistruct.arith import MultiPoly, binomial_poly, var
 from multistruct.chow import (
@@ -24,6 +24,7 @@ from multistruct.chow import (
     splitting_oracle,
     todd_class,
     truncate,
+    truncated_product,
     twisted_todd,
     wedge_powers,
 )
@@ -42,6 +43,17 @@ class TestTruncate:
     def test_keeps_the_other_variables(self):
         p = (c1 + t * h) ** 3 + Fraction(1, 3) * h**2
         assert truncate(p, 1) == c1**3 + 3 * c1 * c1 * t * h
+
+    def test_truncated_product_matches_truncating_the_full_product(self):
+        rng = random.Random(31)
+        names = ("t", "h", "c1")
+        for _ in range(60):
+            a = random_poly(rng, names, max_degree=4)
+            b = random_poly(rng, names, max_degree=4)
+            for n in range(chow.MAX_AMBIENT + 1):
+                got = truncated_product(a, b, n)
+                assert got == truncate(a * b, n)
+                assert got.numerators() == truncate(a * b, n).numerators()
 
     def test_truncating_only_at_the_end_agrees(self):
         # reduction mod h^(n+1) is a ring map, so the untruncated products read
@@ -175,7 +187,7 @@ class TestEulerCharacteristic:
     def test_twisted_todd_cached_and_equal_to_the_product(self):
         for n in range(1, chow.MAX_AMBIENT + 1):
             exp_th = sum(Fraction(1, math.factorial(k)) * (t * h) ** k for k in range(n + 1))
-            assert twisted_todd(n) == exp_th * todd_class(n)
+            assert twisted_todd(n) == truncate(exp_th * todd_class(n), n)
             assert twisted_todd(n) is twisted_todd(n)
 
 

@@ -202,8 +202,8 @@ class TestFaultInjection:
                 lambda mp: mp.setattr(
                     cli,
                     "tangent_dimension_double_conic",
-                    lambda assumption, certified, f=cli.tangent_dimension_double_conic: f(
-                        assumption, False
+                    lambda sides, assumption, certified, f=cli.tangent_dimension_double_conic: f(
+                        sides, assumption, False
                     ),
                 ),
             ),

@@ -20,6 +20,7 @@ from multistruct.cohomology import (
     UndecidableSignError,
     UnderdeterminedError,
     _solve_chain,
+    double_conic_side_pairs,
     double_conic_side_terms,
     ext_vanishing_claim,
     family_dimension,
@@ -181,16 +182,9 @@ class TestConicBundles:
         assert pieces["quotient"] == ConicBundle(0, -3)
 
 
-def _side_pairs(assumption: Assumption) -> dict[str, CohomPair]:
-    return {
-        key: h_p1(pullback_degree(bundle), assumption)
-        for key, bundle in double_conic_side_terms().items()
-    }
-
-
 class TestExactSequences:
     def test_middle_term_solve(self):
-        sides = _side_pairs(GENERIC)
+        sides = double_conic_side_pairs(GENERIC)
         middle = solve_exact_sequence(sides["aux1_left"], sides["aux1_right"], GENERIC)
         assert middle == CohomPair(r - 1, 2 * r + 7)
         middle = solve_exact_sequence(sides["aux2_left"], sides["aux2_right"], GENERIC)
@@ -203,10 +197,10 @@ class TestExactSequences:
             "aux2_left": CohomPair(2 * r - 1, ZERO),
             "aux2_right": CohomPair(ZERO, r + 7),
         }
-        assert _side_pairs(GENERIC) == expected
+        assert double_conic_side_pairs(GENERIC) == expected
 
     def test_underdetermined_without_fact(self):
-        sides = _side_pairs(GENERIC)
+        sides = double_conic_side_pairs(GENERIC)
         aux1 = solve_exact_sequence(sides["aux1_left"], sides["aux1_right"], GENERIC)
         aux2 = solve_exact_sequence(sides["aux2_left"], sides["aux2_right"], GENERIC)
         with pytest.raises(UnderdeterminedError):
@@ -245,7 +239,7 @@ class TestExactSequences:
 
 class TestTangentComputation:
     def test_symbolic_tangent_dimension(self):
-        aux1, aux2, main = tangent_dimension_double_conic(GENERIC, True)
+        aux1, aux2, main = tangent_dimension_double_conic(double_conic_side_pairs(GENERIC), GENERIC, True)
         assert main.h1 == 2 * r + 15
         # the auxiliary pairs are the middle terms the main sequence was built from
         assert aux1 == CohomPair(r - 1, 2 * r + 7)
@@ -253,11 +247,12 @@ class TestTangentComputation:
 
     def test_requires_certificate(self):
         with pytest.raises(EngineError):
-            tangent_dimension_double_conic(GENERIC, False)
+            tangent_dimension_double_conic(double_conic_side_pairs(GENERIC), GENERIC, False)
 
     def test_fixed_values(self):
         for rv in (1, 2, 3, 10):
-            got = tangent_dimension_double_conic(Assumption(fixed=rv), True)[2].h1
+            fixed = Assumption(fixed=rv)
+            got = tangent_dimension_double_conic(double_conic_side_pairs(fixed), fixed, True)[2].h1
             assert got == MultiPoly.const(2 * rv + 15)
 
     def test_family_dimension_matches(self):
