@@ -49,6 +49,7 @@ PROGRAM_EXIT = "tests/test_cli.py::TestProgramExit"
 EXIT_PATH = "tests/test_cli.py::TestOneExitPath"
 SYMBOLIC = "tests/test_graded.py::TestSymbolicInjectivity"
 FAST_PATHS = "tests/test_arith.py::TestFastPaths"
+STORED_FORM = "tests/test_arith.py::TestStoredForm"
 
 # (name, file, snippet, replacement, test node ids that must catch it)
 MUTANTS = (
@@ -245,15 +246,15 @@ MUTANTS = (
     (
         "complete-intersection oracle specializes at O(d) instead of O(-d)",
         CLI,
-        "        if specialize(symbolic, split_bundle([-d for d in degrees], 5))",
-        "        if specialize(symbolic, split_bundle([d for d in degrees], 5))",
+        "        if specialize(symbolic, split_chern([-d for d in degrees]))",
+        "        if specialize(symbolic, split_chern([d for d in degrees]))",
         [f"{ORACLES}::test_koszul_equals_the_per_bundle_pipeline"],
     ),
     (
         "wedge oracle specializes lambda^2 at the dual bundle",
         CLI,
-        "        w2 = tuple(specialize(c, bundle) for c in lambda2.chern)",
-        "        w2 = tuple(specialize(c, split_bundle([-t for t in twists], 5)) for c in lambda2.chern)",
+        "        w2 = [specialize(c, chern) for c in lambda2.chern]",
+        "        w2 = [specialize(c, split_chern([-t for t in twists])) for c in lambda2.chern]",
         [f"{ORACLES}::test_wedge_equals_the_per_bundle_pipeline"],
     ),
     (
@@ -570,6 +571,27 @@ MUTANTS = (
         "    key = (s, n)\n",
         "    key = s\n",
         [f"{FAST_PATHS}::test_shifted_binomial_matches_the_substitution_route"],
+    ),
+    (
+        "binomial cache keyed on the shift alone",
+        ARITH,
+        "    key = (s, n)\n",
+        "    key = s\n",
+        ["tests/test_chow.py::TestKoszul::test_ci_oracle_equals_the_substitution_route"],
+    ),
+    (
+        "a scalar's exponent left in the degree field",
+        ARITH,
+        "                key -= (e << shift) + (e << _DEGREE_SHIFT)\n                c *= n**e\n",
+        "                key -= e << shift\n                c *= n**e\n",
+        [f"{STORED_FORM}::test_random_operations_match_reference"],
+    ),
+    (
+        "a Fraction value scaled by d**e instead of d**(top - e)",
+        ARITH,
+        "c *= d ** (top - e)",
+        "c *= d**e",
+        [f"{STORED_FORM}::test_random_operations_match_reference"],
     ),
 )
 

@@ -304,36 +304,63 @@ class MultiPoly:
     # -- substitution ------------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, "MultiPoly | Scalar"]) -> "MultiPoly":
-        """Exact substitution of polynomials or scalars for variables."""
-        binds: dict[int, MultiPoly] = {}  # by field shift
+        """Exact simultaneous substitution of polynomials or scalars for variables.
+
+        Every value is read in the variables of self before any binding, so
+        a polynomial value may name a variable that another binding replaces.
+        A scalar value n/d (an int, a Fraction or a constant polynomial)
+        stays in integers: a term holding the variable to the power e has
+        its numerator multiplied by n**e * d**(top - e), with top the
+        variable's degree in self, and its key loses e in the variable's
+        field and in the degree field; the denominator gains d**top once.
+        A polynomial value multiplies each term by its power, each power
+        built once per call.
+        """
+        if not bindings:
+            return self
+        scalars = []  # (field shift, n, d, top) per scalar value
+        polys = []  # (field shift, value) per polynomial value
+        den = self._den
         for name, value in bindings.items():
             if name not in _SHIFT:
                 raise ValueError(f"unknown variable {name!r}")
-            binds[_SHIFT[name]] = as_poly(value)
-        if not binds:
-            return self
-        powers: dict[tuple[int, int], MultiPoly] = {}
-
-        def power_of(shift: int, e: int) -> MultiPoly:
-            key = (shift, e)
-            if key not in powers:
-                powers[key] = binds[shift] ** e
-            return powers[key]
-
+            value = as_poly(value)
+            if value.is_constant():
+                n, d = value.constant_pair()
+                top = max(self.degree(name), 0) if d != 1 else 0
+                den *= d**top
+                scalars.append((_SHIFT[name], n, d, top))
+            else:
+                polys.append((_SHIFT[name], value))
+        powers: dict = {}
+        out: dict = {}
         pieces = []
         for key, c in self._num.items():
-            residual = key
+            for shift, n, d, top in scalars:
+                e = key >> shift & _MASK
+                key -= (e << shift) + (e << _DEGREE_SHIFT)
+                c *= n**e
+                if d != 1:
+                    c *= d ** (top - e)
             factors = []
-            for shift in binds:
+            for shift, value in polys:
                 e = key >> shift & _MASK
                 if e:
-                    residual -= (e << shift) + (e << _DEGREE_SHIFT)
-                    factors.append(power_of(shift, e))
-            piece = MultiPoly._reduced({residual: c}, self._den)
-            for factor in factors:
-                piece = piece * factor
-            pieces.append(piece)
-        return MultiPoly.sum(pieces)
+                    key -= (e << shift) + (e << _DEGREE_SHIFT)
+                    if (shift, e) not in powers:
+                        powers[shift, e] = value**e
+                    factors.append(powers[shift, e])
+            if not c:
+                continue
+            if factors:
+                piece = MultiPoly._reduced({key: c}, den)
+                for factor in factors:
+                    piece = piece * factor
+                pieces.append(piece)
+            else:
+                out[key] = out.get(key, 0) + c
+        total = MultiPoly._reduced({key: c for key, c in out.items() if c}, den)
+        return MultiPoly.sum((total, *pieces)) if pieces else total
 
     # -- equality and display ---------------------------------------------
 

@@ -15,7 +15,10 @@ symbolic splitting roots a1, a2, a3 (see splitting_oracle).  A class
 derived once with symbolic Chern classes c1, c2, c3 serves every concrete
 bundle through specialize, so the split-bundle oracles of the wedge and
 Koszul targets check the symbolic result directly instead of re-running
-the pipeline per bundle.
+the pipeline per bundle.  Their bundles have integer degrees, so they are
+evaluated at integer Chern classes (split_chern in plain ints), which
+MultiPoly.substitute takes in its one-pass scalar route; symbolic bundles,
+such as the splitting roots, keep the polynomial route.
 """
 
 from __future__ import annotations
@@ -78,14 +81,18 @@ def line_bundle(degree: MultiPoly | Scalar, n: int) -> BundleClass:
 
 def split_bundle(degrees: Sequence[MultiPoly | Scalar], n: int) -> BundleClass:
     """Direct sum of line bundles, encoded by elementary symmetric functions."""
-    degs = [as_poly(d) for d in degrees]
-    elem = _elementary_symmetric(degs)
-    return BundleClass(len(degs), elem, n)
+    return BundleClass(len(degrees), split_chern(degrees), n)
 
 
-def _elementary_symmetric(values: list[MultiPoly]) -> list[MultiPoly]:
-    e = []  # e[j] is e_(j+1) of the values so far; e_0 = 1 is never multiplied
-    for v in values:
+def split_chern(degrees: Sequence[MultiPoly | Scalar]) -> list:
+    """c_1..c_r of the direct sum of line bundles O(d_1) + ... + O(d_r).
+
+    The elementary symmetric functions of the degrees, formed in their own
+    arithmetic: plain ints for int degrees, so an integer split bundle is
+    checked without polynomial arithmetic.
+    """
+    e: list = []  # e[j] is e_(j+1) of the degrees so far; e_0 = 1 is never multiplied
+    for v in degrees:
         # e_j += v e_(j-1) from the top down, so each slot reads the old e_(j-1);
         # the new top slot is assigned, and e_1 gains v itself
         e.append(v * e[-1] if e else v)
@@ -262,16 +269,18 @@ def koszul_euler(B: BundleClass) -> MultiPoly:
     return chi
 
 
-def specialize(p: MultiPoly, B: BundleClass) -> MultiPoly:
-    """p with (c1, c2, ...) := B.chern.
+def specialize(p: MultiPoly, chern: Sequence[MultiPoly | Scalar]) -> MultiPoly:
+    """p with (c1, c2, ...) := chern, the Chern classes of a bundle B.
 
     Substitution is a ring homomorphism, and every step of chern_character,
     wedge_powers, euler_characteristic and koszul_euler is a Q-algebra
     operation on the Chern classes, so a result derived once with symbolic
     c1..c_rank specializes to the result for B; the self-checks that hold
-    symbolically hold at every specialization.
+    symbolically hold at every specialization.  chern is B.chern, or plain
+    ints (split_chern of integer degrees), which substitute takes in one
+    integer pass.
     """
-    return p.substitute({f"c{i}": c for i, c in enumerate(B.chern, start=1)})
+    return p.substitute({f"c{i}": c for i, c in enumerate(chern, start=1)})
 
 
 # -- independent verification path ------------------------------------------
@@ -292,7 +301,7 @@ def splitting_oracle(rank: int, n: int = 5) -> dict[str, bool]:
     if not 1 <= rank <= 3:
         raise ValueError("splitting_oracle supports rank 1..3")
     roots = [var(f"a{i}") for i in range(1, rank + 1)]
-    rooted = split_bundle(roots, n)
+    rooted = split_bundle(roots, n).chern
     symbolic = BundleClass(rank, [var(f"c{i}") for i in range(1, rank + 1)], n)
 
     report: dict[str, bool] = {}
@@ -305,7 +314,7 @@ def splitting_oracle(rank: int, n: int = 5) -> dict[str, bool]:
     if rank == 3:
         lam2, lam3 = wedge_powers(symbolic)
         pair_roots = [roots[0] + roots[1], roots[0] + roots[2], roots[1] + roots[2]]
-        lam2_roots = _elementary_symmetric(pair_roots)
+        lam2_roots = split_chern(pair_roots)
         report["wedge2"] = all(
             specialize(lam2.chern[i], rooted) == lam2_roots[i] for i in range(3)
         )

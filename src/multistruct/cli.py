@@ -43,7 +43,7 @@ from .chow import (
     koszul_complete_intersection,
     koszul_euler,
     specialize,
-    split_bundle,
+    split_chern,
     splitting_oracle,
     wedge_powers,
 )
@@ -433,11 +433,11 @@ def run_wedge(args) -> list[ReplicationRecord]:
     trials = 50
     for _ in range(trials):
         twists = [rng.randint(-5, 5) for _ in range(3)]
-        bundle = split_bundle(twists, 5)
-        w2 = tuple(specialize(c, bundle) for c in lambda2.chern)
-        w3 = specialize(lambda3.chern[0], bundle)
+        chern = split_chern(twists)
+        w2 = [specialize(c, chern) for c in lambda2.chern]
+        w3 = specialize(lambda3.chern[0], chern)
         pairwise = [twists[0] + twists[1], twists[0] + twists[2], twists[1] + twists[2]]
-        if w2 == split_bundle(pairwise, 5).chern and w3 == sum(twists):
+        if w2 == split_chern(pairwise) and w3 == sum(twists):
             agree += 1
     records.append(
         ReplicationRecord(
@@ -487,7 +487,7 @@ def run_koszul(args) -> list[ReplicationRecord]:
         )
     ]
 
-    ci = specialize(symbolic, split_bundle([-1, -1, -2], 5))
+    ci = specialize(symbolic, split_chern([-1, -1, -2]))
     t = var("t")
     records.append(
         ReplicationRecord(
@@ -506,7 +506,7 @@ def run_koszul(args) -> list[ReplicationRecord]:
     good = sum(
         1
         for degrees in triples
-        if specialize(symbolic, split_bundle([-d for d in degrees], 5))
+        if specialize(symbolic, split_chern([-d for d in degrees]))
         == koszul_complete_intersection(degrees)
     )
     records.append(

@@ -104,7 +104,7 @@ def derived_chi_formula(
     cached per bundle) and specialized at (c1, c2, c3).
     """
     symbolic = chow.koszul_euler(chow.BundleClass(3, [var("c1"), var("c2"), var("c3")], 5))
-    return chow.specialize(symbolic, chow.BundleClass(3, [c1, c2, c3], 5))
+    return chow.specialize(symbolic, (c1, c2, c3))
 
 
 def chi_template(template: Template, c1, c2, c3) -> MultiPoly:

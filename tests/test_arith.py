@@ -233,6 +233,10 @@ class TestStoredForm:
             scalar = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 9)))
             n = rng.randint(0, 3)
             value = _ref_random(rng)
+            with_r = {_exp(r=1): Fraction(2, 3), **value}  # a polynomial value naming r
+            root = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7)))
+            vanishing = a * (r - root)  # zero at r = root
+            at_r = _ref_substitute(ra, "r", {_exp(): scalar})
             results = [
                 (a, ra),
                 (a + b, _ref_add(ra, rb)),
@@ -243,7 +247,25 @@ class TestStoredForm:
                 (a**n, _ref_pow(ra, n)),
                 (a.scalar_div(scalar), {e: c / scalar for e, c in ra.items()}),
                 (a.substitute({"t": MultiPoly(value)}), _ref_substitute(ra, "t", value)),
-                (a.substitute({"r": scalar}), _ref_substitute(ra, "r", {_exp(): scalar})),
+                (a.substitute({"r": scalar}), at_r),
+                (a.substitute({"s": -n - 1}), _ref_substitute(ra, "s", {_exp(): Fraction(-n - 1)})),
+                (
+                    a.substitute({"t": MultiPoly.const(scalar)}),
+                    _ref_substitute(ra, "t", {_exp(): scalar}),
+                ),
+                (
+                    a.substitute({"t": -n, "r": scalar}),
+                    _ref_substitute(_ref_substitute(ra, "t", {_exp(): Fraction(-n)}), "r", {_exp(): scalar}),
+                ),
+                (vanishing.substitute({"r": root}), {}),
+                # simultaneous: the polynomial value for t names r, which stays r
+                (a.substitute({"t": MultiPoly(with_r), "r": scalar}), _ref_substitute(at_r, "t", with_r)),
+                (
+                    a.substitute({"r": scalar, "s": MultiPoly(with_r), "t": Fraction(1, 3)}),
+                    _ref_substitute(
+                        _ref_substitute(at_r, "t", {_exp(): Fraction(1, 3)}), "s", with_r
+                    ),
+                ),
                 (
                     a.coeff_of("t", 1),
                     {(0,) + e[1:]: c for e, c in ra.items() if e[0] == 1},  # t is first

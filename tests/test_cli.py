@@ -1138,48 +1138,59 @@ def _count_calls(argv: list[str]) -> dict[str, int]:
 
 
 class TestSpecializedOracles:
-    """The split-bundle oracles specialize the symbolic classes derived once per runner."""
+    """The split-bundle oracles evaluate the symbolic classes, derived once per runner,
+    at each drawn bundle's integer Chern classes."""
 
     SYMBOLIC = BundleClass(3, (var("c1"), var("c2"), var("c3")), 5)
 
     @staticmethod
-    def _run(monkeypatch, target: str) -> tuple[dict[str, ReplicationRecord], list[BundleClass]]:
-        """The target's records and every bundle its runner specializes at, in call order."""
-        bundles = []
+    def _run(monkeypatch, target: str) -> tuple[dict[str, ReplicationRecord], list[tuple]]:
+        """The target's records and every Chern-class tuple its runner evaluates at, in call order."""
+        evaluated = []
 
-        def recording(p, B, f=chow.specialize):
-            bundles.append(B)
-            return f(p, B)
+        def recording(p, chern, f=chow.specialize):
+            evaluated.append(tuple(chern))
+            return f(p, chern)
 
         monkeypatch.setattr(cli, "specialize", recording)
         args = parse_args(["replicate", target])
         args.seed = cli._read_seed()  # as main reads it before any runner
         records = RUNNERS[target](args)
-        return {rec.claim_id: rec for rec in records}, bundles
+        return {rec.claim_id: rec for rec in records}, evaluated
 
     # the default seed and the MULTISTRUCT_SEED values of the benchmark's seeds 101-103
     @pytest.mark.parametrize("seed", ["0", "844259548", "964632535", "243282985"])
     def test_wedge_equals_the_per_bundle_pipeline(self, monkeypatch, seed):
         monkeypatch.setenv("MULTISTRUCT_SEED", seed)
-        records, bundles = self._run(monkeypatch, "wedge")
+        records, evaluated = self._run(monkeypatch, "wedge")
         assert records["wedge/split-agreement"].computed_value == "50/50 random split bundles agree"
         rng = random.Random(int(seed))
         drawn = [chow.split_bundle([rng.randint(-5, 5) for _ in range(3)], 5) for _ in range(50)]
-        # four specializations per trial: the three lambda^2 classes and c1 of lambda^3
-        assert bundles == [bundle for bundle in drawn for _ in range(4)]
+        # four evaluations per draw, at its Chern classes: the three lambda^2
+        # classes and c1 of lambda^3
+        assert len(evaluated) == 4 * 50
+        assert all(type(c) is int for chern in evaluated for c in chern)
+        assert evaluated == [bundle.chern for bundle in drawn for _ in range(4)]
+        # the slow exact reference: the per-bundle pipeline
         lam2, lam3 = chow.wedge_powers(self.SYMBOLIC)
         for bundle in drawn:
             w2, w3 = chow.wedge_powers(bundle)
-            assert w2.chern == tuple(chow.specialize(c, bundle) for c in lam2.chern)
-            assert w3.chern == (chow.specialize(lam3.chern[0], bundle),)
+            assert w2.chern == tuple(chow.specialize(c, bundle.chern) for c in lam2.chern)
+            assert w3.chern == (chow.specialize(lam3.chern[0], bundle.chern),)
 
     def test_koszul_equals_the_per_bundle_pipeline(self, monkeypatch):
-        records, bundles = self._run(monkeypatch, "koszul")
+        records, evaluated = self._run(monkeypatch, "koszul")
         assert records["koszul/ci-oracle"].computed_value == "10/10 degree triples agree"
-        assert len(bundles) == 11  # ci[1,1,2] and the ten oracle triples
+        triples = [(d1, d2, d3) for d1 in range(1, 4) for d2 in range(d1, 4) for d3 in range(d2, 4)]
+        # ci[1,1,2] and the ten oracle triples, at O(-d1) + O(-d2) + O(-d3)
+        bundles = [chow.split_bundle([-d for d in degrees], 5) for degrees in [(1, 1, 2), *triples]]
+        assert len(evaluated) == 11
+        assert all(type(c) is int for chern in evaluated for c in chern)
+        assert evaluated == [bundle.chern for bundle in bundles]
+        # the slow exact reference: the per-bundle pipeline
         symbolic = chow.koszul_euler(self.SYMBOLIC)
-        for bundle in bundles:
-            assert chow.koszul_euler(bundle) == chow.specialize(symbolic, bundle)
+        for bundle, chern in zip(bundles, evaluated):
+            assert chow.koszul_euler(bundle) == chow.specialize(symbolic, chern)
 
     @pytest.mark.parametrize("power", [2, 3])
     def test_a_wrong_symbolic_wedge_fails_the_oracle(self, monkeypatch, power):
