@@ -41,6 +41,7 @@ SECTIONS = "tests/test_graded.py::TestSectionPairs"
 STEP = "tests/test_graded.py::TestSliceStep"
 PLANTED = "test_common_zero_check_matches_planted_roots_and_dense_sylvester"
 ORACLES = "tests/test_cli.py::TestSpecializedOracles"
+ONCE = "tests/test_cli.py::TestComputedOnce"
 COMMAND_LINE = "tests/test_cli.py::TestCommandLine"
 SIGNS = "tests/test_cohomology.py::TestOneSignProcedure"
 P1 = "tests/test_cohomology.py::TestLineBundleCohomology"
@@ -170,9 +171,44 @@ MUTANTS = (
     (
         "MULTISTRUCT_SEED read by int() alone",
         CLI,
-        "    if text and not _SEED.fullmatch(text):",
+        "    if text and not (len(digits) <= SEED_DIGITS_CAP and digits.isascii() and digits.isdigit()):",
         "    if False:",
         ["tests/test_cli.py::TestSeed::test_rejected_naming_the_variable"],
+    ),
+    (
+        "seed check accepts 19 digits",
+        CLI,
+        "len(digits) <= SEED_DIGITS_CAP and",
+        "len(digits) <= SEED_DIGITS_CAP + 1 and",
+        ["tests/test_cli.py::TestPatternFreeChecks"],
+    ),
+    (
+        "seed check accepts non-ASCII digits",
+        CLI,
+        " and digits.isascii() and digits.isdigit()):",
+        " and digits.isdigit()):",
+        ["tests/test_cli.py::TestPatternFreeChecks"],
+    ),
+    (
+        "empty-slice shortcut also taken for one-dimensional slices",
+        GRADED,
+        "        if not full or below is not None",
+        "        if full <= 1 or below is not None",
+        [f"{STEP}::test_only_empty_slices_are_ranked_unbuilt"],
+    ),
+    (
+        "empty slices built again",
+        GRADED,
+        "        if not full or below is not None",
+        "        if below is not None",
+        [f"{STEP}::test_absent_component_is_masked", f"{ONCE}::test_replicate_all_census_in_a_fresh_process"],
+    ),
+    (
+        "entry terms converted on every call",
+        GRADED,
+        "@functools.cache\ndef _su_terms(",
+        "def _su_terms(",
+        [f"{ONCE}::test_replicate_all_census_in_a_fresh_process"],
     ),
     (
         "slice step reads B at ds == 1",

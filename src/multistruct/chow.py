@@ -122,8 +122,9 @@ def _power_sums(chern: Sequence[MultiPoly], upto: int) -> list[MultiPoly]:
     return p
 
 
+@functools.cache
 def chern_character(B: BundleClass) -> MultiPoly:
-    """ch(B) = rank + sum p_k / k! h^k, truncated at the ambient dimension."""
+    """ch(B) = rank + sum p_k / k! h^k, truncated at the ambient dimension; cached per bundle."""
     n = B.ambient_dim
     p = _power_sums(B.chern, n)
     h = var("h")
@@ -146,8 +147,9 @@ def chern_from_character(ch: MultiPoly, rank: int, n: int) -> list[MultiPoly]:
     return c
 
 
+@functools.cache
 def adams_operation(k: int, c: MultiPoly) -> MultiPoly:
-    """psi^k: the ring map h -> k*h, which scales the h^i component by k^i."""
+    """psi^k: the ring map h -> k*h, which scales the h^i component by k^i; cached."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("Adams operations need k >= 1")
     return c.substitute({"h": k * var("h")})

@@ -733,11 +733,11 @@ POINT_DIGITS_CAP = 100
 # took 0.28 s with 5 points and 1.62 s with 10,000.  The count is read from
 # the commas before any coordinate is parsed.
 POINTS_CAP = 64
-_COORDINATE = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+# Compiled on first use, by re's own cache: only --points reads it.
+_COORDINATE = r"-?([0-9]+)(?:/([0-9]+))?"
 
 # Most digits accepted in MULTISTRUCT_SEED, which must read [-]digits.
 SEED_DIGITS_CAP = 18
-_SEED = re.compile(r"-?[0-9]{1,%d}" % SEED_DIGITS_CAP)
 
 # The exit-2 message of each target that needs r >= 0, from --r and from
 # both --window bounds; double-conic also needs --r >= 1.
@@ -801,7 +801,7 @@ def _parse_window(text: str) -> range:
 
 def _coordinate(text: str) -> tuple[int, int]:
     """(numerator, denominator) of a --points coordinate [-]p or [-]p/q."""
-    m = _COORDINATE.fullmatch(text)
+    m = re.fullmatch(_COORDINATE, text)
     if not m or any(len(g or "") > POINT_DIGITS_CAP for g in m.groups()):
         raise ValueError(
             f"--points coordinates must read p or p/q with at most "
@@ -837,7 +837,8 @@ def _parse_points(text: str) -> list[tuple[int, int]]:
 def _read_seed() -> int:
     """MULTISTRUCT_SEED as an int; unset or empty means 0."""
     text = os.environ.get("MULTISTRUCT_SEED", "")
-    if text and not _SEED.fullmatch(text):
+    digits = text.removeprefix("-")  # ASCII digits only: str.isdigit also takes "²" and "١"
+    if text and not (len(digits) <= SEED_DIGITS_CAP and digits.isascii() and digits.isdigit()):
         raise ValueError(
             f"MULTISTRUCT_SEED must read [-]digits with at most {SEED_DIGITS_CAP} digits, "
             f"got {_shown(text)!r}"
@@ -901,7 +902,8 @@ options:
 """
 
 # A word argparse reads as a flag: "-" and more, no space, not a negative number.
-_FLAG_LIKE = re.compile(r"-(?!\d+$|\d*\.\d+$)[^ ]+$")
+# Tried only on words that start with "-", and compiled on first use.
+_FLAG_LIKE = r"-(?!\d+$|\d*\.\d+$)[^ ]+$"
 
 
 def _flag(word, flags):
@@ -915,7 +917,7 @@ def _flag(word, flags):
     named = [f for f in flags if f.startswith(name)]
     if len(named) == 1:
         return named[0], value if sep else None
-    return "" if flags and _FLAG_LIKE.match(word) else None, None
+    return "" if flags and word.startswith("-") and re.match(_FLAG_LIKE, word) else None, None
 
 
 def _to_stderr(line, code):

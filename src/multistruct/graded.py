@@ -33,12 +33,14 @@ at one twist, must equal beta's target, and is checked for sections
 after the twist.  The chain runs once per (pair, sample points) in a
 process.
 
-Every slice rank is exact, kept per (matrix, degree), and proved by the
-first of four arguments that applies.  The entries' denominators are
-cleared by their lcm once per matrix.  (1) When slice d-1 of the same
-matrix is already ranked, slice d is bounded without being built:
-multiplication by s embeds slice d-1 in slice d, and the columns it
-misses meet the s^0 rows through den*M at [0:1], so rank_d >=
+Every slice rank is exact and kept per (matrix, degree).  An empty slice
+is ranked 0 and never built; any other is proved by the first of four
+arguments that applies.  The entries' denominators are cleared by their
+lcm once per matrix, and each entry's terms, each slice dimension and
+each pair's section row are computed once per process.  (1) When slice
+d-1 of the same matrix is already ranked, slice d is bounded without
+being built: multiplication by s embeds slice d-1 in slice d, and the
+columns it misses meet the s^0 rows through den*M at [0:1], so rank_d >=
 rank_(d-1) + rank(den*M at [0:1] on the components present); a bound
 that reaches min(rows, cols) is the rank (see slice_rank).  Otherwise the
 slice is built as sparse integer columns: a multiplication map has only a
@@ -80,23 +82,29 @@ class GradedCertificateError(EngineError):
 # -- graded free modules and matrices ----------------------------------------
 
 
+@functools.cache
 def slice_dim(twists: tuple[int, ...], d: int) -> int:
-    """Dimension of the degree-d slice of ⊕ S(a_i): sum of max(d + a_i + 1, 0)."""
+    """Dimension of the degree-d slice of ⊕ S(a_i): sum of max(d + a_i + 1, 0); cached."""
     return sum(max(d + a + 1, 0) for a in twists)
 
 
-def _su_terms(p: MultiPoly) -> tuple[dict[tuple[int, int], int], int]:
-    """Terms of a polynomial in s, u as ({(deg_s, deg_u): numerator}, den)."""
+@functools.cache
+def _su_terms(p: MultiPoly) -> tuple[tuple[tuple[tuple[int, int], int], ...], int]:
+    """Terms of a polynomial in s, u as (((deg_s, deg_u), numerator), ...) and den.
+
+    Cached per polynomial: the entry check, the integer columns and the dual
+    matrix all read the same entries.
+    """
     names = set(p.variables_used())
     if not names <= {"s", "u"}:
         raise ValueError(f"entry uses variables outside s, u: {sorted(names)}")
     num, den = p.numerators()
-    return {(exponent(key, "s"), exponent(key, "u")): c for key, c in num.items()}, den
+    return tuple(((exponent(key, "s"), exponent(key, "u")), c) for key, c in num.items()), den
 
 
 def homogeneous_degree(p: MultiPoly) -> int | None:
     """Total degree in s, u if p is homogeneous and nonzero, else None."""
-    degrees = {ds + du for (ds, du) in _su_terms(p)[0]}
+    degrees = {ds + du for (ds, du), _ in _su_terms(p)[0]}
     if len(degrees) != 1:
         return None
     return degrees.pop()
@@ -192,7 +200,7 @@ def _integer_columns(M: GradedMatrix) -> tuple[tuple[tuple[int, int, int], ...],
         tuple(
             (i, ds, c * (den // row[j][1]))
             for i, row in enumerate(terms)
-            for (ds, _), c in row[j][0].items()
+            for (ds, _), c in row[j][0]
         )
         for j in range(len(M.source))
     )
@@ -378,8 +386,9 @@ _SLICE_RANKS: dict[GradedMatrix, dict[int, int]] = {}
 def slice_rank(M: GradedMatrix, d: int) -> int:
     """Rank of the degree-d slice of M, kept per (matrix, degree).
 
-    If slice d-1 is already ranked, the rank is first bounded from it.
-    Order rows and columns by whether their s-exponent is positive.  The
+    An empty slice (min(rows, cols) = 0) has rank 0 by definition and is
+    never built.  If slice d-1 is already ranked, the rank is first bounded
+    from it.  Order rows and columns by whether their s-exponent is positive.  The
     columns of slice d with positive s-exponent are s times the columns of
     slice d-1, on the rows with positive s-exponent, and vanish on the s^0
     rows; the u^(d+a) columns meet the s^0 rows through B_d, den*M at [0:1]
@@ -394,7 +403,7 @@ def slice_rank(M: GradedMatrix, d: int) -> int:
     if rank is None:
         full = min(slice_dim(M.target, d), slice_dim(M.source, d))
         below = ranks.get(d - 1)
-        if below is not None and below + _pure_u_rank(M, d) >= full:
+        if not full or below is not None and below + _pure_u_rank(M, d) >= full:
             rank = full
         else:
             rank = integer_rank(*slice_matrix(M, d))
@@ -557,8 +566,9 @@ def symbolic_injectivity() -> bool:
 # -- zero locus and fiberwise checks ------------------------------------------
 
 
+@functools.cache
 def section_row(p: SectionPair) -> GradedMatrix:
-    """The row (a, b) from S(-r-2) + S(-r-4) to S."""
+    """The row (a, b) from S(-r-2) + S(-r-4) to S; built once per pair."""
     m, n = _pair_degrees(p.r)
     return GradedMatrix((-m, -n), (0,), ((p.a, p.b),))
 

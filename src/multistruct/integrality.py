@@ -60,11 +60,13 @@ class BinomialExpansion(Value):
         return self.coeffs[i]
 
 
+@functools.cache
 def to_binomial_basis(p: MultiPoly, n: int) -> BinomialExpansion:
     """Expand p in the basis C(t+i, i), i = 0..n, by triangular elimination.
 
     C(t+i, i) has leading term t^i / i!, so working from degree n down the
-    coefficients are forced; the remainder must cancel exactly.
+    coefficients are forced; the remainder must cancel exactly.  Cached per
+    (p, n).
     """
     if p.degree("t") > n:
         raise ValueError(f"degree {p.degree('t')} exceeds basis size {n}")

@@ -62,12 +62,15 @@ def triple_plane_structure() -> tuple[MultiPoly, ...]:
     return plane_layer(0), plane_layer(r), plane_layer(2 * r)
 
 
+@functools.cache
 def hilbert_double_plane() -> MultiPoly:
-    """C(t+2,2) + C(t+r+2,2), expanded symbolically in r."""
+    """C(t+2,2) + C(t+r+2,2), expanded symbolically in r; built once per process."""
     return hilbert_of_layers(double_plane_structure())
 
 
+@functools.cache
 def hilbert_triple_plane() -> MultiPoly:
+    """C(t+2,2) + C(t+r+2,2) + C(t+2r+2,2), built once per process."""
     return hilbert_of_layers(triple_plane_structure())
 
 

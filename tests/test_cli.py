@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from conftest import as_fraction
-from multistruct import chow, cli, cohomology, integrality, structures
+from multistruct import chow, cli, cohomology, graded, integrality, structures
 from multistruct.arith import MultiPoly, var
 from multistruct.chow import BundleClass
 from multistruct.cli import (
@@ -274,6 +274,41 @@ class TestFaultInjection:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert message in captured.err
+
+
+# The patterns that the seed, flag and coordinate checks compiled at import,
+# kept as the reference each check must agree with
+_OLD_SEED = r"-?[0-9]{1,18}"
+_OLD_FLAG_LIKE = r"-(?!\d+$|\d*\.\d+$)[^ ]+$"
+_OLD_COORDINATE = r"-?([0-9]+)(?:/([0-9]+))?"
+_CHECK_CORPUS = (
+    "", "-", "--", "+5", "5", "-5", "007", "-0", "\u0661\u0662", "-\u0661\u0662", "\u00b2", "\uff17",
+    "9" * 18, "-" + "9" * 18, "9" * 19, "-" + "9" * 19, "1" * 101, "-5\n", "5\n", "-\n", "-.5",
+    "-1.5", "-1.", "-1e3", "1e3", "--r", "--r=3", "-r", "-x y", " 7", "7 ", "1_000",
+    "5/3", "-5/3", "1/0", "/3", "5/", "-5/3/2", "5/-3",
+)
+
+
+class TestPatternFreeChecks:
+    """The seed, flag and coordinate checks accept exactly what their old patterns accepted."""
+
+    @pytest.mark.parametrize("word", _CHECK_CORPUS)
+    def test_each_check_agrees_with_its_old_pattern(self, monkeypatch, word):
+        def accepted(check, *args) -> bool:
+            try:
+                check(*args)
+            except ValueError:
+                return False
+            return True
+
+        monkeypatch.setenv("MULTISTRUCT_SEED", word)
+        assert accepted(cli._read_seed) == (not word or bool(re.fullmatch(_OLD_SEED, word)))
+        # two flags that no word of the corpus names alone
+        flag = "" if re.match(_OLD_FLAG_LIKE, word) else None
+        assert cli._flag(word, ("--alpha", "--beta")) == (flag, None)
+        old = re.fullmatch(_OLD_COORDINATE, word)
+        digits_ok = old is not None and all(len(g or "") <= POINT_DIGITS_CAP for g in old.groups())
+        assert accepted(cli._coordinate, word) == digits_ok
 
 
 class TestSeed:
@@ -831,6 +866,27 @@ class TestStartup:
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.splitlines()[-1] == "loaded:"
 
+    @pytest.mark.parametrize(
+        "argv, code, compiled",
+        [
+            (["replicate", "wedge"], 1, []),
+            (["replicate", "graded", "--points=1:0,0:1,1:1,2:3,-1/2:5"], 0, ["_COORDINATE"]),
+        ],
+        ids=["wedge", "graded-points"],
+    )
+    def test_patterns_compile_on_first_use(self, argv, code, compiled):
+        # a pattern of cli is in re's compile cache only once a run has read it
+        proc = _fresh_process(
+            "import re, sys\nfrom multistruct import cli\ncode = cli.main(sys.argv[1:])\n"
+            "cached = {key[1] for cache in (re._cache, getattr(re, '_cache2', {})) for key in cache}\n"
+            "patterns = {name: getattr(v, 'pattern', v) for name, v in vars(cli).items()}\n"
+            "print('compiled:', *sorted(n for n, p in patterns.items() if isinstance(p, str) and p in cached))\n"
+            "sys.exit(code)",
+            *argv,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.splitlines()[-1] == " ".join(["compiled:", *compiled])
+
     def test_report_loads_json_but_not_datetime(self, tmp_path):
         proc = _fresh_process(
             "import sys\nfrom multistruct.cli import main\ncode = main(sys.argv[1:])\n"
@@ -1115,17 +1171,18 @@ class TestTracedLayers:
 _PIPELINE = ("wedge_powers", "koszul_euler", "euler_characteristic")
 
 
-def _count_calls(argv: list[str]) -> dict[str, int]:
-    """Calls of the chow pipeline functions while main(argv) runs, by code object.
+def _call_arguments(argv: list[str], functions: dict) -> dict[str, list[tuple]]:
+    """The arguments of every call of each named function while main(argv) runs, by code object.
 
-    A cached function counts the calls of the function it wraps, its cache misses.
+    A cached function records the calls of the function it wraps, its cache misses.
     """
-    codes = {inspect.unwrap(getattr(chow, name)).__code__: name for name in _PIPELINE}
-    counts = dict.fromkeys(_PIPELINE, 0)
+    codes = {inspect.unwrap(f).__code__: name for name, f in functions.items()}
+    calls = {name: [] for name in functions}
 
     def hook(frame, event, arg):
         if event == "call" and frame.f_code in codes:
-            counts[codes[frame.f_code]] += 1
+            code = frame.f_code
+            calls[codes[code]].append(tuple(frame.f_locals[v] for v in code.co_varnames[: code.co_argcount]))
 
     previous = sys.getprofile()
     sys.setprofile(hook)
@@ -1134,7 +1191,32 @@ def _count_calls(argv: list[str]) -> dict[str, int]:
             main(argv)
     finally:
         sys.setprofile(previous)
-    return counts
+    return calls
+
+
+def _count_calls(argv: list[str]) -> dict[str, int]:
+    """Calls of the chow pipeline functions while main(argv) runs; a cached one counts its misses."""
+    calls = _call_arguments(argv, {name: getattr(chow, name) for name in _PIPELINE})
+    return {name: len(args) for name, args in calls.items()}
+
+
+# Functions whose values replicate all asks for more than once, each cached per process
+_ONCE = {
+    "graded._su_terms": graded._su_terms,
+    "graded.section_row": graded.section_row,
+    "graded.slice_dim": graded.slice_dim,
+    "chow.chern_character": chow.chern_character,
+    "chow.adams_operation": chow.adams_operation,
+    "integrality.to_binomial_basis": integrality.to_binomial_basis,
+    "structures.hilbert_double_plane": structures.hilbert_double_plane,
+    "structures.hilbert_triple_plane": structures.hilbert_triple_plane,
+}
+
+
+def _census(argv: list[str]) -> dict[str, list[int]]:
+    """[calls, distinct arguments] of each _ONCE function and of graded.slice_matrix."""
+    calls = _call_arguments(argv, {**_ONCE, "graded.slice_matrix": graded.slice_matrix})
+    return {name: [len(args), len(set(args))] for name, args in calls.items()}
 
 
 class TestSpecializedOracles:
@@ -1232,3 +1314,35 @@ class TestSpecializedOracles:
         assert json.loads(proc.stdout) == {
             "wedge_powers": 1, "koszul_euler": 1, "euler_characteristic": 10
         }
+
+
+class TestComputedOnce:
+    """A fresh replicate all computes each value of the cached functions once."""
+
+    def test_replicate_all_census_in_a_fresh_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, test_cli; print(json.dumps(test_cli._census(['replicate', 'all'])))"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        census = json.loads(proc.stdout)
+        # 98 slices are built, each once; the 42 empty ones are ranked 0 unbuilt
+        assert census.pop("graded.slice_matrix") == [98, 98]
+        assert census == {
+            "graded._su_terms": [122, 122],
+            "graded.section_row": [14, 14],
+            "graded.slice_dim": [227, 227],
+            "chow.chern_character": [8, 8],
+            "chow.adams_operation": [2, 2],
+            "integrality.to_binomial_basis": [4, 4],
+            "structures.hilbert_double_plane": [1, 1],
+            "structures.hilbert_triple_plane": [1, 1],
+        }
+
+    def test_cached_values_are_immutable(self):
+        # every caller shares one result, so none may be able to change it
+        terms, _ = graded._su_terms(var("s") ** 2 - 3 * var("s") * var("u"))
+        assert isinstance(terms, tuple) and all(isinstance(term, tuple) for term in terms)
+        assert sorted(terms) == [((1, 1), -3), ((2, 0), 1)]

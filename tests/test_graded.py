@@ -404,9 +404,19 @@ class TestSliceStep:
 
     def test_absent_component_is_masked(self, built):
         assert self._sweep(_ABSENT_COMPONENT, 1, built) == [
-            (-1, 0, 0, False),
+            (-1, 0, 0, True),  # empty, so ranked 0 and never built
             (0, 1, 2, False),  # the bound 0 + 1 falls short, so the slice is built
             (1, 3, 4, False),
+        ]
+
+    def test_only_empty_slices_are_ranked_unbuilt(self, built):
+        # the zero map has rank 0 on every slice, so each nonempty one is built
+        zero_map = GradedMatrix((0,), (0,), ((MultiPoly.zero(),),))
+        assert self._sweep(zero_map, 2, built) == [
+            (-1, 0, 0, True),
+            (0, 0, 1, False),
+            (1, 0, 2, False),
+            (2, 0, 3, False),
         ]
 
     def test_short_slices_are_never_stepped_to_full(self, built):
@@ -579,7 +589,7 @@ def _fraction_evaluate(M: GradedMatrix, point: tuple[Fraction, Fraction]) -> lis
         cells = []
         for e in row:
             terms, den = graded._su_terms(e)
-            value = sum((c * s_val**ds * u_val**du for (ds, du), c in terms.items()), Fraction(0))
+            value = sum((c * s_val**ds * u_val**du for (ds, du), c in terms), Fraction(0))
             cells.append(value / den)
         rows.append(cells)
     return rows
